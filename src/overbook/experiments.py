@@ -11,7 +11,7 @@ between both formulations is covered by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from .distributions import (
     virtual_value_array,
 )
 from .prophet import TWO_THIRDS
-from .secretary import BetaVector, interval_index
+from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
 
 
@@ -185,6 +185,11 @@ class SecretaryTrialStats:
     trials: int
 
 
+#: Rank cells (rows x n) that the secretary engine holds per row chunk. It
+#: bounds the engine's working memory; it does not change any result.
+_RANK_CHUNK_CELLS = 1 << 21
+
+
 def secretary_trials(
     values: np.ndarray,
     beta: BetaVector,
@@ -195,10 +200,28 @@ def secretary_trials(
 ) -> SecretaryTrialStats:
     """Simulate the interval selector over uniformly random arrival orders.
 
-    Decisions depend only on relative ranks, so the engine permutes distinct
-    ranks (duplicates in `values` get distinct ranks by sorted position,
-    which realizes the earlier-arrival-wins tie rule under a uniform
-    permutation) and maps accepted ranks back to values at the end.
+    Decisions depend only on relative ranks, so the engine permutes ranks
+    (0 = largest value) and maps accepted ranks back to values at the end.
+    Tied values share the key of their best rank, so an earlier arrival of
+    an equal value counts as better, as in the scalar selector.
+
+    No loop runs over arrival positions. With r_q the key arriving at
+    0-based position q, let C_j[p] be the j-th smallest key among arrivals
+    0..p, with n for an empty prefix. Then
+
+        C_1 = minimum.accumulate(r),
+        C_j[p] = min_{q <= p} max(C_{j-1}[q-1], r_q),
+
+    so `ell` passes of `maximum` and `minimum.accumulate` give every order
+    statistic the selector needs. The arrival at position p of interval j
+    (positions bounds[j] .. bounds[j+1]-1, bounds = (0,) + beta.boundaries)
+    is accepted by the unbounded run iff r_p < C_j[p-1]; interval 0 never
+    accepts. The bounded run keeps the first k of those acceptances.
+
+    Each seeded batch is processed in row chunks of int32 keys, each drawn
+    as rng.random((rows, n)). Drawn in order, the chunks consume the same
+    stream as one (batch, n) draw, so the permutations, and the estimates,
+    do not depend on the chunk size.
     """
     vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
     n = len(vals_desc)
@@ -206,8 +229,18 @@ def secretary_trials(
     if beta.n != n:
         raise ValueError("beta.n must match the number of values")
     bench = float(vals_desc[:ell].sum())
-    b_of = np.array([interval_index(beta, i) for i in range(1, n + 1)])
-    vals_ext = np.append(vals_desc, 0.0)  # sentinel rank n -> contributes 0
+    vals_ext = np.append(vals_desc, 0.0)  # sentinel key n -> contributes 0
+    first = np.r_[True, vals_desc[1:] != vals_desc[:-1]]
+    key = np.maximum.accumulate(np.where(first, np.arange(n), 0)).astype(np.int32)
+    ell_key = key[ell - 1] if ell <= n else n
+    bounds = (0,) + beta.boundaries
+    # the last interval that holds a position; higher order statistics are unused
+    last_j = max((j for j in range(1, ell + 1) if bounds[j] < bounds[j + 1]), default=0)
+    rows = max(1, min(batch, trials, _RANK_CHUNK_CELLS // n))
+    acc = np.empty((rows, n), dtype=bool)
+    # column p + 1 holds C_j[p]; column 0 is the empty prefix
+    cur = np.full((rows, n + 1), n, dtype=np.int32)
+    nxt = cur.copy()
 
     total = total_sq = 0.0
     n_differ = 0
@@ -215,40 +248,33 @@ def secretary_trials(
     count = 0
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
-        # ranks[:, pos] = global rank (0 = largest) arriving at position pos
-        ranks = np.argsort(rng.random((b_size, n)), axis=1)
-        top_seen = np.full((b_size, ell), n, dtype=np.int64)
-        acc_top = np.full((b_size, ell), n, dtype=np.int64)
-        cnt_unb = np.zeros(b_size, dtype=np.int64)
-        cnt_cap = np.zeros(b_size, dtype=np.int64)
-        ell_taken = np.zeros(b_size, dtype=bool)
-        for pos in range(n):
-            r = ranks[:, pos]
-            j = b_of[pos]
-            if j > 0:
-                better = (top_seen < r[:, None]).sum(axis=1)
-                acc_u = better < j
-                acc_c = acc_u & (cnt_cap < k)
-                cnt_unb += acc_u
-                cnt_cap += acc_c
-                ell_taken |= acc_u & (r == ell - 1)
-                rows = np.nonzero(acc_c)[0]
-                if len(rows):
-                    slot = acc_top[rows].argmax(axis=1)
-                    worst = acc_top[rows, slot]
-                    upd = r[rows] < worst
-                    acc_top[rows[upd], slot[upd]] = r[rows][upd]
-            # maintain the ell smallest ranks seen so far
-            slot = top_seen.argmax(axis=1)
-            all_rows = np.arange(b_size)
-            worst = top_seen[all_rows, slot]
-            upd = r < worst
-            top_seen[all_rows[upd], slot[upd]] = r[upd]
-        ell_vals = vals_ext[acc_top].sum(axis=1)
+        ell_vals = np.empty(b_size)
+        for lo in range(0, b_size, rows):
+            c = min(rows, b_size - lo)
+            # r[:, pos] = key of the global rank arriving at position pos
+            r = key[np.argsort(rng.random((c, n)), axis=1)]
+            a_u, c_j, c_next = acc[:c], cur[:c], nxt[:c]
+            a_u[:, :bounds[1]] = False
+            np.minimum.accumulate(r, axis=1, out=c_j[:, 1:])
+            for j in range(1, last_j + 1):
+                lo_j, hi_j = bounds[j], bounds[j + 1]
+                np.less(r[:, lo_j:hi_j], c_j[:, lo_j:hi_j], out=a_u[:, lo_j:hi_j])
+                if j < last_j:
+                    np.maximum(c_j[:, :-1], r, out=c_next[:, 1:])
+                    np.minimum.accumulate(c_next[:, 1:], axis=1, out=c_next[:, 1:])
+                    c_j, c_next = c_next, c_j
+            n_missed += c - int(np.count_nonzero((a_u & (r == ell_key)).any(axis=1)))
+            # capacity cut: only rows with more than k acceptances change
+            over = np.nonzero(np.count_nonzero(a_u, axis=1) > k)[0]
+            n_differ += len(over)
+            if len(over):
+                a_u[over] &= np.cumsum(a_u[over], axis=1) <= k
+            kept = np.where(a_u, r, n)
+            if ell < n:
+                kept = np.partition(kept, ell - 1, axis=1)[:, :ell]
+            ell_vals[lo:lo + c] = vals_ext[kept].sum(axis=1)
         total += float(ell_vals.sum())
         total_sq += float((ell_vals**2).sum())
-        n_differ += int((cnt_unb > k).sum())
-        n_missed += int((~ell_taken).sum())
         count += b_size
 
     mean, se = _mean_stderr(total, total_sq, count)

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ from .distributions import (
 from .oracle import exact_prophet_benchmark, optimal_online_dp, secretary_max_prob_dp
 from .prophet import default_tau
 from .secretary import default_beta, secretary_phase_length
-from .seeding import derive_seed, trial_rng  # re-exported for callers
 
 KINDS = (
     "prophet-tau",
@@ -92,6 +91,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
+        known = {f.name: f for f in fields(cls)}
+        for key in obj:
+            if key not in known:
+                raise InvalidSpecError(f"{key}: unknown spec key")
+        for name, f in known.items():
+            if f.default is MISSING and name not in obj:
+                raise InvalidSpecError(f"{name}: required")
         return cls(**obj)
 
 
@@ -191,14 +197,17 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     kind = desc.get("kind")
     if kind == "geometric":
         n = int(desc.get("n", spec.n))
-        ratio = float(desc["ratio"])
-        return ratio ** -np.arange(n, dtype=float)
-    if kind == "list":
-        return np.asarray(desc["values"], dtype=float)
-    if kind == "csv":
+        values = float(desc["ratio"]) ** -np.arange(n, dtype=float)
+    elif kind == "list":
+        values = np.asarray(desc["values"], dtype=float)
+    elif kind == "csv":
         with open(desc["path"]) as fh:
-            return np.asarray([float(line) for line in fh if line.strip()], dtype=float)
-    raise InvalidSpecError("values: kind must be geometric, list, or csv")
+            values = np.asarray([float(line) for line in fh if line.strip()], dtype=float)
+    else:
+        raise InvalidSpecError("values: kind must be geometric, list, or csv")
+    if len(values) != spec.n:
+        raise InvalidSpecError(f"values: {len(values)} values but n={spec.n}")
+    return values
 
 
 def _lower_bound_pass(estimate: float, stderr: float, bound: float, vacuous: bool) -> bool:
@@ -237,7 +246,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     elif spec.kind == "secretary":
         values = _resolve_values(spec)
-        beta = default_beta(len(values), spec.ell, spec.k)
+        beta = default_beta(spec.n, spec.ell, spec.k)
         stats = experiments.secretary_trials(
             values, beta, spec.k, spec.trials, spec.master_seed)
         estimate, stderr = stats.ratio, stats.ratio_stderr

@@ -40,7 +40,7 @@ from overbook.oracle import (
     optimal_online_dp,
     secretary_max_prob_dp,
 )
-from overbook.secretary import default_beta
+from overbook.secretary import default_beta, secretary_phase_length
 
 TRIALS = 100_000
 
@@ -149,6 +149,25 @@ def test_criterion_06_capacity_event_bound(secretary_run):
     ok = stats.prob_capacity_differs <= bound + 3 * stats.prob_capacity_differs_stderr
     _report(6, "bounded/unbounded selector disagreement probability", ok,
             f"p={stats.prob_capacity_differs:.2e} <= {bound:.2e}+3se")
+    assert ok
+
+
+def test_criterion_05b_secretary_bound_nonzero_loss():
+    # n=200 leaves a nonempty sampling phase, so the selector sometimes
+    # misses a top-ell value and the estimate sits below 1
+    n, ell, k = 200, 2, 24
+    values = np.array([2.0 ** -r for r in range(n)])
+    beta = default_beta(n, ell, k)
+    assert beta.boundaries[0] > 0
+    stats = secretary_trials(values, beta, k, TRIALS, master_seed=5002)
+    bound = secretary_bound(ell, k)
+    miss_bound = ell * math.exp(-secretary_phase_length(ell, k))
+    ok = (stats.ratio < 1.0 and stats.prob_ell_missed > 0.0
+          and stats.ratio + 3 * stats.ratio_stderr >= bound
+          and stats.prob_ell_missed <= miss_bound + 3 * stats.prob_ell_missed_stderr)
+    _report(5, "interval selector ratio below 1, n=200 geometric values", ok,
+            f"ratio={stats.ratio:.6f} >= {bound:.6f}, "
+            f"p_miss={stats.prob_ell_missed:.2e} <= {miss_bound:.2e}+3se")
     assert ok
 
 

@@ -68,6 +68,19 @@ class TestExperimentSpec:
                               master_seed=1, distribution={"iid": UNIFORM})
         assert ExperimentSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
+    def test_unknown_key_named_through_load_config(self, tmp_path):
+        entry = {"kind": "prophet-max", "n": 4, "ell": 1, "k": 2, "trials": 10,
+                 "master_seed": 1, "distribution": {"iid": UNIFORM}, "trails": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiments": [entry]}))
+        with pytest.raises(InvalidSpecError, match="^trails:"):
+            load_config(str(path))
+
+    def test_missing_key_named(self):
+        with pytest.raises(InvalidSpecError, match="^master_seed:"):
+            ExperimentSpec.from_json({"kind": "secretary", "n": 4, "ell": 1, "k": 2,
+                                      "trials": 10})
+
 
 class TestBounds:
     def test_tau_bound_formula(self):
@@ -108,6 +121,16 @@ class TestRunExperiment:
                               values={"kind": "geometric", "n": 50, "ratio": 2.0})
         report = run_experiment(spec)
         assert report.vacuous and report.passed
+
+    @pytest.mark.parametrize("values", [
+        {"kind": "list", "values": [3.0, 1.0, 2.0]},
+        {"kind": "geometric", "n": 40, "ratio": 2.0},
+    ])
+    def test_secretary_value_count_must_match_n(self, values):
+        spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=16, trials=10,
+                              master_seed=3, values=values)
+        with pytest.raises(InvalidSpecError, match="^values:"):
+            run_experiment(spec)
 
     def test_parallel_matches_serial(self):
         specs = [

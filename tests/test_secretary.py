@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from overbook import experiments
 from overbook.experiments import secretary_trials
 from overbook.oracle import top_ell
 from overbook.secretary import (
@@ -154,6 +155,60 @@ class TestVectorizedEngine:
         assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
         assert stats.prob_capacity_differs == pytest.approx(differ / batch, abs=1e-12)
         assert stats.prob_ell_missed == pytest.approx(missed / batch, abs=1e-12)
+
+    # (n, ell, k, boundaries, duplicate values, trials, batch, rows per chunk)
+    REPLAY_CONFIGS = [
+        (12, 1, 1, (3, 12), False, 37, 16, 3),        # nonempty interval 0, binding k
+        (15, 2, 2, (4, 4, 15), True, 37, 16, 3),      # empty interval 1, ties
+        (20, 3, 10, (0, 5, 5, 20), False, 41, 20, 7), # empty interval 0 and 2
+        (9, 4, 4, (2, 3, 5, 7, 9), True, 29, 10, 4),  # ties, binding k
+        (30, 5, 7, (6, 6, 10, 15, 15, 30), True, 50, 25, 6),
+        (4, 5, 5, (1, 1, 2, 3, 4, 4), False, 23, 8, 3),  # ell > n
+        (5, 5, 6, (0, 1, 2, 3, 4, 5), True, 23, 8, 3),   # ell == n, ties
+        (1, 1, 1, (0, 1), False, 5, 2, 1),
+        (40, 2, 30, (5, 12, 40), True, 45, 30, None),    # default chunk, non-binding k
+    ]
+
+    @pytest.mark.parametrize("cfg", REPLAY_CONFIGS)
+    def test_replay_matches_scalar(self, cfg, monkeypatch):
+        # every batch's permutations replayed through the scalar selectors,
+        # with the engine cut into row chunks that do not divide the batch
+        n, ell, k, bounds, ties, trials, batch, rows = cfg
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", rows * n)
+        gen = np.random.default_rng(n * 100 + ell * 10 + k)
+        values = (gen.integers(0, 4, size=n).astype(float) if ties
+                  else gen.exponential(size=n))
+        beta = BetaVector(bounds, n=n, ell=ell)
+        master_seed = int(gen.integers(10_000))
+        stats = secretary_trials(values, beta, k, trials, master_seed, batch=batch)
+        vals_desc = np.sort(values)[::-1]
+        alg_sum = bench_sum = 0.0
+        differ = missed = 0
+        for b_idx, start in enumerate(range(0, trials, batch)):
+            b_size = min(batch, trials - start)
+            ranks = np.argsort(trial_rng(master_seed, b_idx).random((b_size, n)), axis=1)
+            for t in range(b_size):
+                arrival = vals_desc[ranks[t]]
+                bd = run_secretary(arrival, beta, k)
+                ub = run_secretary_unbounded(arrival, beta)
+                alg_sum += bd.ell_value
+                bench_sum += top_ell(arrival, ell).value
+                differ += int(len(ub.accepted) > k)
+                missed += int(ell > n or vals_desc[ell - 1] not in ub.accepted_values)
+        assert stats.trials == trials
+        assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
+        assert stats.prob_capacity_differs == pytest.approx(differ / trials, abs=1e-12)
+        assert stats.prob_ell_missed == pytest.approx(missed / trials, abs=1e-12)
+
+    def test_chunking_leaves_results_unchanged(self, monkeypatch):
+        n, ell, k = 200, 3, 24
+        values = np.random.default_rng(77).integers(0, 50, size=n).astype(float)
+        beta = default_beta(n, ell, k)
+        whole = secretary_trials(values, beta, k, trials=2_500, master_seed=78, batch=1_000)
+        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
+        chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=78, batch=1_000)
+        assert chunked == whole
 
     def test_empirical_bounds_smaller_scale(self):
         # shrunken version of the guarantee chain: ratio and the two event
