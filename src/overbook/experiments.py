@@ -77,9 +77,17 @@ def _binomial(successes: int, count: int) -> tuple[float, float]:
 
 def _top_ell_sums(matrix: np.ndarray, ell: int) -> np.ndarray:
     n = matrix.shape[1]
+    if ell == 1:
+        return matrix.max(axis=1)
     if ell >= n:
         return matrix.sum(axis=1)
     return np.partition(matrix, n - ell, axis=1)[:, n - ell :].sum(axis=1)
+
+
+def _first_k(mask: np.ndarray, k: int) -> np.ndarray:
+    """The first k True entries of each row of `mask`: the capacity cut of
+    every "accept the first k" rule."""
+    return mask & (np.cumsum(mask, axis=1) <= k)
 
 
 # ---- prophet: single-sample threshold ----
@@ -107,8 +115,7 @@ def alg_tau_trials(
         samples = instance.sample_matrix(rng, b_size)
         values = instance.sample_matrix(rng, b_size)
         thr = np.partition(samples, n - tau, axis=1)[:, n - tau]
-        above = values > thr[:, None]
-        chosen = above & (np.cumsum(above, axis=1) <= k)
+        chosen = _first_k(values > thr[:, None], k)
         acc.add(_top_ell_sums(np.where(chosen, values, 0.0), ell),
                 _top_ell_sums(values, ell))
     return acc.result()
@@ -132,8 +139,7 @@ def alg_max_trials(
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         values = instance.sample_matrix(rng, b_size)
-        above = values > threshold
-        chosen = above & (np.cumsum(above, axis=1) <= k)
+        chosen = _first_k(values > threshold, k)
         acc.add(_top_ell_sums(np.where(chosen, values, 0.0), ell),
                 _top_ell_sums(values, ell))
     return acc.result()
@@ -161,7 +167,7 @@ def alg_max_atoms_trials(
         first = ge.argmax(axis=1)
         # strictly-above acceptances after the first >= acceptance
         later = ge & (values > threshold) & (positions[None, :] > first[:, None])
-        later &= np.cumsum(later, axis=1) <= k - 1
+        later = _first_k(later, k - 1)
         chosen_vals = np.where(later, values, 0.0)
         rows = np.nonzero(has_first)[0]
         chosen_vals[rows, first[rows]] = values[rows, first[rows]]
@@ -268,7 +274,7 @@ def secretary_trials(
             over = np.nonzero(np.count_nonzero(a_u, axis=1) > k)[0]
             n_differ += len(over)
             if len(over):
-                a_u[over] &= np.cumsum(a_u[over], axis=1) <= k
+                a_u[over] = _first_k(a_u[over], k)
             kept = np.where(a_u, r, n)
             if ell < n:
                 kept = np.partition(kept, ell - 1, axis=1)[:, :ell]
@@ -329,8 +335,7 @@ def mechanism_welfare_trials(
             threshold = fixed_threshold
         values = instance.sample_matrix(rng, b_size)
         # selector path
-        above = values > threshold
-        chosen = above & (np.cumsum(above, axis=1) <= k)
+        chosen = _first_k(values > threshold, k)
         alg_vals = _top_ell_sums(np.where(chosen, values, 0.0), ell)
         # mechanism path: phase-1 tickets, then the top ell ticket holders win
         tickets = np.where(chosen, values, 0.0)
@@ -381,8 +386,7 @@ def mechanism_revenue_trials(
         samples = prior.sample_n(rng, (b_size, n))
         values = prior.sample_n(rng, (b_size, n))
         thr = np.maximum(phat, np.partition(samples, n - tau, axis=1)[:, n - tau])
-        above = values > thr[:, None]
-        tickets = above & (np.cumsum(above, axis=1) <= k)
+        tickets = _first_k(values > thr[:, None], k)
         n_tickets = tickets.sum(axis=1)
         tv_sorted = -np.sort(-np.where(tickets, values, -1.0), axis=1)
         n_win = np.minimum(n_tickets, ell)

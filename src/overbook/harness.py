@@ -210,6 +210,20 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     return values
 
 
+def _require_atomless(instance: ProductInstance, engine: str) -> None:
+    if not instance.all_atomless:
+        raise InvalidSpecError(
+            f"distribution: {engine} needs atomless components; its batch engine "
+            "skips the tie-break priorities that atoms make necessary")
+
+
+def _require_k_above_one(k: int, engine: str) -> None:
+    if k < 2:
+        raise InvalidSpecError(
+            f"k: {engine} needs k >= 2; at k = 1 the scalar alg_max and "
+            "alg_max_atoms raise DegenerateThresholdError")
+
+
 def _lower_bound_pass(estimate: float, stderr: float, bound: float, vacuous: bool) -> bool:
     return vacuous or estimate + 3.0 * stderr >= bound
 
@@ -224,6 +238,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     if spec.kind == "prophet-tau":
         instance = _resolve_instance(spec)
+        _require_atomless(instance, "prophet-tau")
         tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
         estimate, stderr = experiments.alg_tau_trials(
             instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
@@ -232,6 +247,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         extras["tau"] = tau
 
     elif spec.kind == "prophet-max":
+        _require_k_above_one(spec.k, "prophet-max")
         instance = _resolve_instance(spec)
         if instance.all_atomless:
             estimate, stderr = experiments.alg_max_trials(
@@ -278,6 +294,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     elif spec.kind == "mechanism-welfare":
         instance = _resolve_instance(spec)
         source = spec.source or "alg_max"
+        if source == "alg_max":
+            _require_k_above_one(spec.k, "mechanism-welfare source alg_max")
+        elif source == "alg_tau-sample":
+            _require_atomless(instance, "mechanism-welfare source alg_tau-sample")
         tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
         stats = experiments.mechanism_welfare_trials(
             instance, spec.ell, spec.k, spec.trials, spec.master_seed,

@@ -12,6 +12,9 @@ import numpy as np
 
 #: Trials per vectorized batch. Part of the reproducibility contract: batch
 #: index b seeds the stream for trials [b * BATCH_SIZE, (b+1) * BATCH_SIZE).
+#: So is how a batch consumes its stream: `ProductInstance.sample_matrix`
+#: draws column i as the i-th block, as n successive per-component
+#: `sample_n(rng, trials)` calls would.
 BATCH_SIZE = 20_000
 
 

@@ -117,6 +117,80 @@ class TestProductInstance:
         assert [c.to_json() for c in again.components] == inst.to_json()
 
 
+def _column_reference(instance, rng, trials):
+    """The sampling stream contract spelled out: one column draw per
+    component, in order, stacked; a point mass draws nothing."""
+    cols = []
+    for c in instance.components:
+        params = c.to_json()["params"]
+        if c.kind == "finite-support":
+            values, probs = zip(*params["atoms"])
+            cols.append(rng.choice(values, trials, p=probs))
+        elif c.kind == "uniform-interval":
+            cols.append(rng.uniform(params["lo"], params["hi"], trials))
+        elif c.kind == "exponential":
+            cols.append(rng.exponential(1.0 / params["rate"], trials))
+        else:
+            cols.append(np.full(trials, params["value"]))
+    return np.column_stack(cols)
+
+
+def _three_atom_components(n):
+    rng = np.random.default_rng(404)
+    return ProductInstance([
+        ValueDistribution.finite(list(zip(np.sort(rng.uniform(0, 10, 3)).tolist(),
+                                          rng.dirichlet(np.ones(3)).tolist())))
+        for _ in range(n)
+    ])
+
+
+def _mixed_instance():
+    atoms = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+    return ProductInstance(
+        [ValueDistribution.uniform(0.5, 2.0), ValueDistribution.exponential(3.0)]
+        + [atoms] * 4
+        + [ValueDistribution.exponential(0.5), ValueDistribution.degenerate(1.5),
+           ValueDistribution.uniform(0.0, 1.0)])
+
+
+class TestSamplingStream:
+    """sample_matrix and sample_n consume the documented random stream (one
+    column draw per component, in order), so a seed keeps its estimates."""
+
+    @pytest.mark.parametrize("instance", [
+        ProductInstance.iid(ValueDistribution.finite([(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)]), 40),
+        _three_atom_components(25),
+        hard_prophet_instance(3, 7),
+        single_sample_hard_instance(3, 2, 2.0, 6),
+        _mixed_instance(),
+    ], ids=["iid-finite", "three-atom-components", "hard-prophet",
+            "single-sample-hard", "mixed-with-run"])
+    @pytest.mark.parametrize("trials", [1, 7, 2_000])
+    def test_sample_matrix_matches_column_draws(self, instance, trials):
+        got = instance.sample_matrix(np.random.default_rng(2024), trials)
+        want = _column_reference(instance, np.random.default_rng(2024), trials)
+        assert got.shape == (trials, instance.n) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_sample_matrix_leaves_stream_where_columns_do(self):
+        inst = _mixed_instance()
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        inst.sample_matrix(rng_a, 300)
+        _column_reference(inst, rng_b, 300)
+        assert np.array_equal(rng_a.random(8), rng_b.random(8))
+
+    @pytest.mark.parametrize("size", [1, 1_000, (3, 250)])
+    def test_finite_sample_n_matches_choice(self, size):
+        rng = np.random.default_rng(77)
+        for m in range(1, 65):
+            values = np.sort(rng.choice(10_000, m, replace=False)) / 100.0
+            probs = rng.dirichlet(np.ones(m))
+            dist = ValueDistribution.finite(list(zip(values.tolist(), probs.tolist())))
+            got = dist.sample_n(np.random.default_rng(m), size)
+            want = np.random.default_rng(m).choice(dist._values, size, p=dist._probs)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestMaxQuantile:
     def test_two_uniforms_quarter(self):
         inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)

@@ -23,6 +23,7 @@ from overbook.harness import (
 from overbook.seeding import BATCH_SIZE, derive_seed, trial_rng
 
 UNIFORM = {"kind": "uniform-interval", "params": {"lo": 0.0, "hi": 1.0}}
+ATOMS = {"kind": "finite-support", "params": {"atoms": [[0.0, 0.5], [1.0, 0.3], [2.0, 0.2]]}}
 
 
 class TestSeeding:
@@ -114,6 +115,29 @@ class TestRunExperiment:
         assert report.ratio_estimate == pytest.approx(0.9, abs=1e-12)
         assert report.stderr == 0.0
         assert report.passed
+
+    @pytest.mark.parametrize("kind,source", [("prophet-max", None),
+                                             ("mechanism-welfare", "alg_max")])
+    def test_rejects_k1_for_max_distribution_threshold(self, kind, source):
+        # the engines would report ratio 0.0 against a vacuous bound and PASS
+        spec = ExperimentSpec(kind=kind, n=10, ell=1, k=1, trials=1000, master_seed=1,
+                              distribution={"iid": UNIFORM}, source=source)
+        with pytest.raises(InvalidSpecError, match="^k:"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("kind,source", [("prophet-tau", None),
+                                             ("mechanism-welfare", "alg_tau-sample")])
+    @pytest.mark.parametrize("distribution", [
+        {"iid": ATOMS},
+        {"components": [UNIFORM] * 9 + [{"kind": "degenerate", "params": {"value": 0.5}}]},
+    ], ids=["iid-atoms", "one-point-mass"])
+    def test_rejects_atoms_for_sample_threshold(self, kind, source, distribution):
+        # the batch engine has no tie-break priorities: on the iid atoms it
+        # reported 0.592 where the scalar alg_tau gives 0.845
+        spec = ExperimentSpec(kind=kind, n=10, ell=2, k=4, trials=1000, master_seed=1,
+                              tau=3, distribution=distribution, source=source)
+        with pytest.raises(InvalidSpecError, match="^distribution:"):
+            run_experiment(spec)
 
     def test_secretary_small_k_vacuous(self):
         spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=4,
