@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import mechanisms
 from .distributions import (
     ProductInstance,
     ValueDistribution,
@@ -24,6 +25,7 @@ from .distributions import (
     monopoly_price,
     virtual_value_array,
 )
+from .oracle import top_ell_values
 from .prophet import TWO_THIRDS
 from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
@@ -75,19 +77,62 @@ def _binomial(successes: int, count: int) -> tuple[float, float]:
     return p, math.sqrt(max(0.0, p * (1 - p)) / count)
 
 
-def _top_ell_sums(matrix: np.ndarray, ell: int) -> np.ndarray:
-    n = matrix.shape[1]
-    if ell == 1:
-        return matrix.max(axis=1)
-    if ell >= n:
-        return matrix.sum(axis=1)
-    return np.partition(matrix, n - ell, axis=1)[:, n - ell :].sum(axis=1)
-
-
 def _first_k(mask: np.ndarray, k: int) -> np.ndarray:
     """The first k True entries of each row of `mask`: the capacity cut of
     every "accept the first k" rule."""
     return mask & (np.cumsum(mask, axis=1) <= k)
+
+
+def _threshold_top_ell(
+    values: np.ndarray,
+    thr,
+    k: int,
+    ell: int,
+    first_ge: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-ell sums of the threshold selector and of the benchmark.
+
+    The selector accepts the first k values of each row strictly above
+    `thr`; with `first_ge` (the atoms variant) it accepts the first value
+    >= thr, then values strictly above it. `thr` is a scalar or holds one
+    threshold per row. The benchmark is the row's own top-ell sum.
+
+    Where the unbounded run accepts at most k values, the accepted values
+    above thr are the row's largest, so the selector's sum is the sum of the
+    benchmark's top-ell entries above thr (plus thr itself for an accepted
+    first value equal to it that makes the top ell). Only the rows where the
+    capacity binds run the cut over the whole row.
+    """
+    rows, n = values.shape
+    per_row = np.ndim(thr) == 1
+    t = thr[:, None] if per_row else thr
+    if ell == 1:
+        block = values.max(axis=1, keepdims=True)
+    elif ell >= n:
+        block = values
+    else:
+        # copied out, so the partitioned (rows, n) buffer is freed at once
+        block = np.partition(values, n - ell, axis=1)[:, n - ell:].copy()
+    bench = block.sum(axis=1)
+    above = block > t
+    alg = np.where(above, block, 0.0).sum(axis=1)
+    accepted = values > t
+    count = np.count_nonzero(accepted, axis=1)
+    if first_ge:
+        first = (values >= t).argmax(axis=1)
+        first_at_thr = values[np.arange(rows), first] == thr
+        count += first_at_thr
+        add = np.nonzero(first_at_thr & (np.count_nonzero(above, axis=1) < ell))[0]
+        alg[add] += thr[add] if per_row else thr
+    bind = np.nonzero(count > k)[0]
+    if len(bind):
+        sub = values[bind]
+        cut = accepted[bind]
+        if first_ge:
+            at_thr = np.nonzero(first_at_thr[bind])[0]
+            cut[at_thr, first[bind[at_thr]]] = True
+        alg[bind] = top_ell_values(np.where(_first_k(cut, k), sub, 0.0), ell)
+    return alg, bench
 
 
 # ---- prophet: single-sample threshold ----
@@ -114,10 +159,8 @@ def alg_tau_trials(
         rng = trial_rng(master_seed, b_idx)
         samples = instance.sample_matrix(rng, b_size)
         values = instance.sample_matrix(rng, b_size)
-        thr = np.partition(samples, n - tau, axis=1)[:, n - tau]
-        chosen = _first_k(values > thr[:, None], k)
-        acc.add(_top_ell_sums(np.where(chosen, values, 0.0), ell),
-                _top_ell_sums(values, ell))
+        thr = np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
+        acc.add(*_threshold_top_ell(values, thr, k, ell))
     return acc.result()
 
 
@@ -139,9 +182,7 @@ def alg_max_trials(
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         values = instance.sample_matrix(rng, b_size)
-        chosen = _first_k(values > threshold, k)
-        acc.add(_top_ell_sums(np.where(chosen, values, 0.0), ell),
-                _top_ell_sums(values, ell))
+        acc.add(*_threshold_top_ell(values, threshold, k, ell))
     return acc.result()
 
 
@@ -156,22 +197,11 @@ def alg_max_atoms_trials(
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    n = instance.n
-    positions = np.arange(n)
     acc = _PairedRatio()
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         values = instance.sample_matrix(rng, b_size)
-        ge = values >= threshold
-        has_first = ge.any(axis=1)
-        first = ge.argmax(axis=1)
-        # strictly-above acceptances after the first >= acceptance
-        later = ge & (values > threshold) & (positions[None, :] > first[:, None])
-        later = _first_k(later, k - 1)
-        chosen_vals = np.where(later, values, 0.0)
-        rows = np.nonzero(has_first)[0]
-        chosen_vals[rows, first[rows]] = values[rows, first[rows]]
-        acc.add(_top_ell_sums(chosen_vals, ell), _top_ell_sums(values, ell))
+        acc.add(*_threshold_top_ell(values, threshold, k, ell, first_ge=True))
     return acc.result()
 
 
@@ -297,8 +327,27 @@ def secretary_trials(
 class WelfareTrialStats:
     ratio: float
     ratio_stderr: float
-    trace_mismatches: int  # trials where mechanism welfare != selector value
+    trace_mismatches: int  # replayed trials where the scalar mechanism's welfare differs
     trials: int
+
+
+#: Leading rows of every welfare batch that are replayed through the scalar
+#: mechanism, `mechanisms.run_two_phase`, to check the batch kernel.
+_REPLAY_ROWS = 64
+
+
+def _welfare_replay_mismatches(values: np.ndarray, threshold, welfare: np.ndarray,
+                               ell: int, k: int) -> int:
+    """Replayed leading rows whose scalar welfare differs from `welfare` by
+    more than 1e-9."""
+    rows = min(_REPLAY_ROWS, len(values))
+    thresholds = np.broadcast_to(threshold, len(values))
+    mismatches = 0
+    for row in range(rows):
+        config = mechanisms.MechanismConfig(ell, k, float(thresholds[row]))
+        outcome = mechanisms.run_two_phase(values[row], config)
+        mismatches += abs(outcome.welfare - welfare[row]) > 1e-9
+    return int(mismatches)
 
 
 def mechanism_welfare_trials(
@@ -311,12 +360,14 @@ def mechanism_welfare_trials(
     tau: Optional[int] = None,
     batch: int = BATCH_SIZE,
 ) -> WelfareTrialStats:
-    """Welfare ratio of the two-phase mechanism, plus a per-trial check that
-    mechanism welfare equals the generating selector's top-ell value.
+    """Welfare ratio of the two-phase mechanism, plus a check of the batch
+    kernel against the scalar mechanism on the leading rows of every batch.
 
     The ticket threshold comes from the max-distribution quantile
     (source="alg_max", fixed across trials) or from the tau-th highest entry
-    of a fresh sample vector per trial (source="alg_tau-sample").
+    of a fresh sample vector per trial (source="alg_tau-sample"). The top ell
+    of the first k ticket holders win, so the welfare is the threshold
+    selector's top-ell value.
     """
     n = instance.n
     fixed_threshold = None
@@ -330,19 +381,13 @@ def mechanism_welfare_trials(
         rng = trial_rng(master_seed, b_idx)
         if fixed_threshold is None:
             samples = instance.sample_matrix(rng, b_size)
-            threshold = np.partition(samples, n - tau, axis=1)[:, n - tau : n - tau + 1]
+            threshold = np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
         else:
             threshold = fixed_threshold
         values = instance.sample_matrix(rng, b_size)
-        # selector path
-        chosen = _first_k(values > threshold, k)
-        alg_vals = _top_ell_sums(np.where(chosen, values, 0.0), ell)
-        # mechanism path: phase-1 tickets, then the top ell ticket holders win
-        tickets = np.where(chosen, values, 0.0)
-        ticket_sorted = -np.sort(-tickets, axis=1)
-        welfare = ticket_sorted[:, :ell].sum(axis=1)
-        mismatches += int((np.abs(welfare - alg_vals) > 1e-9).sum())
-        acc.add(welfare, _top_ell_sums(values, ell))
+        welfare, bench = _threshold_top_ell(values, threshold, k, ell)
+        mismatches += _welfare_replay_mismatches(values, threshold, welfare, ell, k)
+        acc.add(welfare, bench)
     ratio, se = acc.result()
     return WelfareTrialStats(ratio, se, mismatches, trials)
 
@@ -395,7 +440,7 @@ def mechanism_revenue_trials(
         revenue = n_win * price
         win_mask = col[None, :] < n_win[:, None]
         surplus = (virtual_value_array(prior, tv_sorted[:, :ell]) * win_mask).sum(axis=1)
-        optimal = _top_ell_sums(np.maximum(virtual_value_array(prior, values), 0.0), ell)
+        optimal = top_ell_values(np.maximum(virtual_value_array(prior, values), 0.0), ell)
         gap = revenue - surplus
         acc.add(revenue, optimal)
         rev_tot += float(revenue.sum()); rev_sq += float((revenue**2).sum())

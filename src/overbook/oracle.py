@@ -49,6 +49,8 @@ def top_ell(values: Sequence[float], ell: int) -> TopEllResult:
 def top_ell_values(matrix: np.ndarray, ell: int) -> np.ndarray:
     """Row-wise top-ell sums of a (trials, n) matrix of nonnegative values."""
     n = matrix.shape[1]
+    if ell == 1:
+        return matrix.max(axis=1)
     if ell >= n:
         return matrix.sum(axis=1)
     part = np.partition(matrix, n - ell, axis=1)

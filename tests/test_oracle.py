@@ -37,6 +37,13 @@ class TestTopEll:
         mat = np.array([[3.0, 1.0, 2.0], [0.0, 0.0, 9.0]])
         assert np.allclose(top_ell_values(mat, 2), [5.0, 9.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_top_ell_values_ell_one_matches_partition_form(self, n):
+        m = np.random.default_rng(n).exponential(size=(300, n))
+        m[::5, 0] = m[::5, -1]  # ties
+        partition = np.partition(m, n - 1, axis=1)[:, n - 1:].sum(axis=1)
+        assert np.array_equal(top_ell_values(m, 1), partition)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from overbook.distributions import ProductInstance, ValueDistribution
-from overbook.experiments import _top_ell_sums, alg_max_trials, alg_tau_trials
+from overbook.experiments import alg_max_trials, alg_tau_trials
 from overbook.oracle import top_ell
 from overbook.prophet import (
     SelectionOutcome,
@@ -201,10 +201,3 @@ class TestVectorizedEngines:
         inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 30)
         ratio, _ = alg_max_trials(inst, ell=2, k=8, trials=5_000, master_seed=7)
         assert 0.8 <= ratio <= 1.0
-
-    @pytest.mark.parametrize("n", [1, 2, 40])
-    def test_top_ell_sums_ell_one_matches_partition_form(self, n):
-        m = np.random.default_rng(n).exponential(size=(300, n))
-        m[::5, 0] = m[::5, -1]  # ties
-        partition = np.partition(m, n - 1, axis=1)[:, n - 1:].sum(axis=1)
-        assert np.array_equal(_top_ell_sums(m, 1), partition)
