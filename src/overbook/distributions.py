@@ -171,6 +171,20 @@ class ValueDistribution:
             return -math.log1p(-q) / self._rate
         return self._point
 
+    def isf(self, v: np.ndarray) -> np.ndarray:
+        """Vectorized inverse survival function of an atomless kind: the x
+        with Pr[X > x] = v, for v in (0, 1].
+
+        It maps an upper-tail probability directly, so values far in the top
+        tail keep their precision (1 - v would round them away).
+        """
+        v = np.asarray(v, dtype=float)
+        if self.kind == UNIFORM:
+            return self._hi - v * (self._hi - self._lo)
+        if self.kind == EXPONENTIAL:
+            return -np.log(v) / self._rate
+        raise DistributionError(f"{self.kind} has no inverse survival function")
+
     def pdf(self, x: float) -> float:
         """Density for continuous kinds; discrete kinds have none."""
         if self.kind == UNIFORM:
@@ -274,7 +288,9 @@ class ProductInstance:
         n successive `sample_n(rng, trials)` calls would draw it. Each run of
         consecutive components that are the same object is drawn by one
         `sample_n(rng, (run_len, trials))` call, which consumes that stream
-        in the same order; a C-order (trials, n) draw would not.
+        in the same order; a C-order (trials, n) draw would not. Used for the
+        award values of every engine, and by `sample_rank` for the sample
+        threshold of any instance that is not i.i.d. atomless.
         """
         if len(self._runs) == 1:
             cols = self.components[0].sample_n(rng, (self.n, trials))
@@ -283,6 +299,25 @@ class ProductInstance:
             for lo, hi in self._runs:
                 cols[lo:hi] = self.components[lo].sample_n(rng, (hi - lo, trials))
         return np.ascontiguousarray(cols.T)
+
+    def sample_rank(self, rng: np.random.Generator, trials: int, tau: int) -> np.ndarray:
+        """The tau-th highest of n fresh draws, one per row, for `trials` rows.
+
+        For a single run of one atomless component (what `iid` builds), the
+        upper-tail probability of that order statistic is Beta(tau,
+        n - tau + 1) (Devroye, Non-Uniform Random Variate Generation, 1986,
+        ch. V), so one `rng.beta` draw per row, mapped through the
+        component's `isf`, has its exact law. Any other instance draws a
+        full `sample_matrix` and partitions each row; that path is also the
+        reference the tests hold the beta draw to.
+        """
+        n = self.n
+        dist = self.components[0]
+        if len(self._runs) == 1 and dist.atomless:
+            return dist.isf(rng.beta(tau, n - tau + 1, trials))
+        samples = self.sample_matrix(rng, trials)
+        # copied out, so the partitioned (trials, n) buffer is freed at once
+        return np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
 
     def max_cdf(self, x: float) -> float:
         """CDF of the maximum award: the product of component CDFs."""

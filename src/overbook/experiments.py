@@ -31,45 +31,54 @@ from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
 
 
-class _PairedRatio:
-    """Streaming ratio-of-means estimator with a delta-method stderr.
+class _Moments:
+    """Streaming sums and centered co-moments of per-row columns.
 
-    Accumulates per-trial pairs (a, b) and reports R = sum(a)/sum(b) with
-    stderr(R) = sd(a - R*b) / (sqrt(T) * mean(b)).
+    Each batch adds its column sums and its own two-pass centered
+    co-moments; batches are merged in batch order by the pairwise update of
+    Chan, Golub & LeVeque (1979). Unlike raw power sums, centered co-moments
+    do not cancel when the values are large next to their spread. Means and
+    ratios are formed from the column sums, accumulated batch by batch.
     """
 
-    def __init__(self):
+    def __init__(self, width: int):
         self.count = 0
-        self.sa = self.sb = 0.0
-        self.saa = self.sbb = self.sab = 0.0
+        self.sums = [0.0] * width
+        self._mean = np.zeros(width)
+        self._comoment = np.zeros((width, width))
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        self.count += len(a)
-        self.sa += float(a.sum())
-        self.sb += float(b.sum())
-        self.saa += float((a * a).sum())
-        self.sbb += float((b * b).sum())
-        self.sab += float((a * b).sum())
+    def add(self, *cols: np.ndarray) -> None:
+        size = len(cols[0])
+        sums = [float(c.sum()) for c in cols]
+        mean = np.array(sums) / size
+        dev = [c - mu for c, mu in zip(cols, mean)]
+        comoment = np.array([[float((di * dj).sum()) for dj in dev] for di in dev])
+        total = self.count + size
+        delta = mean - self._mean
+        self._comoment += comoment + np.outer(delta, delta) * (self.count * size / total)
+        self._mean += delta * (size / total)
+        self.sums = [s + b for s, b in zip(self.sums, sums)]
+        self.count = total
 
-    def result(self) -> tuple[float, float]:
+    def _cov(self, i: int, j: int) -> float:
+        return float(self._comoment[i, j]) / (self.count - 1)
+
+    def mean_stderr(self, i: int = 0) -> tuple[float, float]:
+        mean = self.sums[i] / self.count
+        if self.count < 2:
+            return mean, 0.0
+        return mean, math.sqrt(self._cov(i, i) / self.count)
+
+    def ratio_stderr(self, i: int = 0, j: int = 1) -> tuple[float, float]:
+        """Ratio of means R = sum(a)/sum(b) of columns a = i and b = j, with
+        the delta-method stderr sd(a - R*b) / (sqrt(T) * mean(b))."""
         t = self.count
-        mean_b = self.sb / t
-        ratio = self.sa / self.sb
+        ratio = self.sums[i] / self.sums[j]
         if t < 2:
             return ratio, 0.0
-        var_a = max(0.0, (self.saa - self.sa**2 / t) / (t - 1))
-        var_b = max(0.0, (self.sbb - self.sb**2 / t) / (t - 1))
-        cov = (self.sab - self.sa * self.sb / t) / (t - 1)
-        var_resid = max(0.0, var_a - 2 * ratio * cov + ratio**2 * var_b)
-        return ratio, math.sqrt(var_resid / t) / mean_b
-
-
-def _mean_stderr(total: float, total_sq: float, count: int) -> tuple[float, float]:
-    mean = total / count
-    if count < 2:
-        return mean, 0.0
-    var = max(0.0, (total_sq - count * mean**2) / (count - 1))
-    return mean, math.sqrt(var / count)
+        var_resid = max(0.0, self._cov(i, i) - 2 * ratio * self._cov(i, j)
+                        + ratio**2 * self._cov(j, j))
+        return ratio, math.sqrt(var_resid / t) / (self.sums[j] / t)
 
 
 def _binomial(successes: int, count: int) -> tuple[float, float]:
@@ -150,18 +159,20 @@ def alg_tau_trials(
     """Ratio of the selector's expected top-ell value to the offline top-ell
     benchmark, both estimated on the same realized award vectors.
 
+    Each row's threshold is the tau-th highest of a fresh sample vector,
+    drawn before the row's values by `ProductInstance.sample_rank` (from its
+    Beta order-statistic law on an i.i.d. instance).
+
     Assumes atomless components, where the uniform-priority tie-break rule
     almost surely never fires and can be skipped.
     """
-    n = instance.n
-    acc = _PairedRatio()
+    acc = _Moments(2)
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
-        samples = instance.sample_matrix(rng, b_size)
+        thr = instance.sample_rank(rng, b_size, tau)
         values = instance.sample_matrix(rng, b_size)
-        thr = np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
         acc.add(*_threshold_top_ell(values, thr, k, ell))
-    return acc.result()
+    return acc.ratio_stderr()
 
 
 # ---- prophet: max-distribution threshold ----
@@ -178,12 +189,12 @@ def alg_max_trials(
     """Ratio for the atomless max-distribution selector (accept first k
     values strictly above the (2/3)^(k-1) quantile of the max)."""
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    acc = _PairedRatio()
+    acc = _Moments(2)
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         values = instance.sample_matrix(rng, b_size)
         acc.add(*_threshold_top_ell(values, threshold, k, ell))
-    return acc.result()
+    return acc.ratio_stderr()
 
 
 def alg_max_atoms_trials(
@@ -197,12 +208,12 @@ def alg_max_atoms_trials(
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    acc = _PairedRatio()
+    acc = _Moments(2)
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         values = instance.sample_matrix(rng, b_size)
         acc.add(*_threshold_top_ell(values, threshold, k, ell, first_ge=True))
-    return acc.result()
+    return acc.ratio_stderr()
 
 
 # ---- secretary: interval selector under random arrival ----
@@ -278,10 +289,9 @@ def secretary_trials(
     cur = np.full((rows, n + 1), n, dtype=np.int32)
     nxt = cur.copy()
 
-    total = total_sq = 0.0
+    moments = _Moments(1)
     n_differ = 0
     n_missed = 0
-    count = 0
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         ell_vals = np.empty(b_size)
@@ -309,11 +319,10 @@ def secretary_trials(
             if ell < n:
                 kept = np.partition(kept, ell - 1, axis=1)[:, :ell]
             ell_vals[lo:lo + c] = vals_ext[kept].sum(axis=1)
-        total += float(ell_vals.sum())
-        total_sq += float((ell_vals**2).sum())
-        count += b_size
+        moments.add(ell_vals)
 
-    mean, se = _mean_stderr(total, total_sq, count)
+    count = moments.count
+    mean, se = moments.mean_stderr()
     p_diff, se_diff = _binomial(n_differ, count)
     p_miss, se_miss = _binomial(n_missed, count)
     return SecretaryTrialStats(mean / bench, se / bench, p_diff, se_diff,
@@ -365,30 +374,28 @@ def mechanism_welfare_trials(
 
     The ticket threshold comes from the max-distribution quantile
     (source="alg_max", fixed across trials) or from the tau-th highest entry
-    of a fresh sample vector per trial (source="alg_tau-sample"). The top ell
-    of the first k ticket holders win, so the welfare is the threshold
-    selector's top-ell value.
+    of a fresh sample vector per trial (source="alg_tau-sample", drawn by
+    `ProductInstance.sample_rank`). The top ell of the first k ticket holders
+    win, so the welfare is the threshold selector's top-ell value.
     """
-    n = instance.n
     fixed_threshold = None
-    if source == "alg_max":
+    if source == mechanisms.SOURCE_ALG_MAX:
         fixed_threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    elif source != "alg_tau-sample":
+    elif source != mechanisms.SOURCE_ALG_TAU:
         raise ValueError(f"unknown threshold source: {source!r}")
-    acc = _PairedRatio()
+    acc = _Moments(2)
     mismatches = 0
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
         if fixed_threshold is None:
-            samples = instance.sample_matrix(rng, b_size)
-            threshold = np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
+            threshold = instance.sample_rank(rng, b_size, tau)
         else:
             threshold = fixed_threshold
         values = instance.sample_matrix(rng, b_size)
         welfare, bench = _threshold_top_ell(values, threshold, k, ell)
         mismatches += _welfare_replay_mismatches(values, threshold, welfare, ell, k)
         acc.add(welfare, bench)
-    ratio, se = acc.result()
+    ratio, se = acc.ratio_stderr()
     return WelfareTrialStats(ratio, se, mismatches, trials)
 
 
@@ -420,17 +427,13 @@ def mechanism_revenue_trials(
     top-ell positive virtual surplus), plus the Myerson payment-identity gap.
     """
     phat = monopoly_price(prior)
-    acc = _PairedRatio()
-    rev_tot = rev_sq = 0.0
-    opt_tot = opt_sq = 0.0
-    gap_tot = gap_sq = 0.0
-    count = 0
+    instance = ProductInstance.iid(prior, n)
+    acc = _Moments(3)
     col = np.arange(ell)
     for b_idx, b_size in batch_indices(trials, batch):
         rng = trial_rng(master_seed, b_idx)
-        samples = prior.sample_n(rng, (b_size, n))
+        thr = np.maximum(phat, instance.sample_rank(rng, b_size, tau))
         values = prior.sample_n(rng, (b_size, n))
-        thr = np.maximum(phat, np.partition(samples, n - tau, axis=1)[:, n - tau])
         tickets = _first_k(values > thr[:, None], k)
         n_tickets = tickets.sum(axis=1)
         tv_sorted = -np.sort(-np.where(tickets, values, -1.0), axis=1)
@@ -442,14 +445,10 @@ def mechanism_revenue_trials(
         surplus = (virtual_value_array(prior, tv_sorted[:, :ell]) * win_mask).sum(axis=1)
         optimal = top_ell_values(np.maximum(virtual_value_array(prior, values), 0.0), ell)
         gap = revenue - surplus
-        acc.add(revenue, optimal)
-        rev_tot += float(revenue.sum()); rev_sq += float((revenue**2).sum())
-        opt_tot += float(optimal.sum()); opt_sq += float((optimal**2).sum())
-        gap_tot += float(gap.sum()); gap_sq += float((gap**2).sum())
-        count += b_size
-    ratio, ratio_se = acc.result()
-    rev_mean, rev_se = _mean_stderr(rev_tot, rev_sq, count)
-    opt_mean, opt_se = _mean_stderr(opt_tot, opt_sq, count)
-    gap_mean, gap_se = _mean_stderr(gap_tot, gap_sq, count)
+        acc.add(revenue, optimal, gap)
+    ratio, ratio_se = acc.ratio_stderr(0, 1)
+    rev_mean, rev_se = acc.mean_stderr(0)
+    opt_mean, opt_se = acc.mean_stderr(1)
+    gap_mean, gap_se = acc.mean_stderr(2)
     return RevenueTrialStats(ratio, ratio_se, rev_mean, rev_se, opt_mean, opt_se,
-                             gap_mean, gap_se, count)
+                             gap_mean, gap_se, acc.count)

@@ -26,6 +26,7 @@ from .distributions import (
     ValueDistribution,
     hard_prophet_instance,
 )
+from .mechanisms import SOURCE_ALG_MAX, SOURCE_ALG_TAU
 from .oracle import exact_prophet_benchmark, optimal_online_dp, secretary_max_prob_dp
 from .prophet import default_tau
 from .secretary import default_beta, secretary_phase_length
@@ -184,10 +185,14 @@ def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
         raise InvalidSpecError("distribution: required for this kind")
     if "iid" in desc:
         dist = ValueDistribution.from_json(desc["iid"])
-        return ProductInstance.iid(dist, int(desc.get("n", spec.n)))
-    if "components" in desc:
-        return ProductInstance.from_json(desc["components"])
-    raise InvalidSpecError("distribution: need 'iid' or 'components'")
+        instance = ProductInstance.iid(dist, int(desc.get("n", spec.n)))
+    elif "components" in desc:
+        instance = ProductInstance.from_json(desc["components"])
+    else:
+        raise InvalidSpecError("distribution: need 'iid' or 'components'")
+    if instance.n != spec.n:
+        raise InvalidSpecError(f"distribution: {instance.n} components but n={spec.n}")
+    return instance
 
 
 def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
@@ -293,20 +298,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     elif spec.kind == "mechanism-welfare":
         instance = _resolve_instance(spec)
-        source = spec.source or "alg_max"
-        if source == "alg_max":
-            _require_k_above_one(spec.k, "mechanism-welfare source alg_max")
-        elif source == "alg_tau-sample":
-            _require_atomless(instance, "mechanism-welfare source alg_tau-sample")
+        source = spec.source or SOURCE_ALG_MAX
+        if source == SOURCE_ALG_MAX:
+            _require_k_above_one(spec.k, f"mechanism-welfare source {SOURCE_ALG_MAX}")
+        elif source == SOURCE_ALG_TAU:
+            _require_atomless(instance, f"mechanism-welfare source {SOURCE_ALG_TAU}")
+        else:
+            raise InvalidSpecError(f"source: unknown mechanism source {source!r}")
         tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
         stats = experiments.mechanism_welfare_trials(
             instance, spec.ell, spec.k, spec.trials, spec.master_seed,
             source=source, tau=tau)
         estimate, stderr = stats.ratio, stats.ratio_stderr
-        if source == "alg_max":
+        if source == SOURCE_ALG_MAX:
             bound = max_selector_bound(spec.k)
         else:
             bound = tau_selector_bound(spec.ell, spec.k, tau)
+            extras["tau"] = tau
         algorithm = f"two_phase[{source}]"
         extras["trace_mismatches"] = stats.trace_mismatches
 
@@ -320,8 +328,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
         estimate, stderr = stats.ratio, stats.ratio_stderr
         bound = tau_selector_bound(spec.ell, spec.k, tau)
-        algorithm = "two_phase[alg_tau-sample]"
+        algorithm = f"two_phase[{SOURCE_ALG_TAU}]"
         extras.update({
+            "tau": tau,
             "revenue_mean": stats.revenue_mean,
             "revenue_stderr": stats.revenue_stderr,
             "optimal_mean": stats.optimal_mean,

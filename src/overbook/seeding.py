@@ -12,9 +12,13 @@ import numpy as np
 
 #: Trials per vectorized batch. Part of the reproducibility contract: batch
 #: index b seeds the stream for trials [b * BATCH_SIZE, (b+1) * BATCH_SIZE).
-#: So is how a batch consumes its stream: `ProductInstance.sample_matrix`
-#: draws column i as the i-th block, as n successive per-component
-#: `sample_n(rng, trials)` calls would.
+#: So is how a batch consumes its stream. A sample-threshold engine first
+#: draws its thresholds with `ProductInstance.sample_rank`: one beta draw per
+#: row for an i.i.d. atomless instance, a full sample matrix otherwise. Then
+#: it draws the values. `ProductInstance.sample_matrix` draws column i as the
+#: i-th block, as n successive per-component `sample_n(rng, trials)` calls
+#: would; the revenue engine draws its i.i.d. values with one C-order
+#: `sample_n(rng, (trials, n))` call.
 BATCH_SIZE = 20_000
 
 

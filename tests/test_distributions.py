@@ -191,6 +191,98 @@ class TestSamplingStream:
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _partition_rank(instance, rng, trials, tau):
+    """The tau-th highest entry of each row of a full sample matrix."""
+    n = instance.n
+    return np.partition(instance.sample_matrix(rng, trials), n - tau, axis=1)[:, n - tau]
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic sup_t |F_x(t) - F_y(t)|."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / len(x)
+    fy = np.searchsorted(y, grid, side="right") / len(y)
+    return float(np.abs(fx - fy).max())
+
+
+def _ks_critical_1pct(m, n):
+    """Asymptotic 1% critical value of the two-sample KS statistic."""
+    return math.sqrt(-0.5 * math.log(0.005)) * math.sqrt((m + n) / (m * n))
+
+
+class TestSampleRank:
+    """`sample_rank` draws an i.i.d. atomless instance's tau-th highest sample
+    from its Beta order-statistic law; every other instance partitions a full
+    sample matrix, which is the reference for the beta draw."""
+
+    TRIALS = 5_000
+
+    @pytest.mark.parametrize("dist,n,tau", [
+        (ValueDistribution.exponential(1.0), 400, 101),
+        (ValueDistribution.uniform(0.0, 1.0), 100, 7),
+        (ValueDistribution.uniform(0.0, 1.0), 20, 9),
+        (ValueDistribution.uniform(0.0, 1.0), 20, 1),
+        (ValueDistribution.exponential(2.0), 20, 20),
+    ], ids=["exp-n400-tau101", "unif-n100-tau7", "unif-n20-tau9", "tau-1", "tau-n"])
+    def test_beta_draw_matches_partition_law(self, dist, n, tau):
+        inst = ProductInstance.iid(dist, n)
+        got = inst.sample_rank(np.random.default_rng(611), self.TRIALS, tau)
+        want = _partition_rank(inst, np.random.default_rng(612), self.TRIALS, tau)
+        assert got.shape == (self.TRIALS,)
+        assert _ks_statistic(got, want) < _ks_critical_1pct(self.TRIALS, self.TRIALS)
+
+    @pytest.mark.parametrize("n,tau", [(100, 7), (20, 9), (20, 1), (20, 20)])
+    def test_uniform_moments_match_beta(self, n, tau):
+        # the tau-th highest of n U[0,1] draws is Beta(n - tau + 1, tau)
+        trials = 40_000
+        x = ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), n).sample_rank(
+            np.random.default_rng(613), trials, tau)
+        a, b = n - tau + 1, tau
+        mean = a / (a + b)
+        var = a * b / ((a + b) ** 2 * (a + b + 1))
+        dev = x - x.mean()
+        var_se = math.sqrt(((dev**4).mean() - var**2) / trials)
+        assert abs(x.mean() - mean) <= 4 * math.sqrt(var / trials)
+        assert abs(x.var(ddof=1) - var) <= 4 * var_se
+
+    @pytest.mark.parametrize("instance", [
+        ProductInstance([ValueDistribution.exponential(1.0) for _ in range(30)]),
+        ProductInstance([ValueDistribution.uniform(0.0, 1.0)] * 10
+                        + [ValueDistribution.exponential(0.5)] * 20),
+        ProductInstance.iid(ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 30),
+        _mixed_instance(),
+    ], ids=["distinct-equal-objects", "two-runs", "iid-atoms", "mixed"])
+    def test_other_instances_partition_a_full_matrix(self, instance):
+        tau = 4
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        got = instance.sample_rank(rng_a, 700, tau)
+        assert np.array_equal(got, _partition_rank(instance, rng_b, 700, tau))
+        assert np.array_equal(rng_a.random(8), rng_b.random(8))
+
+    def test_isf_refuses_atoms(self):
+        for dist in (ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)]),
+                     ValueDistribution.degenerate(1.0)):
+            with pytest.raises(DistributionError):
+                dist.isf(np.array([0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=st.floats(1e-300, 1.0),
+    kind=st.sampled_from(["uniform", "exponential"]),
+    a=st.floats(0.0, 10.0),
+    b=st.floats(1e-3, 100.0),
+)
+def test_isf_inverts_cdf(v, kind, a, b):
+    if kind == "uniform":
+        dist = ValueDistribution.uniform(a, a + b)
+    else:
+        dist = ValueDistribution.exponential(b)
+    x = float(dist.isf(np.array([v]))[0])
+    assert dist.cdf(x) == pytest.approx(1.0 - v, abs=1e-9)
+
+
 class TestMaxQuantile:
     def test_two_uniforms_quarter(self):
         inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)

@@ -3,8 +3,12 @@
 `_threshold_top_ell` reads the selector's top-ell sum off the benchmark's
 top-ell block and runs the capacity cut only on rows where it binds. These
 tests hold it to the full path (cut every row, mask, take the top ell) and
-to the scalar selectors and mechanism.
+to the scalar selectors and mechanism. The streaming estimator `_Moments` is
+held to a two-pass numpy computation, and the sample-threshold engine to its
+full-matrix form on an instance that is not i.i.d.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,10 +20,17 @@ from overbook.distributions import (
     max_quantile,
     max_quantile_inf,
 )
-from overbook.experiments import _first_k, _threshold_top_ell, mechanism_welfare_trials
+from overbook.experiments import (
+    _first_k,
+    _Moments,
+    _threshold_top_ell,
+    alg_tau_trials,
+    mechanism_welfare_trials,
+)
 from overbook.harness import ExperimentSpec, run_experiment
 from overbook.oracle import top_ell_values
 from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
+from overbook.seeding import batch_indices, trial_rng
 
 ROWS, N = 400, 12
 
@@ -152,3 +163,59 @@ def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
                           source="alg_tau-sample")
     report = run_experiment(spec)
     assert report.extras["trace_mismatches"] > 0 and not report.passed
+
+
+def _alg_tau_partition_form(instance, ell, k, tau, trials, master_seed, batch):
+    """`alg_tau_trials` with each threshold read off a partitioned sample matrix."""
+    n = instance.n
+    acc = _Moments(2)
+    for b_idx, b_size in batch_indices(trials, batch):
+        rng = trial_rng(master_seed, b_idx)
+        samples = instance.sample_matrix(rng, b_size)
+        values = instance.sample_matrix(rng, b_size)
+        thr = np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
+        acc.add(*_threshold_top_ell(values, thr, k, ell))
+    return acc.ratio_stderr()
+
+
+def test_alg_tau_on_non_iid_instance_keeps_partition_form():
+    unif, expo = ValueDistribution.uniform(0.0, 2.0), ValueDistribution.exponential(1.5)
+    inst = ProductInstance([unif] * 5 + [expo] * 4 + [ValueDistribution.uniform(0.0, 1.0)]
+                           + [unif] * 2)
+    args = (inst, 2, 5, 4, 2_500, 17)
+    assert alg_tau_trials(*args, batch=1_000) == _alg_tau_partition_form(*args, 1_000)
+
+
+def _batched(acc, cols, batch):
+    for lo in range(0, len(cols[0]), batch):
+        acc.add(*(c[lo:lo + batch] for c in cols))
+    return acc
+
+
+def test_moments_stable_at_large_scale():
+    # values near 1e7, a ratio near 1 and small losses: raw power sums of
+    # this data cancel, giving a ratio stderr of 6.4e-11 where the two-pass
+    # value is 1.3e-12
+    rng = np.random.default_rng(8)
+    b = 1e7 + rng.random(50_000)
+    a = b - 0.01 * rng.random(50_000)
+    acc = _batched(_Moments(2), (a, b), 20_000)
+    ratio, se = acc.ratio_stderr()
+    r = a.sum() / b.sum()
+    assert ratio == pytest.approx(r, rel=1e-15)
+    assert se == pytest.approx((a - r * b).std(ddof=1) / math.sqrt(len(a)) / b.mean(),
+                               rel=1e-6)
+    mean, mean_se = _batched(_Moments(1), (b,), 20_000).mean_stderr()
+    assert mean == pytest.approx(b.mean(), rel=1e-15)
+    assert mean_se == pytest.approx(b.std(ddof=1) / math.sqrt(len(b)), rel=1e-9)
+
+
+def test_moments_merge_matches_one_batch():
+    rng = np.random.default_rng(9)
+    cols = (rng.exponential(size=1_001), rng.random(1_001), rng.normal(size=1_001))
+    whole = _batched(_Moments(3), cols, 1_001)
+    merged = _batched(_Moments(3), cols, 97)
+    for i in range(3):
+        assert merged.mean_stderr(i) == pytest.approx(whole.mean_stderr(i), rel=1e-12)
+    assert merged.ratio_stderr(0, 1) == pytest.approx(whole.ratio_stderr(0, 1), rel=1e-12)
+    assert merged.ratio_stderr(2, 1) == pytest.approx(whole.ratio_stderr(2, 1), rel=1e-12)

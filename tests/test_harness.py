@@ -139,6 +139,23 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^distribution:"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("distribution", [
+        {"iid": UNIFORM, "n": 5},
+        {"components": [UNIFORM] * 12},
+    ], ids=["iid-n", "components"])
+    def test_component_count_must_match_n(self, distribution):
+        # with 5 components and tau = 8 the sample threshold read another rank
+        spec = ExperimentSpec(kind="prophet-tau", n=10, ell=1, k=9, trials=100,
+                              master_seed=1, tau=8, distribution=distribution)
+        with pytest.raises(InvalidSpecError, match="^distribution:"):
+            run_experiment(spec)
+
+    def test_rejects_unknown_mechanism_source(self):
+        spec = ExperimentSpec(kind="mechanism-welfare", n=10, ell=1, k=3, trials=100,
+                              master_seed=1, distribution={"iid": UNIFORM}, source="alg-tau")
+        with pytest.raises(InvalidSpecError, match="^source:"):
+            run_experiment(spec)
+
     def test_secretary_small_k_vacuous(self):
         spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=4,
                               trials=200, master_seed=3,
@@ -188,6 +205,19 @@ class TestEmitReport:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert lines[1].split(",")[0] == "hard-instance-dp"
         assert lines[1].endswith("true")
+
+    def test_csv_records_resolved_tau_of_sample_threshold_kinds(self, tmp_path):
+        common = dict(n=30, ell=1, k=8, trials=500, master_seed=3,
+                      distribution={"iid": UNIFORM})
+        specs = [ExperimentSpec(kind="mechanism-welfare", source="alg_tau-sample", **common),
+                 ExperimentSpec(kind="mechanism-revenue", **common),
+                 ExperimentSpec(kind="mechanism-welfare", source="alg_max", **common)]
+        path = tmp_path / "tau.csv"
+        emit_report(run_experiments(specs), "csv", str(path))
+        rows = path.read_text().strip().splitlines()[1:]
+        tau_col = CSV_COLUMNS.index("tau")
+        # default_tau(1, 8) = 5; the max-distribution source has no tau
+        assert [r.split(",")[tau_col] for r in rows] == ["5", "5", ""]
 
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
