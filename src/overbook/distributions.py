@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,11 +49,12 @@ class ValueDistribution:
     nonnegative and strictly increasing with probabilities summing to one.
     """
 
-    __slots__ = ("kind", "_values", "_probs", "_cum", "_cdf", "_lo", "_hi", "_rate", "_point")
+    __slots__ = ("kind", "_values", "_probs", "_cum", "_cdf", "_steps", "_lo", "_hi", "_rate",
+                 "_point")
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self._values = self._probs = self._cum = self._cdf = None
+        self._values = self._probs = self._cum = self._cdf = self._steps = None
         self._rate = self._point = None
         if kind == FINITE:
             atoms = sorted(params["atoms"])
@@ -70,6 +72,8 @@ class ValueDistribution:
                 raise DistributionError("atom probabilities must sum to 1")
             self._values, self._probs = values, probs
             self._cum = np.cumsum(probs)
+            # the step points and levels of the CDF as Python floats, for `cdf`
+            self._steps = (tuple(values.tolist()), tuple(self._cum.tolist()))
             # normalized as numpy's Generator.choice normalizes p
             self._cdf = self._cum / self._cum[-1]
             self._lo, self._hi = float(values[0]), float(values[-1])
@@ -143,8 +147,9 @@ class ValueDistribution:
 
     def cdf(self, x: float) -> float:
         if self.kind == FINITE:
-            idx = bisect_right(self._values.tolist(), x)
-            return 0.0 if idx == 0 else float(self._cum[idx - 1])
+            points, levels = self._steps
+            idx = bisect_right(points, x)
+            return 0.0 if idx == 0 else levels[idx - 1]
         if self.kind == UNIFORM:
             if x < self._lo:
                 return 0.0
@@ -319,11 +324,20 @@ class ProductInstance:
         # copied out, so the partitioned (trials, n) buffer is freed at once
         return np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
 
+    def distinct(self) -> list[ValueDistribution]:
+        """One component per run of consecutive identical components."""
+        return [self.components[lo] for lo, _ in self._runs]
+
     def max_cdf(self, x: float) -> float:
-        """CDF of the maximum award: the product of component CDFs."""
+        """CDF of the maximum award: the product of component CDFs.
+
+        Each run of identical components costs one `cdf` call, whose value
+        is multiplied in once per component, left to right, so the product
+        is the per-component product bit for bit.
+        """
         out = 1.0
-        for c in self.components:
-            out *= c.cdf(x)
+        for lo, hi in self._runs:
+            out = math.prod(repeat(self.components[lo].cdf(x), hi - lo), start=out)
             if out == 0.0:
                 return 0.0
         return out
@@ -347,10 +361,11 @@ def max_quantile(instance: ProductInstance, q: float) -> float:
     """
     if not (0 < q <= 1):
         raise DistributionError("max_quantile requires q in (0, 1]")
-    uppers = [c.support[1] for c in instance.components]
+    heads = instance.distinct()
+    uppers = [c.support[1] for c in heads]
     if q == 1.0 and any(math.isinf(u) for u in uppers):
         raise DegenerateThresholdError("q = 1 with unbounded support has no finite threshold")
-    lo = min(c.support[0] for c in instance.components)
+    lo = min(c.support[0] for c in heads)
     if instance.max_cdf(lo) >= q:
         return lo
     if all(math.isfinite(u) for u in uppers):
@@ -383,10 +398,11 @@ def max_quantile_inf(instance: ProductInstance, q: float) -> float:
     """
     if not (0 < q <= 1):
         raise DistributionError("max_quantile_inf requires q in (0, 1]")
-    lo = min(c.support[0] for c in instance.components)
+    heads = instance.distinct()
+    lo = min(c.support[0] for c in heads)
     if instance.max_cdf(lo) >= q:
         return lo
-    uppers = [c.support[1] for c in instance.components]
+    uppers = [c.support[1] for c in heads]
     if all(math.isfinite(u) for u in uppers):
         hi = max(uppers)
         if instance.max_cdf(hi) < q:
@@ -406,9 +422,7 @@ def max_quantile_inf(instance: ProductInstance, q: float) -> float:
             lo = mid
         if hi - lo <= _ROOT_TOL * max(1.0, abs(hi)):
             break
-    atom_values = sorted(
-        {v for c in instance.components if c.atoms is not None for v, _ in c.atoms}
-    )
+    atom_values = sorted({v for c in heads if c.atoms is not None for v, _ in c.atoms})
     for v in atom_values:
         if abs(v - hi) <= 10 * _ROOT_TOL and instance.max_cdf(v) >= q:
             return v

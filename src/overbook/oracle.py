@@ -183,14 +183,16 @@ def secretary_max_prob_dp(n: int, k: int) -> float:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    # g[b] holds g(i+1, b) while filling position i
-    g = [[0.0] * (k + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        pos = i + 1
+    # one rolling row: g[b] holds g(pos, b) and becomes g(pos - 1, b); b runs
+    # downward, so g[b - 1] still holds g(pos, b - 1) when g[b] is rewritten
+    g = [0.0] * (k + 1)
+    for pos in range(n, 0, -1):
         p_record = 1.0 / pos
         p_max = pos / n
-        for b in range(1, k + 1):
-            accept = p_max + (1.0 - p_max) * g[i + 1][b - 1]
-            skip = g[i + 1][b]
-            g[i][b] = p_record * max(accept, skip) + (1.0 - p_record) * skip
-    return g[0][k]
+        miss_record = 1.0 - p_record
+        miss_max = 1.0 - p_max
+        for b in range(k, 0, -1):
+            skip = g[b]
+            accept = p_max + miss_max * g[b - 1]
+            g[b] = p_record * max(accept, skip) + miss_record * skip
+    return g[k]

@@ -153,6 +153,51 @@ def _mixed_instance():
            ValueDistribution.uniform(0.0, 1.0)])
 
 
+class TestMaxCdf:
+    """max_cdf makes one cdf call per run of identical components and still
+    returns the per-component product bit for bit."""
+
+    @pytest.mark.parametrize("instance", [
+        # on [0, 0.5) the second run's factor is 0 after a positive first one
+        ProductInstance([ValueDistribution.exponential(1.5)]
+                        + [ValueDistribution.uniform(0.5, 2.0)] * 3
+                        + [ValueDistribution.uniform(0.0, 1.0)] * 40
+                        + [ValueDistribution.exponential(0.25)] * 2),
+        hard_prophet_instance(6, 20),
+        single_sample_hard_instance(5, 3, 2.0, 12),
+        _three_atom_components(200),
+    ], ids=["unif-exp-runs", "hard-prophet", "single-sample-hard", "three-atom-200"])
+    def test_max_cdf_equals_per_component_product(self, instance):
+        def reference(x):
+            out = 1.0
+            for c in instance.components:
+                out *= c.cdf(x)
+                if out == 0.0:
+                    return 0.0
+            return out
+
+        top = max(c.support[1] for c in instance.components if math.isfinite(c.support[1]))
+        xs = np.concatenate([np.linspace(-0.5, 1.2 * top + 1.0, 400),
+                             np.random.default_rng(8).uniform(0.0, top, 200),
+                             [c.support[0] for c in instance.components]])
+        # below the lowest support point a factor is 0, which the product must keep
+        assert instance.max_cdf(-0.5) == 0.0
+        for x in xs.tolist():
+            assert repr(instance.max_cdf(x)) == repr(reference(x))
+
+    def test_max_cdf_calls_cdf_once_per_run(self):
+        class CountingComponent:
+            calls = 0
+
+            def cdf(self, x):
+                CountingComponent.calls += 1
+                return 0.9999
+
+        inst = ProductInstance.iid(CountingComponent(), 10_000)
+        assert inst.max_cdf(1.0) == math.prod([0.9999] * 10_000)
+        assert CountingComponent.calls == 1
+
+
 class TestSamplingStream:
     """sample_matrix and sample_n consume the documented random stream (one
     column draw per component, in order), so a seed keeps its estimates."""

@@ -162,3 +162,18 @@ class TestSecretaryDp:
     def test_monotone_in_k(self):
         probs = [secretary_max_prob_dp(30, k) for k in range(1, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000, 5000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 40])
+    def test_rolling_row_equals_full_table(self, n, k):
+        # the full (n+1) x (k+1) backward-induction table, bit for bit
+        g = [[0.0] * (k + 1) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            pos = i + 1
+            p_record = 1.0 / pos
+            p_max = pos / n
+            for b in range(1, k + 1):
+                accept = p_max + (1.0 - p_max) * g[i + 1][b - 1]
+                skip = g[i + 1][b]
+                g[i][b] = p_record * max(accept, skip) + (1.0 - p_record) * skip
+        assert repr(secretary_max_prob_dp(n, k)) == repr(g[0][k])
