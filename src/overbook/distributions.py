@@ -356,6 +356,8 @@ class ProductInstance:
 def max_quantile(instance: ProductInstance, q: float) -> float:
     """Solve prod_i F_i(T) = q by bisection (for atomless instances).
 
+    The root tolerance is relative to q, so a small target such as
+    (2/3)^(k-1) at large k is still met to about nine significant digits.
     Raises DegenerateThresholdError when q = 1 and some component has
     unbounded support, since no finite T can reach the target.
     """
@@ -377,7 +379,7 @@ def max_quantile(instance: ProductInstance, q: float) -> float:
     for _ in range(_MAX_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         f = instance.max_cdf(mid)
-        if abs(f - q) <= _ROOT_TOL:
+        if abs(f - q) <= _ROOT_TOL * q:
             return mid
         if f < q:
             lo = mid

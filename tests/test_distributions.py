@@ -360,6 +360,27 @@ class TestMaxQuantile:
             t = max_quantile(inst, q)
             assert abs(inst.max_cdf(t) - q) <= 1e-9
 
+    @pytest.mark.parametrize("k", [2, 12, 30, 46, 53, 60, 80])
+    @pytest.mark.parametrize("dist, inverse_cdf", [
+        (ValueDistribution.uniform(0, 1), lambda u: u),
+        (ValueDistribution.exponential(1.0), lambda u: -math.log1p(-u)),
+    ], ids=["unif", "exp"])
+    def test_small_targets_iid_closed_form(self, k, dist, inverse_cdf):
+        # (2/3)^(k-1) falls below 1e-9 from k = 53 on
+        n, q = 100, (2.0 / 3.0) ** (k - 1)
+        inst = ProductInstance.iid(dist, n)
+        t = max_quantile(inst, q)
+        assert inst.max_cdf(t) / q == pytest.approx(1.0, abs=1e-6)
+        assert t == pytest.approx(inverse_cdf(q ** (1.0 / n)), rel=1e-6)
+
+    @pytest.mark.parametrize("k", [2, 12, 30, 46, 53, 60, 80])
+    def test_small_targets_multi_run(self, k):
+        inst = ProductInstance([ValueDistribution.uniform(0, 1)] * 30
+                               + [ValueDistribution.exponential(2.0)] * 20
+                               + [ValueDistribution.uniform(0, 2)] * 50)
+        q = (2.0 / 3.0) ** (k - 1)
+        assert inst.max_cdf(max_quantile(inst, q)) / q == pytest.approx(1.0, abs=1e-6)
+
     def test_unbounded_support_q_one_degenerate(self):
         inst = ProductInstance.iid(ValueDistribution.exponential(1), 3)
         with pytest.raises(DegenerateThresholdError):
