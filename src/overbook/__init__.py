@@ -44,7 +44,6 @@ from .oracle import (
     TopEllResult,
     exact_prophet_benchmark,
     optimal_online_dp,
-    prophet_benchmark_mc,
     secretary_max_prob_dp,
     top_ell,
 )

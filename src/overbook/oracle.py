@@ -1,10 +1,10 @@
 """Offline benchmarks and exact optimal-online oracles.
 
 These are the ground-truth references the competitive-ratio experiments
-compare against: the top-l benchmark (Monte Carlo and exact enumeration),
-the exact optimal-online value under a k-acceptance budget (backward
-induction), and the exact best probability of catching the maximum in the
-random-arrival setting.
+compare against: the exact top-l benchmark (by enumeration), the exact
+optimal-online value under a k-acceptance budget (backward induction), and
+the exact best probability of catching the maximum in the random-arrival
+setting.
 """
 
 from __future__ import annotations
@@ -55,32 +55,6 @@ def top_ell_values(matrix: np.ndarray, ell: int) -> np.ndarray:
         return matrix.sum(axis=1)
     part = np.partition(matrix, n - ell, axis=1)
     return part[:, n - ell :].sum(axis=1)
-
-
-def prophet_benchmark_mc(
-    instance: ProductInstance,
-    ell: int,
-    trials: int,
-    rng: np.random.Generator,
-    chunk: int = 100_000,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[top-ell value] with its standard error."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        vals = top_ell_values(instance.sample_matrix(rng, b), ell)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += b
-    mean = total / trials
-    if trials == 1:
-        return mean, 0.0
-    var = max(0.0, (total_sq - trials * mean**2) / (trials - 1))
-    return mean, float(np.sqrt(var / trials))
 
 
 def _atom_lists(instance: ProductInstance) -> list[list[tuple[float, float]]]:
