@@ -395,8 +395,9 @@ def max_quantile_inf(instance: ProductInstance, q: float) -> float:
 
     Works for atom-bearing instances, where the max-CDF is a step function.
     The returned point is snapped onto a component atom when one is within
-    root tolerance, so downstream >=/> comparisons against atom values are
-    exact.
+    ten times the bisection's final width, which is relative to the point,
+    so downstream >=/> comparisons against atom values are exact at any
+    scale of values.
     """
     if not (0 < q <= 1):
         raise DistributionError("max_quantile_inf requires q in (0, 1]")
@@ -424,9 +425,10 @@ def max_quantile_inf(instance: ProductInstance, q: float) -> float:
             lo = mid
         if hi - lo <= _ROOT_TOL * max(1.0, abs(hi)):
             break
+    snap = 10 * _ROOT_TOL * max(1.0, abs(hi))
     atom_values = sorted({v for c in heads if c.atoms is not None for v, _ in c.atoms})
     for v in atom_values:
-        if abs(v - hi) <= 10 * _ROOT_TOL and instance.max_cdf(v) >= q:
+        if abs(v - hi) <= snap and instance.max_cdf(v) >= q:
             return v
     return hi
 

@@ -392,6 +392,15 @@ class TestMaxQuantile:
         t = max_quantile_inf(inst, (2.0 / 3.0) ** 11)
         assert t == 2.0
 
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e6])
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_generalized_inverse_snaps_at_any_scale(self, scale, k):
+        # the inf is the interior atom 1.37 * scale; a threshold a hair above
+        # it would stop alg_max_atoms from accepting a value equal to it
+        atoms = [(0.0, 0.5), (1.37 * scale, 0.3), (2.91 * scale, 0.2)]
+        inst = ProductInstance.iid(ValueDistribution.finite(atoms), 3)
+        assert max_quantile_inf(inst, (2.0 / 3.0) ** (k - 2)) == 1.37 * scale
+
     def test_generalized_inverse_point_mass(self):
         inst = ProductInstance.iid(ValueDistribution.degenerate(5.0), 4)
         assert max_quantile_inf(inst, 1.0) == 5.0
