@@ -358,6 +358,7 @@ def max_quantile(instance: ProductInstance, q: float) -> float:
 
     The root tolerance is relative to q, so a small target such as
     (2/3)^(k-1) at large k is still met to about nine significant digits.
+
     Raises DegenerateThresholdError when q = 1 and some component has
     unbounded support, since no finite T can reach the target.
     """
