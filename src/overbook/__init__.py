@@ -36,7 +36,6 @@ from .mechanisms import (
     myerson_virtual_surplus,
     revenue_threshold,
     run_two_phase,
-    welfare_threshold,
 )
 from .oracle import (
     DpPolicyValue,

@@ -276,10 +276,6 @@ class ProductInstance:
         return len(self.components)
 
     @property
-    def all_finite(self) -> bool:
-        return all(c.atoms is not None for c in self.components)
-
-    @property
     def all_atomless(self) -> bool:
         return all(c.atomless for c in self.components)
 
@@ -475,19 +471,20 @@ def monopoly_price(dist: ValueDistribution) -> float:
     if virtual_value(dist, lo) >= 0:
         return lo
     if math.isinf(hi):
-        hi = max(1.0, 2 * lo + 1.0)
+        # bracket from the median, so the density never underflows at any scale
+        hi = dist.quantile(0.5)
         while virtual_value(dist, hi) < 0:
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
     for _ in range(_MAX_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         phi = virtual_value(dist, mid)
-        if abs(phi) <= _ROOT_TOL:
+        if abs(phi) <= _ROOT_TOL * mid:
             return mid
         if phi < 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _ROOT_TOL:
+        if hi - lo <= _ROOT_TOL * hi:
             break
     return 0.5 * (lo + hi)
 

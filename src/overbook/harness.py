@@ -1,11 +1,12 @@
 """Declarative experiment harness: specs, dispatch, reports, CSV/JSON output.
 
 An experiment spec names an algorithm family, its parameters, a distribution
-or value multiset, a trial count, and a master seed. Running it produces a
-ratio estimate with a standard error, the matching closed-form theoretical
-bound, and a one-sided 3-sigma pass verdict (lower-bound experiments pass
-when estimate + 3*stderr >= bound; upper-bound experiments require
-estimate <= bound exactly).
+or value multiset, a trial count, and a master seed. The table `_RUNNERS`
+maps each kind to the runner that estimates its ratio and bound, the optional
+spec fields it reads, and whether its bound is an upper bound. Upper-bound
+kinds pass when estimate <= bound exactly; every other kind passes when its
+bound is vacuous or estimate + 3*stderr >= bound, and its runner's extra
+check (a trace replay, the payment identity) holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,19 +31,6 @@ from .mechanisms import SOURCE_ALG_MAX, SOURCE_ALG_TAU
 from .oracle import exact_prophet_benchmark, optimal_online_dp, secretary_max_prob_dp
 from .prophet import default_tau
 from .secretary import default_beta, secretary_phase_length
-
-KINDS = (
-    "prophet-tau",
-    "prophet-max",
-    "secretary",
-    "hard-instance-dp",
-    "secretary-upper-bound",
-    "mechanism-welfare",
-    "mechanism-revenue",
-)
-
-#: Experiment kinds whose bound is an upper bound on the estimate.
-UPPER_BOUND_KINDS = ("hard-instance-dp", "secretary-upper-bound")
 
 CSV_COLUMNS = [
     "experiment", "n", "ell", "k", "tau", "algorithm", "trials", "seed",
@@ -83,6 +71,10 @@ class ExperimentSpec:
             raise InvalidSpecError("trials: must be >= 1")
         if self.tau is not None and not (1 <= self.tau <= self.n):
             raise InvalidSpecError("tau: must lie in [1, n]")
+        reads = _RUNNERS[self.kind].reads
+        for name in ("tau", "distribution", "values", "source"):
+            if getattr(self, name) is not None and name not in reads:
+                raise InvalidSpecError(f"{name}: {self.kind} does not read it")
 
     def label(self) -> str:
         return self.name or self.kind
@@ -198,7 +190,7 @@ def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
 def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     desc = spec.values
     if desc is None:
-        raise InvalidSpecError("values: required for secretary experiments")
+        raise InvalidSpecError("values: required for this kind")
     kind = desc.get("kind")
     if kind == "geometric":
         n = int(desc.get("n", spec.n))
@@ -229,8 +221,149 @@ def _require_k_above_one(k: int, engine: str) -> None:
             "alg_max_atoms raise DegenerateThresholdError")
 
 
-def _lower_bound_pass(estimate: float, stderr: float, bound: float, vacuous: bool) -> bool:
-    return vacuous or estimate + 3.0 * stderr >= bound
+def _tau(spec: ExperimentSpec) -> int:
+    """The spec's sample rank, or the default rank ceil((ell + k) / 2)."""
+    return spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
+
+
+# ---- runners, one per kind ----
+# Oracles and default_beta are harness globals and engines are called as
+# `experiments.<name>_trials`, so a swapped module attribute reaches every kind.
+
+
+@dataclass
+class _Outcome:
+    algorithm: str
+    estimate: float
+    stderr: float
+    bound: float
+    extras: dict = field(default_factory=dict)
+    #: a check besides the bound, which the verdict also requires
+    ok: bool = True
+
+
+def _run_prophet_tau(spec: ExperimentSpec) -> _Outcome:
+    instance = _resolve_instance(spec)
+    _require_atomless(instance, spec.kind)
+    tau = _tau(spec)
+    estimate, stderr = experiments.alg_tau_trials(
+        instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
+    return _Outcome("alg_tau", estimate, stderr,
+                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau})
+
+
+def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
+    _require_k_above_one(spec.k, spec.kind)
+    instance = _resolve_instance(spec)
+    if instance.all_atomless:
+        estimate, stderr = experiments.alg_max_trials(
+            instance, spec.ell, spec.k, spec.trials, spec.master_seed)
+        return _Outcome("alg_max", estimate, stderr, max_selector_bound(spec.k))
+    estimate, stderr = experiments.alg_max_atoms_trials(
+        instance, spec.ell, spec.k, spec.trials, spec.master_seed)
+    return _Outcome("alg_max_atoms", estimate, stderr,
+                    max_selector_bound(spec.k, atoms_variant=True))
+
+
+def _run_secretary(spec: ExperimentSpec) -> _Outcome:
+    values = _resolve_values(spec)
+    beta = default_beta(spec.n, spec.ell, spec.k)
+    stats = experiments.secretary_trials(
+        values, beta, spec.k, spec.trials, spec.master_seed)
+    extras = {
+        "beta": list(beta.boundaries),
+        "prob_capacity_differs": stats.prob_capacity_differs,
+        "prob_capacity_differs_stderr": stats.prob_capacity_differs_stderr,
+        "prob_ell_missed": stats.prob_ell_missed,
+        "prob_ell_missed_stderr": stats.prob_ell_missed_stderr,
+        "capacity_event_bound": math.exp(-spec.k / 6.0),
+    }
+    # below k = 8*ell the phase exponent clamps to 0: the bound is negative, so vacuous
+    return _Outcome("alg_beta", stats.ratio, stats.ratio_stderr,
+                    secretary_bound(spec.ell, spec.k), extras)
+
+
+def _run_hard_instance_dp(spec: ExperimentSpec) -> _Outcome:
+    instance = hard_prophet_instance(spec.k, spec.n)
+    dp = optimal_online_dp(instance, spec.ell, spec.k)
+    bench = exact_prophet_benchmark(instance, spec.ell)
+    return _Outcome("optimal_online_dp", dp.expected_value / bench, 0.0,
+                    hard_instance_bound(spec.k),
+                    {"dp_value": dp.expected_value, "benchmark": bench})
+
+
+def _run_secretary_upper_bound(spec: ExperimentSpec) -> _Outcome:
+    return _Outcome("secretary_max_prob_dp", secretary_max_prob_dp(spec.n, spec.k), 0.0,
+                    secretary_upper_bound(spec.n, spec.k))
+
+
+def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
+    instance = _resolve_instance(spec)
+    source = spec.source or SOURCE_ALG_MAX
+    engine = f"{spec.kind} source {source}"
+    if source == SOURCE_ALG_MAX:
+        _require_k_above_one(spec.k, engine)
+        if spec.tau is not None:
+            raise InvalidSpecError(f"tau: {engine} does not read it")
+        tau, bound, extras = None, max_selector_bound(spec.k), {}
+    elif source == SOURCE_ALG_TAU:
+        _require_atomless(instance, engine)
+        tau = _tau(spec)
+        bound, extras = tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau}
+    else:
+        raise InvalidSpecError(f"source: unknown mechanism source {source!r}")
+    stats = experiments.mechanism_welfare_trials(
+        instance, spec.ell, spec.k, spec.trials, spec.master_seed,
+        source=source, tau=tau)
+    extras["trace_mismatches"] = stats.trace_mismatches
+    return _Outcome(f"two_phase[{source}]", stats.ratio, stats.ratio_stderr, bound,
+                    extras, ok=stats.trace_mismatches == 0)
+
+
+def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
+    if "iid" not in (spec.distribution or {}):
+        raise InvalidSpecError("distribution: revenue mode needs an iid prior")
+    prior = _resolve_instance(spec).components[0]
+    tau = _tau(spec)
+    stats = experiments.mechanism_revenue_trials(
+        prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
+    extras = {
+        "tau": tau,
+        "revenue_mean": stats.revenue_mean,
+        "revenue_stderr": stats.revenue_stderr,
+        "optimal_mean": stats.optimal_mean,
+        "optimal_stderr": stats.optimal_stderr,
+        "identity_gap": stats.identity_gap,
+        "identity_gap_stderr": stats.identity_gap_stderr,
+    }
+    # Myerson payment identity: revenue equals winner virtual surplus
+    identity_ok = abs(stats.identity_gap) <= 3.0 * max(stats.identity_gap_stderr, 1e-12)
+    return _Outcome(f"two_phase[{SOURCE_ALG_TAU}]", stats.ratio, stats.ratio_stderr,
+                    tau_selector_bound(spec.ell, spec.k, tau), extras, ok=identity_ok)
+
+
+class _Kind(NamedTuple):
+    run: Callable[[ExperimentSpec], _Outcome]
+    #: the optional spec fields the runner reads; setting any other is refused
+    reads: tuple[str, ...] = ()
+    #: the bound caps the estimate from above, with no slack
+    upper_bound: bool = False
+
+
+_RUNNERS = {
+    "prophet-tau": _Kind(_run_prophet_tau, ("tau", "distribution")),
+    "prophet-max": _Kind(_run_prophet_max, ("distribution",)),
+    "secretary": _Kind(_run_secretary, ("values",)),
+    "hard-instance-dp": _Kind(_run_hard_instance_dp, upper_bound=True),
+    "secretary-upper-bound": _Kind(_run_secretary_upper_bound, upper_bound=True),
+    "mechanism-welfare": _Kind(_run_mechanism_welfare, ("tau", "distribution", "source")),
+    "mechanism-revenue": _Kind(_run_mechanism_revenue, ("tau", "distribution")),
+}
+
+KINDS = tuple(_RUNNERS)
+
+#: Experiment kinds whose bound is an upper bound on the estimate.
+UPPER_BOUND_KINDS = tuple(kind for kind, entry in _RUNNERS.items() if entry.upper_bound)
 
 
 # ---- dispatch ----
@@ -239,127 +372,17 @@ def _lower_bound_pass(estimate: float, stderr: float, bound: float, vacuous: boo
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     spec.validate()
     start = time.perf_counter()
-    extras: dict = {}
-
-    if spec.kind == "prophet-tau":
-        instance = _resolve_instance(spec)
-        _require_atomless(instance, "prophet-tau")
-        tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
-        estimate, stderr = experiments.alg_tau_trials(
-            instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
-        bound = tau_selector_bound(spec.ell, spec.k, tau)
-        algorithm = "alg_tau"
-        extras["tau"] = tau
-
-    elif spec.kind == "prophet-max":
-        _require_k_above_one(spec.k, "prophet-max")
-        instance = _resolve_instance(spec)
-        if instance.all_atomless:
-            estimate, stderr = experiments.alg_max_trials(
-                instance, spec.ell, spec.k, spec.trials, spec.master_seed)
-            bound = max_selector_bound(spec.k)
-            algorithm = "alg_max"
-        else:
-            estimate, stderr = experiments.alg_max_atoms_trials(
-                instance, spec.ell, spec.k, spec.trials, spec.master_seed)
-            bound = max_selector_bound(spec.k, atoms_variant=True)
-            algorithm = "alg_max_atoms"
-
-    elif spec.kind == "secretary":
-        values = _resolve_values(spec)
-        beta = default_beta(spec.n, spec.ell, spec.k)
-        stats = experiments.secretary_trials(
-            values, beta, spec.k, spec.trials, spec.master_seed)
-        estimate, stderr = stats.ratio, stats.ratio_stderr
-        bound = secretary_bound(spec.ell, spec.k)
-        algorithm = "alg_beta"
-        extras.update({
-            "beta": list(beta.boundaries),
-            "prob_capacity_differs": stats.prob_capacity_differs,
-            "prob_capacity_differs_stderr": stats.prob_capacity_differs_stderr,
-            "prob_ell_missed": stats.prob_ell_missed,
-            "prob_ell_missed_stderr": stats.prob_ell_missed_stderr,
-            "capacity_event_bound": math.exp(-spec.k / 6.0),
-        })
-
-    elif spec.kind == "hard-instance-dp":
-        instance = hard_prophet_instance(spec.k, spec.n)
-        dp = optimal_online_dp(instance, spec.ell, spec.k)
-        bench = exact_prophet_benchmark(instance, spec.ell)
-        estimate, stderr = dp.expected_value / bench, 0.0
-        bound = hard_instance_bound(spec.k)
-        algorithm = "optimal_online_dp"
-        extras.update({"dp_value": dp.expected_value, "benchmark": bench})
-
-    elif spec.kind == "secretary-upper-bound":
-        estimate, stderr = secretary_max_prob_dp(spec.n, spec.k), 0.0
-        bound = secretary_upper_bound(spec.n, spec.k)
-        algorithm = "secretary_max_prob_dp"
-
-    elif spec.kind == "mechanism-welfare":
-        instance = _resolve_instance(spec)
-        source = spec.source or SOURCE_ALG_MAX
-        if source == SOURCE_ALG_MAX:
-            _require_k_above_one(spec.k, f"mechanism-welfare source {SOURCE_ALG_MAX}")
-        elif source == SOURCE_ALG_TAU:
-            _require_atomless(instance, f"mechanism-welfare source {SOURCE_ALG_TAU}")
-        else:
-            raise InvalidSpecError(f"source: unknown mechanism source {source!r}")
-        tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
-        stats = experiments.mechanism_welfare_trials(
-            instance, spec.ell, spec.k, spec.trials, spec.master_seed,
-            source=source, tau=tau)
-        estimate, stderr = stats.ratio, stats.ratio_stderr
-        if source == SOURCE_ALG_MAX:
-            bound = max_selector_bound(spec.k)
-        else:
-            bound = tau_selector_bound(spec.ell, spec.k, tau)
-            extras["tau"] = tau
-        algorithm = f"two_phase[{source}]"
-        extras["trace_mismatches"] = stats.trace_mismatches
-
-    elif spec.kind == "mechanism-revenue":
-        desc = spec.distribution or {}
-        if "iid" not in desc:
-            raise InvalidSpecError("distribution: revenue mode needs an iid prior")
-        prior = ValueDistribution.from_json(desc["iid"])
-        tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
-        stats = experiments.mechanism_revenue_trials(
-            prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
-        estimate, stderr = stats.ratio, stats.ratio_stderr
-        bound = tau_selector_bound(spec.ell, spec.k, tau)
-        algorithm = f"two_phase[{SOURCE_ALG_TAU}]"
-        extras.update({
-            "tau": tau,
-            "revenue_mean": stats.revenue_mean,
-            "revenue_stderr": stats.revenue_stderr,
-            "optimal_mean": stats.optimal_mean,
-            "optimal_stderr": stats.optimal_stderr,
-            "identity_gap": stats.identity_gap,
-            "identity_gap_stderr": stats.identity_gap_stderr,
-        })
-
-    else:  # pragma: no cover - validate() already rejects
-        raise InvalidSpecError(f"kind: unknown kind {spec.kind!r}")
-
-    vacuous = bound <= 0.0
-    if spec.kind == "secretary" and spec.k < 8 * spec.ell:
-        vacuous = True
-    if spec.kind in UPPER_BOUND_KINDS:
-        passed = estimate <= bound
+    kind = _RUNNERS[spec.kind]
+    out = kind.run(spec)
+    vacuous = out.bound <= 0.0
+    if kind.upper_bound:
+        passed = out.estimate <= out.bound
     else:
-        passed = _lower_bound_pass(estimate, stderr, bound, vacuous)
-    if spec.kind == "mechanism-welfare":
-        passed = passed and extras["trace_mismatches"] == 0
-    if spec.kind == "mechanism-revenue":
-        # Myerson payment identity: revenue equals winner virtual surplus
-        passed = passed and abs(extras["identity_gap"]) <= 3.0 * max(
-            extras["identity_gap_stderr"], 1e-12)
-
+        passed = out.ok and (vacuous or out.estimate + 3.0 * out.stderr >= out.bound)
     elapsed = time.perf_counter() - start
-    return ExperimentReport(spec, algorithm, float(estimate), float(stderr),
-                            float(bound), vacuous, bool(passed), elapsed,
-                            extras=extras)
+    return ExperimentReport(spec, out.algorithm, float(out.estimate), float(out.stderr),
+                            float(out.bound), vacuous, bool(passed), elapsed,
+                            extras=out.extras)
 
 
 def run_experiments(specs: list[ExperimentSpec], jobs: int = 1) -> list[ExperimentReport]:

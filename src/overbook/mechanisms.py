@@ -91,32 +91,6 @@ def run_two_phase(values: Sequence[float], config: MechanismConfig) -> AuctionOu
     return AuctionOutcome(tickets, winners, payments, welfare, sum(payments.values()))
 
 
-def welfare_threshold(
-    instance: ProductInstance,
-    source: str,
-    *,
-    k: int,
-    tau: Optional[int] = None,
-    ell: int = 1,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Ticket threshold for the welfare mechanism.
-
-    For the sample source, T is the tau-th highest entry of a fresh sample
-    vector; for the max-distribution source, T is the (2/3)^(k-1) quantile
-    of the max distribution.
-    """
-    if source == SOURCE_ALG_TAU:
-        if rng is None:
-            raise ValueError("sample source needs an rng")
-        tau = default_tau(ell, k) if tau is None else tau
-        sample = instance.sample(rng)
-        return float(np.sort(sample)[::-1][tau - 1])
-    if source == SOURCE_ALG_MAX:
-        return max_quantile(instance, TWO_THIRDS ** (k - 1))
-    raise ValueError(f"unknown threshold source: {source!r}")
-
-
 def revenue_threshold(
     prior: ValueDistribution,
     source: str,

@@ -425,10 +425,18 @@ class TestMyerson:
             virtual_value(ValueDistribution.finite([(1.0, 1.0)]), 1.0)
 
     def test_monopoly_price_uniform(self):
-        assert monopoly_price(ValueDistribution.uniform(0, 1)) == pytest.approx(0.5, abs=1e-9)
+        # exact: the revenue engine's floor, and so its CSV, depends on it
+        assert monopoly_price(ValueDistribution.uniform(0, 1)) == 0.5
 
     def test_monopoly_price_exponential(self):
         assert monopoly_price(ValueDistribution.exponential(1)) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("rate", [1e-3, 1.0, 100.0, 1000.0, 1e6])
+    def test_monopoly_price_exponential_any_scale(self, rate):
+        # a bracket that started at 1.0 underflowed the density from rate ~745
+        # on, and absolute tolerances returned 0.0099999998 at rate 100
+        price = monopoly_price(ValueDistribution.exponential(rate))
+        assert price == pytest.approx(1.0 / rate, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.2, 2.0), (1.5, 2.0), (0.9, 1.1)])
     def test_monopoly_price_shifted_uniform(self, a, b):

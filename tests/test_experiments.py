@@ -3,7 +3,8 @@
 `_threshold_top_ell` reads the selector's top-ell sum off the benchmark's
 top-ell block and runs the capacity cut only on rows where it binds. These
 tests hold it to the full path (cut every row, mask, take the top ell) and
-to the scalar selectors and mechanism. The streaming estimator `_Moments` is
+to the scalar selectors and mechanism. The revenue engine is replayed row by
+row through the scalar revenue mechanism. The streaming estimator `_Moments` is
 held to a two-pass numpy computation, and the sample-threshold engine to its
 full-matrix form on an instance that is not i.i.d.
 """
@@ -19,16 +20,20 @@ from overbook.distributions import (
     ValueDistribution,
     max_quantile,
     max_quantile_inf,
+    monopoly_price,
+    virtual_value,
 )
 from overbook.experiments import (
     _first_k,
     _Moments,
     _threshold_top_ell,
     alg_tau_trials,
+    mechanism_revenue_trials,
     mechanism_welfare_trials,
 )
 from overbook.harness import ExperimentSpec, run_experiment
-from overbook.oracle import top_ell_values
+from overbook.mechanisms import MechanismConfig, myerson_virtual_surplus, run_two_phase
+from overbook.oracle import top_ell, top_ell_values
 from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
 from overbook.seeding import batch_indices, trial_rng
 
@@ -163,6 +168,36 @@ def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
                           source="alg_tau-sample")
     report = run_experiment(spec)
     assert report.extras["trace_mismatches"] > 0 and not report.passed
+
+
+@pytest.mark.parametrize("prior,n,k,tau", [
+    (ValueDistribution.uniform(0.0, 1.0), 20, 3, 6),     # k binds on most rows
+    (ValueDistribution.exponential(2.0), 20, 4, 10),     # the monopoly floor on most rows
+    (ValueDistribution.uniform(0.0, 1.0), 3, 2, 2),      # negative virtual values in the top ell
+], ids=["uniform", "exponential", "uniform-n3"])
+def test_revenue_engine_matches_scalar_replay(prior, n, k, tau):
+    ell, trials, batch, seed = 2, 300, 120, 29
+    stats = mechanism_revenue_trials(prior, n, ell, k, tau, trials, seed, batch=batch)
+    instance, floor = ProductInstance.iid(prior, n), monopoly_price(prior)
+    revenue, optimal, gap = [], [], []
+    binding = floored = 0
+    for b_idx, b_size in batch_indices(trials, batch):
+        rng = trial_rng(seed, b_idx)
+        ranks = instance.sample_rank(rng, b_size, tau)
+        rows = prior.sample_n(rng, (b_size, n))
+        for rank, row in zip(ranks, rows.tolist()):
+            cfg = MechanismConfig(ell, k, max(floor, float(rank)), "revenue", prior)
+            out = run_two_phase(row, cfg)
+            revenue.append(out.revenue)
+            optimal.append(top_ell([max(virtual_value(prior, v), 0.0) for v in row],
+                                   ell).value)
+            gap.append(out.revenue - myerson_virtual_surplus(prior, out, row))
+            binding += sum(v > cfg.threshold for v in row) > k
+            floored += cfg.threshold == floor
+    assert binding > 0 and floored > 0
+    assert stats.revenue_mean == pytest.approx(math.fsum(revenue) / trials, rel=1e-12)
+    assert stats.optimal_mean == pytest.approx(math.fsum(optimal) / trials, rel=1e-12)
+    assert stats.identity_gap == pytest.approx(math.fsum(gap) / trials, rel=1e-12)
 
 
 def _alg_tau_partition_form(instance, ell, k, tau, trials, master_seed, batch):

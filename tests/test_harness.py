@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from overbook import experiments, harness
 from overbook.cli import main
+from overbook.experiments import RevenueTrialStats
 from overbook.harness import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -156,6 +158,40 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^source:"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("kind,field,extra", [
+        ("prophet-max", "tau", dict(tau=3, distribution={"iid": UNIFORM})),
+        ("mechanism-welfare", "tau", dict(tau=3, source="alg_max",
+                                          distribution={"iid": UNIFORM})),
+        ("mechanism-revenue", "source", dict(source="alg_max",
+                                             distribution={"iid": UNIFORM})),
+        ("secretary", "distribution", dict(distribution={"iid": UNIFORM},
+                                           values={"kind": "geometric", "ratio": 2.0})),
+        ("prophet-max", "values", dict(values={"kind": "geometric", "ratio": 2.0},
+                                       distribution={"iid": UNIFORM})),
+    ], ids=["tau-prophet-max", "tau-welfare-alg_max", "source-revenue",
+            "distribution-secretary", "values-prophet-max"])
+    def test_refuses_field_the_kind_does_not_read(self, kind, field, extra):
+        # such a field was silently ignored: prophet-max wrote tau=3 into the
+        # CSV, and revenue with source alg_max ran the alg_tau-sample source
+        spec = ExperimentSpec(kind=kind, n=10, ell=1, k=4, trials=10, master_seed=1,
+                              **extra)
+        with pytest.raises(InvalidSpecError, match=f"^{field}:"):
+            run_experiment(spec)
+
+    def test_revenue_prior_component_count_must_match_n(self):
+        spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,
+                              master_seed=1, distribution={"iid": UNIFORM, "n": 5})
+        with pytest.raises(InvalidSpecError, match="^distribution:"):
+            run_experiment(spec)
+
+    def test_revenue_runs_at_small_value_scale(self):
+        # monopoly_price of exp(1000) used to raise UndefinedVirtualValueError
+        prior = {"kind": "exponential", "params": {"rate": 1000.0}}
+        spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=2000,
+                              master_seed=1, distribution={"iid": prior})
+        report = run_experiment(spec)
+        assert report.passed and 0.5 < report.ratio_estimate <= 1.0
+
     def test_secretary_small_k_vacuous(self):
         spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=4,
                               trials=200, master_seed=3,
@@ -190,6 +226,46 @@ class TestRunExperiment:
         r1, r2 = run_experiment(spec), run_experiment(spec)
         assert r1.ratio_estimate == r2.ratio_estimate
         assert r1.stderr == r2.stderr
+
+
+class TestPassRules:
+    """The verdict rules, pinned at their edges with stubbed engines and oracles."""
+
+    @pytest.mark.parametrize("step,passed", [(0, True), (1, False)])
+    def test_upper_bound_allows_no_slack(self, monkeypatch, step, passed):
+        bound = secretary_upper_bound(10, 2)
+        estimate = np.nextafter(bound, 2.0) if step else bound
+        monkeypatch.setattr(harness, "secretary_max_prob_dp", lambda n, k: estimate)
+        spec = ExperimentSpec(kind="secretary-upper-bound", n=10, ell=1, k=2,
+                              trials=1, master_seed=0)
+        report = run_experiment(spec)
+        assert report.theoretical_bound == bound
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("step,passed", [(0, True), (1, False)])
+    def test_lower_bound_three_sigma_edge(self, monkeypatch, step, passed):
+        bound, stderr = max_selector_bound(12), 0.0625
+        edge = bound - 3.0 * stderr
+        assert edge + 3.0 * stderr == bound
+        estimate = np.nextafter(edge, 0.0) if step else edge
+        monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: (estimate, stderr))
+        spec = ExperimentSpec(kind="prophet-max", n=100, ell=1, k=12, trials=10,
+                              master_seed=0, distribution={"iid": UNIFORM})
+        report = run_experiment(spec)
+        assert not report.vacuous
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("gap,passed", [(0.02, True), (0.04, False), (-0.04, False)])
+    def test_revenue_identity_gap_beyond_three_sigma_fails(self, monkeypatch, gap, passed):
+        stats = RevenueTrialStats(ratio=1.0, ratio_stderr=0.01, revenue_mean=1.0,
+                                  revenue_stderr=0.01, optimal_mean=1.0, optimal_stderr=0.01,
+                                  identity_gap=gap, identity_gap_stderr=0.01, trials=10)
+        monkeypatch.setattr(experiments, "mechanism_revenue_trials", lambda *a: stats)
+        spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,
+                              master_seed=0, distribution={"iid": UNIFORM})
+        report = run_experiment(spec)
+        assert report.ratio_estimate + 3 * report.stderr >= report.theoretical_bound
+        assert report.passed is passed
 
 
 class TestEmitReport:

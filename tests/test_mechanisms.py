@@ -14,7 +14,6 @@ from overbook.mechanisms import (
     myerson_virtual_surplus,
     revenue_threshold,
     run_two_phase,
-    welfare_threshold,
 )
 from overbook.prophet import alg_max
 
@@ -81,21 +80,9 @@ class TestRunTwoPhase:
 
 
 class TestThresholds:
-    def test_welfare_alg_max_two_uniforms(self):
-        inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)
-        t = welfare_threshold(inst, SOURCE_ALG_MAX, k=2)
-        assert t == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
-
-    def test_welfare_alg_tau_degenerate_sample(self):
-        inst = ProductInstance.iid(ValueDistribution.degenerate(5.0), 4)
-        t = welfare_threshold(inst, SOURCE_ALG_TAU, k=3, tau=3,
-                              rng=np.random.default_rng(0))
-        assert t == 5.0
-
     def test_unknown_source(self):
-        inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)
         with pytest.raises(ValueError):
-            welfare_threshold(inst, "nope", k=2)
+            revenue_threshold(ValueDistribution.uniform(0, 1), "nope", n=2, k=2)
 
     def test_revenue_alg_max_monopoly_floor_dominated(self):
         t = revenue_threshold(ValueDistribution.uniform(0, 1), SOURCE_ALG_MAX,
