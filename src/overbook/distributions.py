@@ -313,6 +313,8 @@ class ProductInstance:
         reference the tests hold the beta draw to.
         """
         n = self.n
+        if not 1 <= tau <= n:
+            raise ValueError(f"tau must lie in [1, n={n}], got {tau}")
         dist = self.components[0]
         if len(self._runs) == 1 and dist.atomless:
             return dist.isf(rng.beta(tau, n - tau + 1, trials))

@@ -1,10 +1,10 @@
 """Vectorized Monte Carlo trial engines behind the experiment harness.
 
-Each engine runs trials in fixed-size seeded batches (see `seeding`), keeping
-per-trial memory bounded while the estimate stays bit-reproducible for a
-given master seed. The scalar selectors in `prophet`, `secretary`, and
-`mechanisms` define the semantics; these engines replicate them with
-array ops so desk-scale trial counts finish in seconds. Trace-equivalence
+Every engine runs its trials through `_run_batches`, in fixed-size seeded
+batches (see `seeding`), keeping per-trial memory bounded while the estimate
+stays bit-reproducible for a given master seed. The scalar selectors in
+`prophet`, `secretary`, and `mechanisms` define the semantics; these engines
+replicate them with array ops so desk-scale trial counts finish in seconds. Trace-equivalence
 between both formulations is covered by the test suite.
 """
 
@@ -25,7 +25,7 @@ from .distributions import (
     monopoly_price,
     virtual_value_array,
 )
-from .oracle import top_ell_values
+from .oracle import top_block
 from .prophet import TWO_THIRDS
 from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
@@ -81,7 +81,19 @@ class _Moments:
         return ratio, math.sqrt(var_resid / t) / (self.sums[j] / t)
 
 
-def _binomial(successes: int, count: int) -> tuple[float, float]:
+def _run_batches(step, width: int, trials: int, master_seed: int) -> _Moments:
+    """Run `trials` rows in seeded batches and merge them in batch order.
+
+    Batch b holds up to `BATCH_SIZE` rows and draws from the stream of index
+    b; `step(rng, size)` returns its `width` per-row columns.
+    """
+    acc = _Moments(width)
+    for b_idx, b_size in batch_indices(trials, BATCH_SIZE):
+        acc.add(*step(trial_rng(master_seed, b_idx), b_size))
+    return acc
+
+
+def _binomial(successes: float, count: int) -> tuple[float, float]:
     p = successes / count
     return p, math.sqrt(max(0.0, p * (1 - p)) / count)
 
@@ -92,56 +104,69 @@ def _first_k(mask: np.ndarray, k: int) -> np.ndarray:
     return mask & (np.cumsum(mask, axis=1) <= k)
 
 
-def _threshold_top_ell(
+def _threshold_top(
     values: np.ndarray,
     thr,
     k: int,
-    ell: int,
+    m: int,
     first_ge: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-ell sums of the threshold selector and of the benchmark.
+    """Per-row top-m blocks of the threshold selector and of the benchmark.
 
     The selector accepts the first k values of each row strictly above
     `thr`; with `first_ge` (the atoms variant) it accepts the first value
     >= thr, then values strictly above it. `thr` is a scalar or holds one
-    threshold per row. The benchmark is the row's own top-ell sum.
+    threshold per row. The benchmark block is `top_block(values, m)`; the
+    selector's block holds its m largest accepted values, with 0.0 in the
+    slots it cannot fill. Neither block is sorted.
 
     Where the unbounded run accepts at most k values, the accepted values
-    above thr are the row's largest, so the selector's sum is the sum of the
-    benchmark's top-ell entries above thr (plus thr itself for an accepted
-    first value equal to it that makes the top ell). Only the rows where the
+    above thr are the row's largest, so the selector's block is the
+    benchmark's entries above thr (plus thr itself for an accepted first
+    value equal to it that makes the top m). Only the rows where the
     capacity binds run the cut over the whole row.
     """
-    rows, n = values.shape
+    rows = len(values)
     per_row = np.ndim(thr) == 1
     t = thr[:, None] if per_row else thr
-    if ell == 1:
-        block = values.max(axis=1, keepdims=True)
-    elif ell >= n:
-        block = values
-    else:
-        # copied out, so the partitioned (rows, n) buffer is freed at once
-        block = np.partition(values, n - ell, axis=1)[:, n - ell:].copy()
-    bench = block.sum(axis=1)
-    above = block > t
-    alg = np.where(above, block, 0.0).sum(axis=1)
+    bench = top_block(values, m)
+    above = bench > t
+    sel = np.where(above, bench, 0.0)
     accepted = values > t
     count = np.count_nonzero(accepted, axis=1)
     if first_ge:
         first = (values >= t).argmax(axis=1)
         first_at_thr = values[np.arange(rows), first] == thr
         count += first_at_thr
-        add = np.nonzero(first_at_thr & (np.count_nonzero(above, axis=1) < ell))[0]
-        alg[add] += thr[add] if per_row else thr
+        add = np.nonzero(first_at_thr & (np.count_nonzero(above, axis=1) < m))[0]
+        sel[add, (~above[add]).argmax(axis=1)] = thr[add] if per_row else thr
     bind = np.nonzero(count > k)[0]
     if len(bind):
-        sub = values[bind]
         cut = accepted[bind]
         if first_ge:
             at_thr = np.nonzero(first_at_thr[bind])[0]
             cut[at_thr, first[bind[at_thr]]] = True
-        alg[bind] = top_ell_values(np.where(_first_k(cut, k), sub, 0.0), ell)
-    return alg, bench
+        sel[bind] = top_block(np.where(_first_k(cut, k), values[bind], 0.0), m)
+    return sel, bench
+
+
+def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
+                      master_seed: int, threshold: Optional[float] = None,
+                      tau: Optional[int] = None, first_ge: bool = False,
+                      replay: bool = False) -> _Moments:
+    """Per-row top-ell values of the threshold selector and of the benchmark.
+    The threshold is `threshold`, or else per row the tau-th highest of a fresh
+    sample vector (`ProductInstance.sample_rank`), drawn before the values.
+    `replay` adds the `_welfare_replay` column."""
+    def step(rng, size):
+        thr = instance.sample_rank(rng, size, tau) if threshold is None else threshold
+        values = instance.sample_matrix(rng, size)
+        alg, bench = (b.sum(axis=1) for b in _threshold_top(values, thr, k, ell, first_ge))
+        if replay:
+            return alg, bench, _welfare_replay(values, thr, alg, ell, k)
+        return alg, bench
+
+    return _run_batches(step, 3 if replay else 2, trials, master_seed)
 
 
 # ---- prophet: single-sample threshold ----
@@ -154,7 +179,6 @@ def alg_tau_trials(
     tau: int,
     trials: int,
     master_seed: int,
-    batch: int = BATCH_SIZE,
 ) -> tuple[float, float]:
     """Ratio of the selector's expected top-ell value to the offline top-ell
     benchmark, both estimated on the same realized award vectors.
@@ -166,13 +190,7 @@ def alg_tau_trials(
     Assumes atomless components, where the uniform-priority tie-break rule
     almost surely never fires and can be skipped.
     """
-    acc = _Moments(2)
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        thr = instance.sample_rank(rng, b_size, tau)
-        values = instance.sample_matrix(rng, b_size)
-        acc.add(*_threshold_top_ell(values, thr, k, ell))
-    return acc.ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, tau=tau).ratio_stderr()
 
 
 # ---- prophet: max-distribution threshold ----
@@ -184,17 +202,11 @@ def alg_max_trials(
     k: int,
     trials: int,
     master_seed: int,
-    batch: int = BATCH_SIZE,
 ) -> tuple[float, float]:
     """Ratio for the atomless max-distribution selector (accept first k
     values strictly above the (2/3)^(k-1) quantile of the max)."""
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    acc = _Moments(2)
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        values = instance.sample_matrix(rng, b_size)
-        acc.add(*_threshold_top_ell(values, threshold, k, ell))
-    return acc.ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold).ratio_stderr()
 
 
 def alg_max_atoms_trials(
@@ -203,17 +215,12 @@ def alg_max_atoms_trials(
     k: int,
     trials: int,
     master_seed: int,
-    batch: int = BATCH_SIZE,
 ) -> tuple[float, float]:
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    acc = _Moments(2)
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        values = instance.sample_matrix(rng, b_size)
-        acc.add(*_threshold_top_ell(values, threshold, k, ell, first_ge=True))
-    return acc.ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold,
+                             first_ge=True).ratio_stderr()
 
 
 # ---- secretary: interval selector under random arrival ----
@@ -243,7 +250,6 @@ def secretary_trials(
     k: int,
     trials: int,
     master_seed: int,
-    batch: int = BATCH_SIZE,
 ) -> SecretaryTrialStats:
     """Simulate the interval selector over uniformly random arrival orders.
 
@@ -283,20 +289,18 @@ def secretary_trials(
     bounds = (0,) + beta.boundaries
     # the last interval that holds a position; higher order statistics are unused
     last_j = max((j for j in range(1, ell + 1) if bounds[j] < bounds[j + 1]), default=0)
-    rows = max(1, min(batch, trials, _RANK_CHUNK_CELLS // n))
+    rows = max(1, min(BATCH_SIZE, trials, _RANK_CHUNK_CELLS // n))
     acc = np.empty((rows, n), dtype=bool)
     # column p + 1 holds C_j[p]; column 0 is the empty prefix
     cur = np.full((rows, n + 1), n, dtype=np.int32)
     nxt = cur.copy()
 
-    moments = _Moments(1)
-    n_differ = 0
-    n_missed = 0
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        ell_vals = np.empty(b_size)
-        for lo in range(0, b_size, rows):
-            c = min(rows, b_size - lo)
+    def step(rng, size):
+        # per row: the bounded run's top-ell value, and 0/1 flags for a run
+        # the capacity cut changed and an unbounded run that missed rank ell
+        ell_vals, differ, missed = np.empty(size), np.empty(size), np.empty(size)
+        for lo in range(0, size, rows):
+            c = min(rows, size - lo)
             # r[:, pos] = key of the global rank arriving at position pos
             r = key[np.argsort(rng.random((c, n)), axis=1)]
             a_u, c_j, c_next = acc[:c], cur[:c], nxt[:c]
@@ -309,22 +313,23 @@ def secretary_trials(
                     np.maximum(c_j[:, :-1], r, out=c_next[:, 1:])
                     np.minimum.accumulate(c_next[:, 1:], axis=1, out=c_next[:, 1:])
                     c_j, c_next = c_next, c_j
-            n_missed += c - int(np.count_nonzero((a_u & (r == ell_key)).any(axis=1)))
+            missed[lo:lo + c] = ~(a_u & (r == ell_key)).any(axis=1)
             # capacity cut: only rows with more than k acceptances change
-            over = np.nonzero(np.count_nonzero(a_u, axis=1) > k)[0]
-            n_differ += len(over)
-            if len(over):
+            over = np.count_nonzero(a_u, axis=1) > k
+            differ[lo:lo + c] = over
+            if over.any():
                 a_u[over] = _first_k(a_u[over], k)
             kept = np.where(a_u, r, n)
             if ell < n:
                 kept = np.partition(kept, ell - 1, axis=1)[:, :ell]
             ell_vals[lo:lo + c] = vals_ext[kept].sum(axis=1)
-        moments.add(ell_vals)
+        return ell_vals, differ, missed
 
+    moments = _run_batches(step, 3, trials, master_seed)
     count = moments.count
-    mean, se = moments.mean_stderr()
-    p_diff, se_diff = _binomial(n_differ, count)
-    p_miss, se_miss = _binomial(n_missed, count)
+    mean, se = moments.mean_stderr(0)
+    p_diff, se_diff = _binomial(moments.sums[1], count)
+    p_miss, se_miss = _binomial(moments.sums[2], count)
     return SecretaryTrialStats(mean / bench, se / bench, p_diff, se_diff,
                                p_miss, se_miss, count)
 
@@ -345,18 +350,17 @@ class WelfareTrialStats:
 _REPLAY_ROWS = 64
 
 
-def _welfare_replay_mismatches(values: np.ndarray, threshold, welfare: np.ndarray,
-                               ell: int, k: int) -> int:
-    """Replayed leading rows whose scalar welfare differs from `welfare` by
-    more than 1e-9."""
-    rows = min(_REPLAY_ROWS, len(values))
+def _welfare_replay(values: np.ndarray, threshold, welfare: np.ndarray,
+                    ell: int, k: int) -> np.ndarray:
+    """Per-row 0/1 column: 1 for a replayed leading row whose scalar welfare
+    differs from `welfare` by more than 1e-9."""
+    mismatch = np.zeros(len(values))
     thresholds = np.broadcast_to(threshold, len(values))
-    mismatches = 0
-    for row in range(rows):
+    for row in range(min(_REPLAY_ROWS, len(values))):
         config = mechanisms.MechanismConfig(ell, k, float(thresholds[row]))
         outcome = mechanisms.run_two_phase(values[row], config)
-        mismatches += abs(outcome.welfare - welfare[row]) > 1e-9
-    return int(mismatches)
+        mismatch[row] = abs(outcome.welfare - welfare[row]) > 1e-9
+    return mismatch
 
 
 def mechanism_welfare_trials(
@@ -367,7 +371,6 @@ def mechanism_welfare_trials(
     master_seed: int,
     source: str = "alg_max",
     tau: Optional[int] = None,
-    batch: int = BATCH_SIZE,
 ) -> WelfareTrialStats:
     """Welfare ratio of the two-phase mechanism, plus a check of the batch
     kernel against the scalar mechanism on the leading rows of every batch.
@@ -378,25 +381,15 @@ def mechanism_welfare_trials(
     `ProductInstance.sample_rank`). The top ell of the first k ticket holders
     win, so the welfare is the threshold selector's top-ell value.
     """
-    fixed_threshold = None
+    threshold = None
     if source == mechanisms.SOURCE_ALG_MAX:
-        fixed_threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
+        threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
     elif source != mechanisms.SOURCE_ALG_TAU:
         raise ValueError(f"unknown threshold source: {source!r}")
-    acc = _Moments(2)
-    mismatches = 0
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        if fixed_threshold is None:
-            threshold = instance.sample_rank(rng, b_size, tau)
-        else:
-            threshold = fixed_threshold
-        values = instance.sample_matrix(rng, b_size)
-        welfare, bench = _threshold_top_ell(values, threshold, k, ell)
-        mismatches += _welfare_replay_mismatches(values, threshold, welfare, ell, k)
-        acc.add(welfare, bench)
+    acc = _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau,
+                            replay=True)
     ratio, se = acc.ratio_stderr()
-    return WelfareTrialStats(ratio, se, mismatches, trials)
+    return WelfareTrialStats(ratio, se, int(acc.sums[2]), acc.count)
 
 
 @dataclass
@@ -420,7 +413,6 @@ def mechanism_revenue_trials(
     tau: int,
     trials: int,
     master_seed: int,
-    batch: int = BATCH_SIZE,
 ) -> RevenueTrialStats:
     """Expected revenue of the two-phase mechanism with a fresh sample-based
     threshold per trial, against the optimal-revenue benchmark (expected
@@ -428,24 +420,23 @@ def mechanism_revenue_trials(
     """
     phat = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)
-    acc = _Moments(3)
-    col = np.arange(ell)
-    for b_idx, b_size in batch_indices(trials, batch):
-        rng = trial_rng(master_seed, b_idx)
-        thr = np.maximum(phat, instance.sample_rank(rng, b_size, tau))
-        values = prior.sample_n(rng, (b_size, n))
-        tickets = _first_k(values > thr[:, None], k)
-        n_tickets = tickets.sum(axis=1)
-        tv_sorted = -np.sort(-np.where(tickets, values, -1.0), axis=1)
-        n_win = np.minimum(n_tickets, ell)
-        price = np.where(n_tickets > ell,
-                         np.maximum(thr, tv_sorted[:, ell]), thr)
-        revenue = n_win * price
-        win_mask = col[None, :] < n_win[:, None]
-        surplus = (virtual_value_array(prior, tv_sorted[:, :ell]) * win_mask).sum(axis=1)
-        optimal = top_ell_values(np.maximum(virtual_value_array(prior, values), 0.0), ell)
-        gap = revenue - surplus
-        acc.add(revenue, optimal, gap)
+
+    def step(rng, size):
+        thr = np.maximum(phat, instance.sample_rank(rng, size, tau))
+        values = prior.sample_n(rng, (size, n))
+        # the top ell + 1 ticket values and row values, in decreasing order. A
+        # ticket value exceeds thr >= phat > 0, so 0.0 is an unfilled slot; the
+        # virtual value increases, so the top ell values hold the top ell of it
+        tickets, top = (-np.sort(-b, axis=1) for b in _threshold_top(values, thr, k, ell + 1))
+        won = tickets[:, :ell]
+        # winners pay the (ell+1)-th ticket value, or thr when it is missing
+        price = np.maximum(thr, tickets[:, ell]) if n > ell else thr
+        revenue = np.count_nonzero(won, axis=1) * price
+        surplus = (virtual_value_array(prior, won) * (won > 0)).sum(axis=1)
+        optimal = np.maximum(virtual_value_array(prior, top[:, :ell]), 0.0).sum(axis=1)
+        return revenue, optimal, revenue - surplus
+
+    acc = _run_batches(step, 3, trials, master_seed)
     ratio, ratio_se = acc.ratio_stderr(0, 1)
     rev_mean, rev_se = acc.mean_stderr(0)
     opt_mean, opt_se = acc.mean_stderr(1)

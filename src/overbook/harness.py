@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -61,6 +62,11 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSpecError(f"kind: unknown kind {self.kind!r}")
+        for name in ("n", "ell", "k", "trials", "master_seed", "tau"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise InvalidSpecError(f"{name}: must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidSpecError("n: must be >= 1")
         if self.ell < 1:
@@ -69,6 +75,8 @@ class ExperimentSpec:
             raise InvalidSpecError("k: must be >= ell")
         if self.trials < 1:
             raise InvalidSpecError("trials: must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidSpecError("master_seed: must be >= 0")
         if self.tau is not None and not (1 <= self.tau <= self.n):
             raise InvalidSpecError("tau: must lie in [1, n]")
         reads = _RUNNERS[self.kind].reads
@@ -222,8 +230,12 @@ def _require_k_above_one(k: int, engine: str) -> None:
 
 
 def _tau(spec: ExperimentSpec) -> int:
-    """The spec's sample rank, or the default rank ceil((ell + k) / 2)."""
-    return spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
+    """The spec's sample rank, or the default rank ceil((ell + k) / 2), which
+    must lie in [1, n] too."""
+    tau = spec.tau if spec.tau is not None else default_tau(spec.ell, spec.k)
+    if not 1 <= tau <= spec.n:
+        raise InvalidSpecError(f"tau: {tau} must lie in [1, n={spec.n}]")
+    return tau
 
 
 # ---- runners, one per kind ----

@@ -107,7 +107,6 @@ def revenue_threshold(
     By monotonicity of the virtual valuation this coincides with running the
     source in the space of nonnegative virtual values and mapping back.
     """
-    check_regular(prior)
     floor = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)
     if source == SOURCE_ALG_TAU:

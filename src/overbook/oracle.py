@@ -46,15 +46,21 @@ def top_ell(values: Sequence[float], ell: int) -> TopEllResult:
     return TopEllResult(chosen, float(vals[list(chosen)].sum()))
 
 
+def top_block(matrix: np.ndarray, m: int) -> np.ndarray:
+    """The m largest entries of each row of a (rows, n) matrix, in no set
+    order; the matrix itself when m >= n."""
+    n = matrix.shape[1]
+    if m == 1:
+        return matrix.max(axis=1, keepdims=True)
+    if m >= n:
+        return matrix
+    # copied out, so the partitioned (rows, n) buffer is freed at once
+    return np.partition(matrix, n - m, axis=1)[:, n - m:].copy()
+
+
 def top_ell_values(matrix: np.ndarray, ell: int) -> np.ndarray:
     """Row-wise top-ell sums of a (trials, n) matrix of nonnegative values."""
-    n = matrix.shape[1]
-    if ell == 1:
-        return matrix.max(axis=1)
-    if ell >= n:
-        return matrix.sum(axis=1)
-    part = np.partition(matrix, n - ell, axis=1)
-    return part[:, n - ell :].sum(axis=1)
+    return top_block(matrix, ell).sum(axis=1)
 
 
 def _atom_lists(instance: ProductInstance) -> list[list[tuple[float, float]]]:

@@ -305,6 +305,17 @@ class TestSampleRank:
         assert np.array_equal(got, _partition_rank(instance, rng_b, 700, tau))
         assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
+    @pytest.mark.parametrize("instance", [
+        ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), 2),
+        ProductInstance([ValueDistribution.uniform(0.0, 1.0),
+                         ValueDistribution.exponential(1.0)]),
+    ], ids=["iid", "components"])
+    @pytest.mark.parametrize("tau", [0, 3])
+    def test_refuses_tau_outside_one_to_n(self, instance, tau):
+        # the partition read kth = n - tau = -1, the row max; beta raised b <= 0
+        with pytest.raises(ValueError, match="tau"):
+            instance.sample_rank(np.random.default_rng(1), 10, tau)
+
     def test_isf_refuses_atoms(self):
         for dist in (ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)]),
                      ValueDistribution.degenerate(1.0)):

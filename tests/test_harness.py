@@ -25,6 +25,7 @@ from overbook.harness import (
 from overbook.seeding import BATCH_SIZE, derive_seed, trial_rng
 
 UNIFORM = {"kind": "uniform-interval", "params": {"lo": 0.0, "hi": 1.0}}
+EXPONENTIAL = {"kind": "exponential", "params": {"rate": 1.0}}
 ATOMS = {"kind": "finite-support", "params": {"atoms": [[0.0, 0.5], [1.0, 0.3], [2.0, 0.2]]}}
 
 
@@ -65,6 +66,23 @@ class TestExperimentSpec:
                               trials=10, master_seed=1, tau=5)
         with pytest.raises(InvalidSpecError, match="tau:"):
             spec.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("master_seed", 1.5), ("n", True), ("k", 16.0), ("n", "20"), ("master_seed", -1),
+    ], ids=["float-seed", "bool-n", "float-k", "str-n", "negative-seed"])
+    def test_refuses_non_integer_fields(self, field, value):
+        # before: seed 1.5 ran as seed 1, n=true as n=1, k=16.0 wrote 16.0 into
+        # the CSV, and "20" and -1 raised TypeError and numpy's ValueError
+        entry = {"kind": "prophet-max", "n": 20, "ell": 2, "k": 16, "trials": 10,
+                 "master_seed": 1, "distribution": {"iid": UNIFORM}, field: value}
+        with pytest.raises(InvalidSpecError, match=f"^{field}:"):
+            run_experiment(ExperimentSpec.from_json(entry))
+
+    def test_accepts_numpy_integers(self):
+        spec = ExperimentSpec(kind="prophet-max", n=np.int64(20), ell=np.int32(2),
+                              k=np.int64(16), trials=np.int64(10), master_seed=np.uint32(1),
+                              distribution={"iid": UNIFORM})
+        assert run_experiment(spec).passed
 
     def test_json_round_trip(self):
         spec = ExperimentSpec(kind="prophet-max", n=4, ell=1, k=2, trials=10,
@@ -177,6 +195,29 @@ class TestRunExperiment:
                               **extra)
         with pytest.raises(InvalidSpecError, match=f"^{field}:"):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("kind,source,distribution", [
+        ("prophet-tau", None, {"iid": UNIFORM}),
+        ("prophet-tau", None, {"components": [UNIFORM, EXPONENTIAL]}),
+        ("mechanism-welfare", "alg_tau-sample", {"iid": UNIFORM}),
+        ("mechanism-welfare", "alg_tau-sample", {"components": [UNIFORM, EXPONENTIAL]}),
+        ("mechanism-revenue", None, {"iid": UNIFORM}),
+    ], ids=["tau-iid", "tau-components", "welfare-iid", "welfare-components",
+            "revenue-iid"])
+    def test_refuses_default_tau_above_n(self, kind, source, distribution):
+        # default_tau(2, 3) = 3 > n = 2: the components runs read the row max
+        # as the threshold and passed a vacuous bound; the iid runs crashed
+        spec = ExperimentSpec(kind=kind, n=2, ell=2, k=3, trials=100, master_seed=1,
+                              distribution=distribution, source=source)
+        with pytest.raises(InvalidSpecError, match="^tau:"):
+            run_experiment(spec)
+
+    def test_revenue_runs_with_n_at_most_ell(self):
+        # the engine used to raise IndexError reading the (ell+1)-th ticket
+        spec = ExperimentSpec(kind="mechanism-revenue", n=1, ell=1, k=1, trials=500,
+                              master_seed=1, distribution={"iid": UNIFORM})
+        report = run_experiment(spec)
+        assert report.extras["tau"] == 1 and 0.0 < report.ratio_estimate <= 1.0
 
     def test_revenue_prior_component_count_must_match_n(self):
         spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from overbook.distributions import ProductInstance, ValueDistribution
+from overbook import distributions, mechanisms
+from overbook.distributions import (
+    ProductInstance,
+    UndefinedVirtualValueError,
+    ValueDistribution,
+)
 from overbook.mechanisms import (
     SOURCE_ALG_MAX,
     SOURCE_ALG_TAU,
@@ -100,6 +105,29 @@ class TestThresholds:
             assert t >= 0.5 - 1e-12
             found_floor |= t == 0.5
         assert found_floor
+
+    def test_revenue_threshold_refuses_finite_prior(self):
+        prior = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)])
+        for source in (SOURCE_ALG_MAX, SOURCE_ALG_TAU):
+            with pytest.raises(UndefinedVirtualValueError):
+                revenue_threshold(prior, source, n=2, k=2, rng=np.random.default_rng(1))
+
+    def test_revenue_threshold_checks_regularity_once(self, monkeypatch):
+        # 1,024 quantile and virtual-value evaluations each; it used to run twice
+        calls = []
+        real = distributions.check_regular
+
+        def counted(dist, *args, **kwargs):
+            calls.append(dist)
+            return real(dist, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "check_regular", counted)
+        monkeypatch.setattr(mechanisms, "check_regular", counted)
+        prior = ValueDistribution.uniform(0, 1)
+        revenue_threshold(prior, SOURCE_ALG_MAX, n=2, k=2)
+        assert len(calls) == 1
+        revenue_threshold(prior, SOURCE_ALG_TAU, n=3, k=3, rng=np.random.default_rng(1))
+        assert len(calls) == 2
 
     def test_revenue_exponential_floor(self):
         rng = np.random.default_rng(4)

@@ -130,15 +130,15 @@ class TestRunSecretary:
 
 
 class TestVectorizedEngine:
-    def test_matches_scalar_on_replayed_permutations(self):
+    def test_matches_scalar_on_replayed_permutations(self, monkeypatch):
         # regenerate the engine's own permutations and replay each through
         # the scalar selector
         n, ell, k = 20, 2, 16
         values = np.array([2.0 ** -r for r in range(n)])
         beta = default_beta(n, ell, k)
         master_seed, batch = 424, 8
-        stats = secretary_trials(values, beta, k, trials=batch, master_seed=master_seed,
-                                 batch=batch)
+        monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
+        stats = secretary_trials(values, beta, k, trials=batch, master_seed=master_seed)
         rng = trial_rng(master_seed, 0)
         ranks = np.argsort(rng.random((batch, n)), axis=1)
         vals_desc = np.sort(values)[::-1]
@@ -181,7 +181,8 @@ class TestVectorizedEngine:
                   else gen.exponential(size=n))
         beta = BetaVector(bounds, n=n, ell=ell)
         master_seed = int(gen.integers(10_000))
-        stats = secretary_trials(values, beta, k, trials, master_seed, batch=batch)
+        monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
+        stats = secretary_trials(values, beta, k, trials, master_seed)
         vals_desc = np.sort(values)[::-1]
         alg_sum = bench_sum = 0.0
         differ = missed = 0
@@ -205,9 +206,10 @@ class TestVectorizedEngine:
         n, ell, k = 200, 3, 24
         values = np.random.default_rng(77).integers(0, 50, size=n).astype(float)
         beta = default_beta(n, ell, k)
-        whole = secretary_trials(values, beta, k, trials=2_500, master_seed=78, batch=1_000)
+        monkeypatch.setattr(experiments, "BATCH_SIZE", 1_000)
+        whole = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
         monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
-        chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=78, batch=1_000)
+        chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
         assert chunked == whole
 
     def test_empirical_bounds_smaller_scale(self):
