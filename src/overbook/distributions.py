@@ -190,6 +190,16 @@ class ValueDistribution:
             return -np.log(v) / self._rate
         raise DistributionError(f"{self.kind} has no inverse survival function")
 
+    def sf(self, x) -> np.ndarray:
+        """Vectorized survival function Pr[X > x] of an atomless kind, the
+        complement of `isf`."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == UNIFORM:
+            return np.clip((self._hi - x) / (self._hi - self._lo), 0.0, 1.0)
+        if self.kind == EXPONENTIAL:
+            return np.exp(-self._rate * np.maximum(x, 0.0))
+        raise DistributionError(f"{self.kind} has no survival function")
+
     def pdf(self, x: float) -> float:
         """Density for continuous kinds; discrete kinds have none."""
         if self.kind == UNIFORM:
@@ -321,6 +331,48 @@ class ProductInstance:
         samples = self.sample_matrix(rng, trials)
         # copied out, so the partitioned (trials, n) buffer is freed at once
         return np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
+
+    def sample_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
+        """Rows that hold what a threshold rule and its top-m benchmark read.
+
+        `thr` is a scalar or one threshold per row. For a single run of one
+        atomless component (what `iid` builds), row r is a reduced row: its
+        C_r ~ Binomial(n, sf(thr)) values above thr, drawn from the law
+        conditioned above thr as isf(sf(thr) * V) with V in (0, 1], in
+        arrival order; zero padding up to the largest C; then the top
+        min(m, n) of its n - C_r values below thr, in decreasing order, with
+        0.0 where there are fewer. Those are descending uniform order
+        statistics of the law conditioned below thr (the Renyi
+        representation; Devroye, Non-Uniform Random Variate Generation,
+        1986, ch. V): the j-th has 1 - U_(j) = -expm1(sum_{i <= j} log(V_i) /
+        (n - C_r - i + 1)), mapped through `isf` and clamped to thr. So
+        `values > thr` holds exactly the row's values above thr, in arrival
+        order, and its top m are the top m of a full row. The stream holds
+        the counts, then the sum(C) above-threshold uniforms, then a
+        (trials, min(m, n)) block of below-threshold ones.
+
+        Any other instance returns `sample_matrix(rng, trials)`, which is
+        also the reference the tests hold the reduced rows to.
+        """
+        dist = self.components[0]
+        if len(self._runs) > 1 or not dist.atomless:
+            return self.sample_matrix(rng, trials)
+        n, depth = self.n, min(m, self.n)
+        per_row = np.ndim(thr) == 1
+        p = dist.sf(thr)
+        count = rng.binomial(n, p, trials)
+        width = int(count.max())
+        rows = np.zeros((trials, width + depth))
+        v = 1.0 - rng.random(int(count.sum()))
+        above = np.arange(width) < count[:, None]
+        rows[:, :width][above] = dist.isf((np.repeat(p, count) if per_row else p) * v)
+        left = (n - count)[:, None] - np.arange(depth)  # values below thr not yet drawn
+        logs = np.log(1.0 - rng.random((trials, depth))) / np.maximum(left, 1)
+        if per_row:
+            p, thr = p[:, None], thr[:, None]
+        below = dist.isf(p - (1.0 - p) * np.expm1(np.cumsum(logs, axis=1)))
+        rows[:, width:] = np.where(left > 0, np.minimum(below, thr), 0.0)
+        return rows
 
     def distinct(self) -> list[ValueDistribution]:
         """One component per run of consecutive identical components."""

@@ -110,8 +110,9 @@ def _threshold_top(
     k: int,
     m: int,
     first_ge: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-m blocks of the threshold selector and of the benchmark.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row top-m blocks of the threshold selector and of the benchmark,
+    and a per-row flag for the rows where the capacity k binds.
 
     The selector accepts the first k values of each row strictly above
     `thr`; with `first_ge` (the atoms variant) it accepts the first value
@@ -147,26 +148,45 @@ def _threshold_top(
             at_thr = np.nonzero(first_at_thr[bind])[0]
             cut[at_thr, first[bind[at_thr]]] = True
         sel[bind] = top_block(np.where(_first_k(cut, k), values[bind], 0.0), m)
-    return sel, bench
+    return sel, bench, count > k
+
+
+@dataclass
+class ThresholdTrialStats:
+    ratio: float
+    ratio_stderr: float
+    binding_frac: float  # share of rows where more than k values clear the threshold
+    trials: int
+
+
+@dataclass
+class WelfareTrialStats(ThresholdTrialStats):
+    trace_mismatches: int  # replayed trials where the scalar mechanism's welfare differs
 
 
 def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
                       master_seed: int, threshold: Optional[float] = None,
                       tau: Optional[int] = None, first_ge: bool = False,
-                      replay: bool = False) -> _Moments:
-    """Per-row top-ell values of the threshold selector and of the benchmark.
-    The threshold is `threshold`, or else per row the tau-th highest of a fresh
-    sample vector (`ProductInstance.sample_rank`), drawn before the values.
-    `replay` adds the `_welfare_replay` column."""
+                      replay: bool = False) -> ThresholdTrialStats:
+    """Per-row top-ell values of the threshold selector and of the benchmark,
+    and whether k binds. The threshold is `threshold`, or else per row the
+    tau-th highest of a fresh sample vector (`ProductInstance.sample_rank`),
+    drawn before the values. The values are `ProductInstance.sample_rows`:
+    reduced rows on an i.i.d. atomless instance. `replay` adds the
+    `_welfare_replay` column and returns `WelfareTrialStats`."""
     def step(rng, size):
         thr = instance.sample_rank(rng, size, tau) if threshold is None else threshold
-        values = instance.sample_matrix(rng, size)
-        alg, bench = (b.sum(axis=1) for b in _threshold_top(values, thr, k, ell, first_ge))
+        values = instance.sample_rows(rng, size, thr, ell)
+        alg, bench, binds = _threshold_top(values, thr, k, ell, first_ge)
+        alg, bench = alg.sum(axis=1), bench.sum(axis=1)
         if replay:
-            return alg, bench, _welfare_replay(values, thr, alg, ell, k)
-        return alg, bench
+            return alg, bench, binds, _welfare_replay(values, thr, alg, ell, k)
+        return alg, bench, binds
 
-    return _run_batches(step, 3 if replay else 2, trials, master_seed)
+    acc = _run_batches(step, 4 if replay else 3, trials, master_seed)
+    ratio, se = acc.ratio_stderr()
+    stats = (ratio, se, acc.sums[2] / acc.count, acc.count)
+    return WelfareTrialStats(*stats, int(acc.sums[3])) if replay else ThresholdTrialStats(*stats)
 
 
 # ---- prophet: single-sample threshold ----
@@ -179,7 +199,7 @@ def alg_tau_trials(
     tau: int,
     trials: int,
     master_seed: int,
-) -> tuple[float, float]:
+) -> ThresholdTrialStats:
     """Ratio of the selector's expected top-ell value to the offline top-ell
     benchmark, both estimated on the same realized award vectors.
 
@@ -190,7 +210,7 @@ def alg_tau_trials(
     Assumes atomless components, where the uniform-priority tie-break rule
     almost surely never fires and can be skipped.
     """
-    return _threshold_trials(instance, ell, k, trials, master_seed, tau=tau).ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, tau=tau)
 
 
 # ---- prophet: max-distribution threshold ----
@@ -202,11 +222,11 @@ def alg_max_trials(
     k: int,
     trials: int,
     master_seed: int,
-) -> tuple[float, float]:
+) -> ThresholdTrialStats:
     """Ratio for the atomless max-distribution selector (accept first k
     values strictly above the (2/3)^(k-1) quantile of the max)."""
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    return _threshold_trials(instance, ell, k, trials, master_seed, threshold).ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold)
 
 
 def alg_max_atoms_trials(
@@ -215,12 +235,11 @@ def alg_max_atoms_trials(
     k: int,
     trials: int,
     master_seed: int,
-) -> tuple[float, float]:
+) -> ThresholdTrialStats:
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    return _threshold_trials(instance, ell, k, trials, master_seed, threshold,
-                             first_ge=True).ratio_stderr()
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold, first_ge=True)
 
 
 # ---- secretary: interval selector under random arrival ----
@@ -337,14 +356,6 @@ def secretary_trials(
 # ---- mechanisms ----
 
 
-@dataclass
-class WelfareTrialStats:
-    ratio: float
-    ratio_stderr: float
-    trace_mismatches: int  # replayed trials where the scalar mechanism's welfare differs
-    trials: int
-
-
 #: Leading rows of every welfare batch that are replayed through the scalar
 #: mechanism, `mechanisms.run_two_phase`, to check the batch kernel.
 _REPLAY_ROWS = 64
@@ -386,10 +397,8 @@ def mechanism_welfare_trials(
         threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
     elif source != mechanisms.SOURCE_ALG_TAU:
         raise ValueError(f"unknown threshold source: {source!r}")
-    acc = _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau,
-                            replay=True)
-    ratio, se = acc.ratio_stderr()
-    return WelfareTrialStats(ratio, se, int(acc.sums[2]), acc.count)
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau,
+                             replay=True)
 
 
 @dataclass
@@ -427,7 +436,7 @@ def mechanism_revenue_trials(
         # the top ell + 1 ticket values and row values, in decreasing order. A
         # ticket value exceeds thr >= phat > 0, so 0.0 is an unfilled slot; the
         # virtual value increases, so the top ell values hold the top ell of it
-        tickets, top = (-np.sort(-b, axis=1) for b in _threshold_top(values, thr, k, ell + 1))
+        tickets, top = (-np.sort(-b, axis=1) for b in _threshold_top(values, thr, k, ell + 1)[:2])
         won = tickets[:, :ell]
         # winners pay the (ell+1)-th ticket value, or thr when it is missing
         price = np.maximum(thr, tickets[:, ell]) if n > ell else thr

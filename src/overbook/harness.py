@@ -179,13 +179,21 @@ def secretary_upper_bound(n: int, k: int) -> float:
 # ---- spec resolution helpers ----
 
 
+def _count(value, field: str) -> int:
+    """A count nested in a spec field: an integer (not a bool), or an
+    InvalidSpecError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpecError(f"{field}: n must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
     desc = spec.distribution
     if desc is None:
         raise InvalidSpecError("distribution: required for this kind")
     if "iid" in desc:
         dist = ValueDistribution.from_json(desc["iid"])
-        instance = ProductInstance.iid(dist, int(desc.get("n", spec.n)))
+        instance = ProductInstance.iid(dist, _count(desc.get("n", spec.n), "distribution"))
     elif "components" in desc:
         instance = ProductInstance.from_json(desc["components"])
     else:
@@ -201,8 +209,11 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
         raise InvalidSpecError("values: required for this kind")
     kind = desc.get("kind")
     if kind == "geometric":
-        n = int(desc.get("n", spec.n))
-        values = float(desc["ratio"]) ** -np.arange(n, dtype=float)
+        n = _count(desc.get("n", spec.n), "values")
+        ratio = desc["ratio"]
+        if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
+            raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")
+        values = float(ratio) ** -np.arange(n, dtype=float)
     elif kind == "list":
         values = np.asarray(desc["values"], dtype=float)
     elif kind == "csv":
@@ -258,23 +269,24 @@ def _run_prophet_tau(spec: ExperimentSpec) -> _Outcome:
     instance = _resolve_instance(spec)
     _require_atomless(instance, spec.kind)
     tau = _tau(spec)
-    estimate, stderr = experiments.alg_tau_trials(
+    stats = experiments.alg_tau_trials(
         instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
-    return _Outcome("alg_tau", estimate, stderr,
-                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau})
+    return _Outcome("alg_tau", stats.ratio, stats.ratio_stderr,
+                    tau_selector_bound(spec.ell, spec.k, tau),
+                    {"tau": tau, "binding_frac": stats.binding_frac})
 
 
 def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
     _require_k_above_one(spec.k, spec.kind)
     instance = _resolve_instance(spec)
     if instance.all_atomless:
-        estimate, stderr = experiments.alg_max_trials(
-            instance, spec.ell, spec.k, spec.trials, spec.master_seed)
-        return _Outcome("alg_max", estimate, stderr, max_selector_bound(spec.k))
-    estimate, stderr = experiments.alg_max_atoms_trials(
-        instance, spec.ell, spec.k, spec.trials, spec.master_seed)
-    return _Outcome("alg_max_atoms", estimate, stderr,
-                    max_selector_bound(spec.k, atoms_variant=True))
+        algorithm, engine = "alg_max", experiments.alg_max_trials
+    else:
+        algorithm, engine = "alg_max_atoms", experiments.alg_max_atoms_trials
+    stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
+    return _Outcome(algorithm, stats.ratio, stats.ratio_stderr,
+                    max_selector_bound(spec.k, atoms_variant=not instance.all_atomless),
+                    {"binding_frac": stats.binding_frac})
 
 
 def _run_secretary(spec: ExperimentSpec) -> _Outcome:
@@ -327,6 +339,7 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
     stats = experiments.mechanism_welfare_trials(
         instance, spec.ell, spec.k, spec.trials, spec.master_seed,
         source=source, tau=tau)
+    extras["binding_frac"] = stats.binding_frac
     extras["trace_mismatches"] = stats.trace_mismatches
     return _Outcome(f"two_phase[{source}]", stats.ratio, stats.ratio_stderr, bound,
                     extras, ok=stats.trace_mismatches == 0)

@@ -9,6 +9,7 @@ ell+1 tickets were issued.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,10 @@ from .prophet import TWO_THIRDS, default_tau
 
 SOURCE_ALG_TAU = "alg_tau-sample"
 SOURCE_ALG_MAX = "alg_max"
+
+#: `to_json` keys of the revenue priors that passed `check_regular`. A prior
+#: that fails is not recorded, so it is refused on every construction.
+_REGULAR_PRIORS: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,10 @@ class MechanismConfig:
         if self.mode == "revenue":
             if self.prior is None:
                 raise ValueError("revenue mode requires a prior")
-            check_regular(self.prior)
+            key = json.dumps(self.prior.to_json(), sort_keys=True)
+            if key not in _REGULAR_PRIORS:
+                check_regular(self.prior)
+                _REGULAR_PRIORS.add(key)
 
 
 @dataclass

@@ -15,9 +15,13 @@ import numpy as np
 #: So is how a batch consumes its stream. A sample-threshold engine first
 #: draws its thresholds with `ProductInstance.sample_rank`: one beta draw per
 #: row for an i.i.d. atomless instance, a full sample matrix otherwise. Then
-#: it draws the values. `ProductInstance.sample_matrix` draws column i as the
-#: i-th block, as n successive per-component `sample_n(rng, trials)` calls
-#: would; the revenue engine draws its i.i.d. values with one C-order
+#: a threshold engine draws the values with `ProductInstance.sample_rows`. On
+#: an i.i.d. atomless instance those are reduced rows: one binomial count per
+#: row, then one uniform per counted value above the threshold, row by row,
+#: then a (trials, min(ell, n)) block of uniforms for the values below it.
+#: On any other instance `ProductInstance.sample_matrix` draws column i as
+#: the i-th block, as n successive per-component `sample_n(rng, trials)`
+#: calls would. The revenue engine draws its i.i.d. values with one C-order
 #: `sample_n(rng, (trials, n))` call.
 BATCH_SIZE = 20_000
 

@@ -93,7 +93,8 @@ def test_criterion_02_hard_instance_ratios(k):
 def test_criterion_03_tau_selector_bound():
     n, ell, k, tau = 400, 2, 200, 101
     inst = ProductInstance.iid(ValueDistribution.exponential(1.0), n)
-    ratio, stderr = alg_tau_trials(inst, ell, k, tau, TRIALS, master_seed=3001)
+    stats = alg_tau_trials(inst, ell, k, tau, TRIALS, master_seed=3001)
+    ratio, stderr = stats.ratio, stats.ratio_stderr
     bound = tau_selector_bound(ell, k, tau)
     assert bound == pytest.approx(1 - 8 * math.exp(-(99**2) / 1600), abs=1e-12)
     ok = ratio + 3 * stderr >= bound
@@ -105,7 +106,8 @@ def test_criterion_03_tau_selector_bound():
 def test_criterion_04_max_selector_bound():
     n, ell, k = 100, 1, 12
     inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), n)
-    ratio, stderr = alg_max_trials(inst, ell, k, TRIALS, master_seed=4001)
+    stats = alg_max_trials(inst, ell, k, TRIALS, master_seed=4001)
+    ratio, stderr = stats.ratio, stats.ratio_stderr
     bound = max_selector_bound(k)
     ok = ratio + 3 * stderr >= bound
     _report(4, "max-distribution selector ratio, uniform", ok,
@@ -117,7 +119,8 @@ def test_criterion_04b_max_selector_atoms_variant():
     n, ell, k = 100, 1, 13
     atom = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)])
     inst = ProductInstance.iid(atom, n)
-    ratio, stderr = alg_max_atoms_trials(inst, ell, k, TRIALS, master_seed=4002)
+    stats = alg_max_atoms_trials(inst, ell, k, TRIALS, master_seed=4002)
+    ratio, stderr = stats.ratio, stats.ratio_stderr
     bound = max_selector_bound(k, atoms_variant=True)
     assert bound == pytest.approx(1 - 1.5 * math.exp(-(k - 1) / 6), abs=1e-12)
     ok = ratio + 3 * stderr >= bound

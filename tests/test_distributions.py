@@ -323,6 +323,98 @@ class TestSampleRank:
                 dist.isf(np.array([0.5]))
 
 
+def _harmonic(j):
+    return math.fsum(1.0 / i for i in range(1, j + 1))
+
+
+class TestSampleRows:
+    """`sample_rows` gives an i.i.d. atomless instance's rows as reduced rows:
+    the count above the threshold, those values in arrival order, zero
+    padding, then the top m values below it. Every other instance draws a
+    full `sample_matrix`."""
+
+    @pytest.mark.parametrize("dist,n,thr", [
+        (ValueDistribution.uniform(0.0, 1.0), 100, 0.95),
+        (ValueDistribution.exponential(1.0), 400, "per-row"),
+        (ValueDistribution.uniform(2.0, 5.0), 20, "per-row"),
+        (ValueDistribution.exponential(3.0), 30, 0.0),
+    ], ids=["unif-scalar", "exp-per-row", "shifted-unif-per-row", "exp-thr-at-lo"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reduced_row_structure(self, dist, n, thr, m):
+        inst, trials = ProductInstance.iid(dist, n), 3_000
+        rng = np.random.default_rng(31)
+        if thr == "per-row":
+            thr = inst.sample_rank(rng, trials, max(1, n // 4))
+        rows = inst.sample_rows(rng, trials, thr, m)
+        t = np.broadcast_to(thr, trials)[:, None]
+        above = rows > t
+        count = np.count_nonzero(above, axis=1)
+        assert rows.shape == (trials, count.max() + m)
+        # exactly the leading `count` entries of each row clear the threshold
+        assert np.array_equal(above, np.arange(rows.shape[1]) < count[:, None])
+        assert np.all(rows[~above] <= np.broadcast_to(t, rows.shape)[~above])
+        below = rows[:, -m:]
+        assert np.all(np.diff(below, axis=1) <= 0)
+        # a row with c values above holds min(m, n - c) values below
+        assert np.array_equal(np.count_nonzero(below > 0, axis=1), np.minimum(m, n - count))
+        # zero padding between a row's values above and its values below
+        lead = rows[:, :-m]
+        assert np.all(lead[~above[:, :-m]] == 0.0)
+
+    @pytest.mark.parametrize("dist,n,ell", [
+        (ValueDistribution.uniform(0.0, 1.0), 100, 1),
+        (ValueDistribution.uniform(0.0, 1.0), 100, 3),
+        (ValueDistribution.uniform(0.0, 1.0), 10, 2),
+        (ValueDistribution.uniform(0.0, 1.0), 5, 3),
+        (ValueDistribution.exponential(1.0), 6, 3),
+        (ValueDistribution.exponential(1.0), 40, 1),
+        (ValueDistribution.exponential(1.0), 40, 2),
+        (ValueDistribution.exponential(1.0), 400, 3),
+    ])
+    @pytest.mark.parametrize("thr", ["high", "per-row"])
+    def test_benchmark_mean_matches_closed_form(self, dist, n, ell, thr):
+        # U[0,1]: the j-th highest of n has mean (n - j + 1)/(n + 1);
+        # Exp(1): H_n - H_{j-1}
+        inst, trials = ProductInstance.iid(dist, n), 40_000
+        rng = np.random.default_rng(32)
+        if thr == "high":
+            # about one value above thr, so most rows read the rows below it
+            thr = float(dist.isf(1.0 / n))
+        else:
+            thr = inst.sample_rank(rng, trials, 2)
+        rows = inst.sample_rows(rng, trials, thr, ell)
+        count = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
+        assert np.count_nonzero(count < ell) > trials // 10
+        bench = np.sort(rows, axis=1)[:, -ell:].sum(axis=1)
+        if dist.kind == "uniform-interval":
+            want = math.fsum((n - j) / (n + 1) for j in range(ell))
+        else:
+            want = ell * _harmonic(n) - math.fsum(_harmonic(j) for j in range(ell))
+        assert abs(bench.mean() - want) <= 4 * bench.std(ddof=1) / math.sqrt(trials)
+
+    @pytest.mark.parametrize("instance", [
+        ProductInstance([ValueDistribution.exponential(1.0) for _ in range(30)]),
+        ProductInstance.iid(ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 30),
+        _mixed_instance(),
+    ], ids=["distinct-equal-objects", "iid-atoms", "mixed"])
+    def test_other_instances_draw_a_full_matrix(self, instance):
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        got = instance.sample_rows(rng_a, 700, 1.0, 2)
+        assert np.array_equal(got, instance.sample_matrix(rng_b, 700))
+        assert np.array_equal(rng_a.random(8), rng_b.random(8))
+
+    @pytest.mark.parametrize("dist", [ValueDistribution.uniform(0.5, 3.0),
+                                      ValueDistribution.exponential(2.0)])
+    def test_sf_complements_isf_and_cdf(self, dist):
+        v = np.linspace(0.01, 1.0, 100)
+        np.testing.assert_allclose(dist.sf(dist.isf(v)), v, rtol=1e-12)
+        x = np.linspace(-1.0, 4.0, 101)
+        np.testing.assert_allclose(dist.sf(x), [1.0 - dist.cdf(float(t)) for t in x],
+                                   rtol=1e-12, atol=1e-15)
+        with pytest.raises(DistributionError):
+            ValueDistribution.degenerate(1.0).sf(np.array([0.5]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     v=st.floats(1e-300, 1.0),

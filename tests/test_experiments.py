@@ -38,6 +38,7 @@ from overbook.oracle import top_ell, top_ell_values
 from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
 from overbook.secretary import default_beta
 from overbook.seeding import batch_indices, trial_rng
+from test_distributions import _ks_critical_1pct, _ks_statistic
 
 ROWS, N = 400, 12
 
@@ -59,7 +60,7 @@ def _full_path(values, thr, k, first_ge):
 
 def _top_sums(values, thr, k, ell, first_ge=False):
     """The kernel's selector and benchmark blocks, summed per row."""
-    alg, bench = _threshold_top(values, thr, k, ell, first_ge)
+    alg, bench, _ = _threshold_top(values, thr, k, ell, first_ge)
     return alg.sum(axis=1), bench.sum(axis=1)
 
 
@@ -99,7 +100,8 @@ def test_kernel_matches_full_path(ell, regime, per_row, first_ge):
         first = (values >= (thr[:, None] if per_row else thr)).argmax(axis=1)
         assert np.any(values[np.arange(ROWS), first] == thr)
 
-    alg_block, bench_block = _threshold_top(values, thr, k, ell, first_ge)
+    alg_block, bench_block, binds = _threshold_top(values, thr, k, ell, first_ge)
+    assert np.array_equal(binds, counts > k)
     chosen = _full_path(values, thr, k, first_ge)
     # the blocks hold the ell largest accepted values and the ell largest values
     assert np.array_equal(np.sort(alg_block, axis=1), np.sort(chosen, axis=1)[:, -ell:])
@@ -258,7 +260,82 @@ def test_alg_tau_on_non_iid_instance_keeps_partition_form(monkeypatch):
                            + [unif] * 2)
     args = (inst, 2, 5, 4, 2_500, 17)
     monkeypatch.setattr(experiments, "BATCH_SIZE", 1_000)
-    assert alg_tau_trials(*args) == _alg_tau_partition_form(*args, 1_000)
+    stats = alg_tau_trials(*args)
+    assert (stats.ratio, stats.ratio_stderr) == _alg_tau_partition_form(*args, 1_000)
+
+
+def _distinct_copies(dist, n):
+    """n equal but distinct component objects: `sample_rows` draws them as a
+    full matrix, the reference for the reduced rows of `iid(dist, n)`."""
+    return ProductInstance([ValueDistribution.from_json(dist.to_json()) for _ in range(n)])
+
+
+def _kernel_sums(instance, seed, trials, thr, k, ell):
+    """Per-row selector and benchmark sums of the kernel on `sample_rows`, and
+    the per-row count above the threshold. A string `thr` "tau=t" draws each
+    row's threshold as the t-th highest of a fresh sample."""
+    rng = np.random.default_rng(seed)
+    if isinstance(thr, str):
+        thr = instance.sample_rank(rng, trials, int(thr.split("=")[1]))
+    rows = instance.sample_rows(rng, trials, thr, ell)
+    alg, bench, _ = _threshold_top(rows, thr, k, ell)
+    count = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
+    return alg.sum(axis=1), bench.sum(axis=1), count
+
+
+_UNIF = ValueDistribution.uniform(0.0, 1.0)
+_EXP = ValueDistribution.exponential(1.0)
+
+
+@pytest.mark.parametrize("dist,n,ell,k,thr,regime", [
+    (_UNIF, 100, 1, 12, float(_UNIF.isf(1 - TWO_THIRDS ** (11 / 100))), ""),
+    (_UNIF, 50, 1, 1, 0.9, "binds sparse"),
+    (_UNIF, 20, 2, 3, "tau=10", "binds"),
+    (_EXP, 400, 2, 200, "tau=101", ""),
+    (_EXP, 40, 3, 5, float(_EXP.isf(3 / 40)), "binds sparse"),
+    (_EXP, 30, 2, 2, "tau=3", "binds sparse"),
+], ids=["unif-alg_max", "unif-k1", "unif-tau10", "exp-n400-tau101", "exp-ell3", "exp-tau3"])
+def test_reduced_rows_match_full_rows_in_law(dist, n, ell, k, thr, regime):
+    # "binds": some rows have more than k values above the threshold;
+    # "sparse": some have fewer than ell, so the benchmark reads values below it
+    trials = 5_000
+    got_alg, got_bench, got_count = _kernel_sums(ProductInstance.iid(dist, n), 41, trials,
+                                                 thr, k, ell)
+    want_alg, want_bench, want_count = _kernel_sums(_distinct_copies(dist, n), 42, trials,
+                                                    thr, k, ell)
+    for count in (got_count, want_count):
+        assert np.any(count > k) or "binds" not in regime
+        assert np.any(count < ell) or "sparse" not in regime
+    critical = _ks_critical_1pct(trials, trials)
+    assert _ks_statistic(got_count, want_count) < critical
+    assert _ks_statistic(got_alg, want_alg) < critical
+    assert _ks_statistic(got_bench, want_bench) < critical
+
+
+def test_binding_frac_counts_rows_where_k_binds(monkeypatch):
+    inst, k, trials, seed, batch = ProductInstance.iid(_UNIF, 30), 4, 900, 11, 300
+    monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
+    stats = experiments.alg_max_trials(inst, 1, k, trials, seed)
+    thr = max_quantile(inst, TWO_THIRDS ** (k - 1))
+    binding = 0
+    for b_idx, b_size in batch_indices(trials, batch):
+        rows = inst.sample_rows(trial_rng(seed, b_idx), b_size, thr, 1)
+        binding += np.count_nonzero(np.count_nonzero(rows > thr, axis=1) > k)
+    assert 0 < binding < trials
+    assert stats.binding_frac == binding / trials and stats.trials == trials
+
+
+def test_moments_extra_column_leaves_others_bit_identical():
+    # the merge is elementwise, so a 0/1 column such as the binding flag does
+    # not move the other columns' estimates or stderrs
+    rng = np.random.default_rng(10)
+    a, b = rng.exponential(size=1_001), 1.0 + rng.random(1_001)
+    flag = (rng.random(1_001) < 0.3).astype(float)
+    two = _batched(_Moments(2), (a, b), 97)
+    three = _batched(_Moments(3), (a, b, flag), 97)
+    assert two.ratio_stderr() == three.ratio_stderr()
+    assert two.mean_stderr(0) == three.mean_stderr(0)
+    assert two.mean_stderr(1) == three.mean_stderr(1)
 
 
 def _batched(acc, cols, batch):

@@ -6,7 +6,7 @@ import pytest
 
 from overbook import experiments, harness
 from overbook.cli import main
-from overbook.experiments import RevenueTrialStats
+from overbook.experiments import RevenueTrialStats, ThresholdTrialStats
 from overbook.harness import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -250,6 +250,33 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^values:"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("field,desc", [
+        ("distribution", {"iid": UNIFORM, "n": 20.7}),
+        ("distribution", {"iid": UNIFORM, "n": True}),
+        ("values", {"kind": "geometric", "ratio": 2.0, "n": "20"}),
+        ("values", {"kind": "geometric", "ratio": "2"}),
+        ("values", {"kind": "geometric", "ratio": True}),
+    ], ids=["float-iid-n", "bool-iid-n", "str-geometric-n", "str-ratio", "bool-ratio"])
+    def test_refuses_untyped_nested_counts(self, field, desc):
+        # before: int(20.7), int("20") and float("2") let these specs run
+        kind = "prophet-max" if field == "distribution" else "secretary"
+        spec = ExperimentSpec(kind=kind, n=20, ell=1, k=4, trials=10, master_seed=1,
+                              **{field: desc})
+        with pytest.raises(InvalidSpecError, match=f"^{field}:"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("kind,source", [
+        ("prophet-tau", None), ("prophet-max", None),
+        ("mechanism-welfare", "alg_max"), ("mechanism-welfare", "alg_tau-sample"),
+    ])
+    def test_threshold_kinds_report_binding_frac(self, kind, source):
+        # tau = 5 and the (2/3)^3 max quantile put about 5 and 2.5 of 30
+        # uniform values above the threshold, so k = 4 binds on some rows
+        spec = ExperimentSpec(kind=kind, n=30, ell=1, k=4, trials=2_000, master_seed=8,
+                              distribution={"iid": UNIFORM}, source=source)
+        frac = run_experiment(spec).extras["binding_frac"]
+        assert 0.0 < frac < 1.0
+
     def test_parallel_matches_serial(self):
         specs = [
             ExperimentSpec(kind="hard-instance-dp", n=k + 1, ell=k, k=k,
@@ -289,7 +316,8 @@ class TestPassRules:
         edge = bound - 3.0 * stderr
         assert edge + 3.0 * stderr == bound
         estimate = np.nextafter(edge, 0.0) if step else edge
-        monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: (estimate, stderr))
+        stats = ThresholdTrialStats(estimate, stderr, binding_frac=0.0, trials=10)
+        monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="prophet-max", n=100, ell=1, k=12, trials=10,
                               master_seed=0, distribution={"iid": UNIFORM})
         report = run_experiment(spec)

@@ -84,6 +84,40 @@ class TestRunTwoPhase:
             MechanismConfig(ell=1, k=2, threshold=1.0, mode="revenue")
 
 
+class TestRevenueConfig:
+    """`MechanismConfig(mode="revenue")` checks its prior's regularity once per
+    distinct prior; a prior that fails is refused on every construction."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = mechanisms.check_regular
+
+        def counted(dist, *args, **kwargs):
+            calls.append(dist)
+            return real(dist, *args, **kwargs)
+
+        monkeypatch.setattr(mechanisms, "check_regular", counted)
+        monkeypatch.setattr(mechanisms, "_REGULAR_PRIORS", set())
+        return calls
+
+    def test_grid_evaluated_once_per_prior(self, counted):
+        # it used to run all 1,024 grid points on every construction
+        for _ in range(300):
+            MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.uniform(0, 1))
+        assert len(counted) == 1
+        MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.exponential(2.0))
+        MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.uniform(0, 2))
+        assert len(counted) == 3
+
+    def test_finite_prior_refused_on_every_construction(self, counted):
+        prior = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)])
+        for attempt in range(3):
+            with pytest.raises(UndefinedVirtualValueError):
+                MechanismConfig(2, 4, 0.6, "revenue", prior)
+            assert len(counted) == attempt + 1
+
+
 class TestThresholds:
     def test_unknown_source(self):
         with pytest.raises(ValueError):
