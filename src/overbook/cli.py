@@ -16,7 +16,7 @@ import json
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
-from .harness import ExperimentSpec, emit_report, load_config, run_experiments
+from .harness import emit_report, load_config, run_experiments
 from .mechanisms import MechanismConfig, run_two_phase
 from .oracle import optimal_online_dp
 

@@ -213,6 +213,9 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
         ratio = desc["ratio"]
         if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
             raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")
+        if not 1.0 < ratio < math.inf:
+            # 0 divides by zero, < 0 flips signs, 1 ties, (0, 1) overflows at large n
+            raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
         values = float(ratio) ** -np.arange(n, dtype=float)
     elif kind == "list":
         values = np.asarray(desc["values"], dtype=float)

@@ -23,7 +23,7 @@ from .distributions import (
     monopoly_price,
     virtual_value,
 )
-from .prophet import TWO_THIRDS, default_tau
+from .prophet import TWO_THIRDS, accept_first, default_tau
 
 SOURCE_ALG_TAU = "alg_tau-sample"
 SOURCE_ALG_MAX = "alg_max"
@@ -82,12 +82,7 @@ def run_two_phase(values: Sequence[float], config: MechanismConfig) -> AuctionOu
     model assigns this probability zero; the rule here is just deterministic).
     """
     values = [float(v) for v in values]
-    tickets: list[int] = []
-    for i, v in enumerate(values):
-        if len(tickets) >= config.k:
-            break
-        if v > config.threshold:
-            tickets.append(i)
+    tickets = [i for i, _ in accept_first(values, config.threshold, config.k)]
     ranked = sorted(tickets, key=lambda i: (-values[i], i))
     winners = tuple(ranked[: config.ell])
     if len(ranked) > config.ell:
@@ -113,7 +108,8 @@ def revenue_threshold(
 
     Computed in value space: the monopoly price floors the source threshold.
     By monotonicity of the virtual valuation this coincides with running the
-    source in the space of nonnegative virtual values and mapping back.
+    source in the space of nonnegative virtual values and mapping back. The
+    sample source draws its threshold with `ProductInstance.sample_rank`.
     """
     floor = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)
@@ -121,8 +117,7 @@ def revenue_threshold(
         if rng is None:
             raise ValueError("sample source needs an rng")
         tau = default_tau(ell, k) if tau is None else tau
-        sample = prior.sample_n(rng, n)
-        return max(floor, float(np.sort(sample)[::-1][tau - 1]))
+        return max(floor, float(instance.sample_rank(rng, 1, tau)[0]))
     if source == SOURCE_ALG_MAX:
         return max(floor, max_quantile(instance, TWO_THIRDS ** (k - 1)))
     raise ValueError(f"unknown threshold source: {source!r}")

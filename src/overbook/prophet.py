@@ -70,11 +70,25 @@ class SelectionOutcome:
             "ell_value": self.ell_value,
         }
 
+    @classmethod
+    def from_accepted(cls, accepted: list[tuple[int, float]], threshold: float,
+                      ell: int) -> "SelectionOutcome":
+        """The outcome that accepted `accepted`, scored on its top ell values."""
+        return cls(accepted, threshold, top_ell([v for _, v in accepted], ell).value)
 
-def _outcome(accepted: list[tuple[int, float]], threshold: float, ell: int) -> SelectionOutcome:
-    vals = [v for _, v in accepted]
-    ell_value = top_ell(vals, ell).value if vals else 0.0
-    return SelectionOutcome(accepted, threshold, ell_value)
+
+def accept_first(values: Sequence[float], threshold: float, k: int,
+                 first_ge: bool = False) -> list[tuple[int, float]]:
+    """The first k (index, value) arrivals strictly above `threshold`, and
+    with `first_ge` the first arrival >= threshold too. The scalar twin of
+    the batch kernel `experiments._threshold_top`."""
+    accepted: list[tuple[int, float]] = []
+    for i, v in enumerate(values):
+        if len(accepted) >= k:
+            break
+        if v > threshold or (first_ge and not accepted and v >= threshold):
+            accepted.append((i, float(v)))
+    return accepted
 
 
 def run_threshold(
@@ -94,7 +108,7 @@ def run_threshold(
             break
         if (v, pri) > (rule.threshold, rule.threshold_priority):
             accepted.append((i, float(v)))
-    return _outcome(accepted, rule.threshold, ell)
+    return SelectionOutcome.from_accepted(accepted, rule.threshold, ell)
 
 
 def default_tau(ell: int, k: int) -> int:
@@ -150,13 +164,7 @@ def alg_max(
     if not instance.all_atomless:
         raise UseAtomsVariantError("instance has atoms; use alg_max_atoms")
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    accepted: list[tuple[int, float]] = []
-    for i, v in enumerate(values):
-        if len(accepted) >= k:
-            break
-        if v > threshold:
-            accepted.append((i, float(v)))
-    return _outcome(accepted, threshold, ell)
+    return SelectionOutcome.from_accepted(accept_first(values, threshold, k), threshold, ell)
 
 
 def alg_max_atoms(
@@ -173,13 +181,5 @@ def alg_max_atoms(
     if k < 2:
         raise DegenerateThresholdError("k must be >= 2")
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    accepted: list[tuple[int, float]] = []
-    for i, v in enumerate(values):
-        if len(accepted) >= k:
-            break
-        if not accepted:
-            if v >= threshold:
-                accepted.append((i, float(v)))
-        elif v > threshold:
-            accepted.append((i, float(v)))
-    return _outcome(accepted, threshold, ell)
+    accepted = accept_first(values, threshold, k, first_ge=True)
+    return SelectionOutcome.from_accepted(accepted, threshold, ell)

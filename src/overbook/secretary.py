@@ -13,7 +13,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .oracle import top_ell
 from .prophet import SelectionOutcome
 
 E = math.e
@@ -94,9 +93,7 @@ def _run(values: Sequence[float], beta: BetaVector, capacity: float) -> Selectio
         if rank <= j and len(accepted) < capacity:
             accepted.append((pos0, float(v)))
         insort(seen, v)
-    vals = [v for _, v in accepted]
-    ell_value = top_ell(vals, beta.ell).value if vals else 0.0
-    return SelectionOutcome(accepted, math.nan, ell_value)
+    return SelectionOutcome.from_accepted(accepted, math.nan, beta.ell)
 
 
 def run_secretary(values: Sequence[float], beta: BetaVector, k: int) -> SelectionOutcome:

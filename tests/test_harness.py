@@ -256,11 +256,21 @@ class TestRunExperiment:
         ("values", {"kind": "geometric", "ratio": 2.0, "n": "20"}),
         ("values", {"kind": "geometric", "ratio": "2"}),
         ("values", {"kind": "geometric", "ratio": True}),
-    ], ids=["float-iid-n", "bool-iid-n", "str-geometric-n", "str-ratio", "bool-ratio"])
+        ("values", {"kind": "geometric", "ratio": 0.0}),
+        ("values", {"kind": "geometric", "ratio": -2.0}),
+        ("values", {"kind": "geometric", "ratio": 1.0}),
+        ("values", {"kind": "geometric", "ratio": 0.5, "n": 2000}),
+        ("values", {"kind": "geometric", "ratio": math.inf}),
+        ("values", {"kind": "geometric", "ratio": math.nan}),
+    ], ids=["float-iid-n", "bool-iid-n", "str-geometric-n", "str-ratio", "bool-ratio",
+            "zero-ratio", "negative-ratio", "unit-ratio", "overflowing-ratio",
+            "infinite-ratio", "nan-ratio"])
     def test_refuses_untyped_nested_counts(self, field, desc):
         # before: int(20.7), int("20") and float("2") let these specs run
         kind = "prophet-max" if field == "distribution" else "secretary"
-        spec = ExperimentSpec(kind=kind, n=20, ell=1, k=4, trials=10, master_seed=1,
+        # a nested integer n is the spec's n too, so no count mismatch is refused instead
+        n = desc["n"] if type(desc.get("n")) is int else 20
+        spec = ExperimentSpec(kind=kind, n=n, ell=1, k=4, trials=10, master_seed=1,
                               **{field: desc})
         with pytest.raises(InvalidSpecError, match=f"^{field}:"):
             run_experiment(spec)

@@ -140,6 +140,13 @@ class TestThresholds:
             found_floor |= t == 0.5
         assert found_floor
 
+    @pytest.mark.parametrize("tau", [0, 6])
+    def test_revenue_threshold_refuses_tau_outside_one_to_n(self, tau):
+        # tau = 0 must not wrap round to the lowest sample
+        with pytest.raises(ValueError, match="tau"):
+            revenue_threshold(ValueDistribution.uniform(10, 11), SOURCE_ALG_TAU,
+                              n=5, k=5, tau=tau, rng=np.random.default_rng(3))
+
     def test_revenue_threshold_refuses_finite_prior(self):
         prior = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)])
         for source in (SOURCE_ALG_MAX, SOURCE_ALG_TAU):

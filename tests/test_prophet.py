@@ -166,6 +166,10 @@ class TestAlgMaxAtoms:
         t = out.threshold_used
         assert out.accepted[0][1] >= t
         assert all(v > t for _, v in out.accepted[1:])
+        # a first value strictly above T uses up the ">=" slot: a later T is refused
+        assert t == 2.0
+        out = alg_max_atoms(inst, [3.0, 2.0, 2.0], k=3, ell=3)
+        assert out.accepted == [(0, 3.0)]
 
     def test_capacity(self):
         inst = ProductInstance.iid(
