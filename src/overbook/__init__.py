@@ -11,7 +11,6 @@ from .distributions import (
     DegenerateThresholdError,
     DistributionError,
     ProductInstance,
-    RegularityViolationError,
     UndefinedVirtualValueError,
     ValueDistribution,
     hard_prophet_instance,

@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 _ATOM_PROB_TOL = 1e-12
-_ROOT_TOL = 1e-9
-_MAX_BISECT_ITERS = 200
 
 FINITE = "finite-support"
 UNIFORM = "uniform-interval"
@@ -37,16 +35,13 @@ class UndefinedVirtualValueError(DistributionError):
     """Virtual value requested where no (positive) density exists."""
 
 
-class RegularityViolationError(DistributionError):
-    """Virtual valuation decreases somewhere; Myerson machinery undefined."""
-
-
 class ValueDistribution:
     """One award's distribution.
 
     Supported kinds: finite list of atoms, uniform on an interval,
     exponential with a rate, and a single point mass. Atom values must be
     nonnegative and strictly increasing with probabilities summing to one.
+    Every parameter must be finite: NaN and inf are refused.
     """
 
     __slots__ = ("kind", "_values", "_probs", "_cum", "_cdf", "_steps", "_lo", "_hi", "_rate",
@@ -62,6 +57,8 @@ class ValueDistribution:
             probs = np.asarray([a[1] for a in atoms], dtype=float)
             if len(values) == 0:
                 raise DistributionError("finite-support needs at least one atom")
+            if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+                raise DistributionError("atom values and probabilities must be finite")
             if np.any(values < 0):
                 raise DistributionError("atom values must be nonnegative")
             if np.any(np.diff(values) <= 0):
@@ -79,19 +76,19 @@ class ValueDistribution:
             self._lo, self._hi = float(values[0]), float(values[-1])
         elif kind == UNIFORM:
             lo, hi = float(params["lo"]), float(params["hi"])
-            if not (0 <= lo < hi):
-                raise DistributionError("uniform interval needs 0 <= lo < hi")
+            if not (0 <= lo < hi < math.inf):
+                raise DistributionError("uniform interval needs 0 <= lo < hi < inf")
             self._lo, self._hi = lo, hi
         elif kind == EXPONENTIAL:
             rate = float(params["rate"])
-            if rate <= 0:
-                raise DistributionError("exponential rate must be positive")
+            if not (0 < rate < math.inf):
+                raise DistributionError("exponential rate must be positive and finite")
             self._rate = rate
             self._lo, self._hi = 0.0, math.inf
         elif kind == DEGENERATE:
             point = float(params["value"])
-            if point < 0:
-                raise DistributionError("point mass must be nonnegative")
+            if not (0 <= point < math.inf):
+                raise DistributionError("point mass must be nonnegative and finite")
             self._point = point
             self._lo = self._hi = point
         else:
@@ -404,84 +401,42 @@ class ProductInstance:
 
 
 def max_quantile(instance: ProductInstance, q: float) -> float:
-    """Solve prod_i F_i(T) = q by bisection (for atomless instances).
+    """Generalized inverse of the max-CDF: inf{t : prod_i F_i(t) >= q}.
 
-    The root tolerance is relative to q, so a small target such as
-    (2/3)^(k-1) at large k is still met to about nine significant digits.
+    Bisection on the predicate F(t) >= q, whose `hi` stays feasible, until
+    `lo` and `hi` are adjacent floats; `hi` is returned. On an atomless
+    instance that is the root of F(t) = q to the last float. Where the
+    max-CDF steps over q, it is the atom itself, so downstream >=/>
+    comparisons against atom values are exact at any scale of values.
 
-    Raises DegenerateThresholdError when q = 1 and some component has
-    unbounded support, since no finite T can reach the target.
+    Raises DegenerateThresholdError when no finite t reaches q: q = 1 with
+    unbounded support, or a bounded max-CDF that stays below q.
     """
     if not (0 < q <= 1):
         raise DistributionError("max_quantile requires q in (0, 1]")
     heads = instance.distinct()
-    uppers = [c.support[1] for c in heads]
-    if q == 1.0 and any(math.isinf(u) for u in uppers):
+    hi = max(c.support[1] for c in heads)
+    if q == 1.0 and math.isinf(hi):
         raise DegenerateThresholdError("q = 1 with unbounded support has no finite threshold")
     lo = min(c.support[0] for c in heads)
     if instance.max_cdf(lo) >= q:
         return lo
-    if all(math.isfinite(u) for u in uppers):
-        hi = max(uppers)
-    else:
+    if math.isinf(hi):
         hi = max(1.0, lo + 1.0)
         while instance.max_cdf(hi) < q:
             hi *= 2.0
-    for _ in range(_MAX_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f = instance.max_cdf(mid)
-        if abs(f - q) <= _ROOT_TOL * q:
-            return mid
-        if f < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= math.ulp(hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def max_quantile_inf(instance: ProductInstance, q: float) -> float:
-    """Generalized inverse of the max-CDF: inf{t : prod_i F_i(t) >= q}.
-
-    Works for atom-bearing instances, where the max-CDF is a step function.
-    The returned point is snapped onto a component atom when one is within
-    ten times the bisection's final width, which is relative to the point,
-    so downstream >=/> comparisons against atom values are exact at any
-    scale of values.
-    """
-    if not (0 < q <= 1):
-        raise DistributionError("max_quantile_inf requires q in (0, 1]")
-    heads = instance.distinct()
-    lo = min(c.support[0] for c in heads)
-    if instance.max_cdf(lo) >= q:
-        return lo
-    uppers = [c.support[1] for c in heads]
-    if all(math.isfinite(u) for u in uppers):
-        hi = max(uppers)
-        if instance.max_cdf(hi) < q:
-            raise DegenerateThresholdError("max-CDF never reaches the target quantile")
-    else:
-        hi = max(1.0, lo + 1.0)
-        while instance.max_cdf(hi) < q:
-            if q == 1.0 and hi > 1e308 / 2:
-                raise DegenerateThresholdError("q = 1 with unbounded support")
-            hi *= 2.0
-    # bisection on the predicate F(t) >= q; hi stays feasible throughout
-    for _ in range(_MAX_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
+    elif instance.max_cdf(hi) < q:
+        raise DegenerateThresholdError("max-CDF never reaches the target quantile")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if instance.max_cdf(mid) >= q:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= _ROOT_TOL * max(1.0, abs(hi)):
-            break
-    snap = 10 * _ROOT_TOL * max(1.0, abs(hi))
-    atom_values = sorted({v for c in heads if c.atoms is not None for v, _ in c.atoms})
-    for v in atom_values:
-        if abs(v - hi) <= snap and instance.max_cdf(v) >= q:
-            return v
     return hi
+
+
+#: The generalized inverse is the one max-CDF inverse, atoms or not.
+max_quantile_inf = max_quantile
 
 
 # ---- Myerson quantities ----
@@ -505,42 +460,16 @@ def virtual_value_array(dist: ValueDistribution, x: np.ndarray) -> np.ndarray:
     raise UndefinedVirtualValueError(f"{dist.kind} has no density")
 
 
-def check_regular(dist: ValueDistribution, grid_size: int = 1024) -> None:
-    """Raise RegularityViolationError if virtual value decreases on a quantile grid."""
-    qs = np.linspace(1.0 / (grid_size + 1), grid_size / (grid_size + 1.0), grid_size)
-    phis = []
-    for q in qs:
-        x = dist.quantile(float(q))
-        if not math.isfinite(x):
-            continue
-        phis.append(virtual_value(dist, x))
-    if np.any(np.diff(phis) < -_ROOT_TOL):
-        raise RegularityViolationError("virtual value decreases on the quantile grid")
-
-
 def monopoly_price(dist: ValueDistribution) -> float:
-    """Root of the virtual valuation, for a regular distribution."""
-    check_regular(dist)
-    lo, hi = dist.support
-    if virtual_value(dist, lo) >= 0:
-        return lo
-    if math.isinf(hi):
-        # bracket from the median, so the density never underflows at any scale
-        hi = dist.quantile(0.5)
-        while virtual_value(dist, hi) < 0:
-            lo, hi = hi, 2.0 * hi
-    for _ in range(_MAX_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        phi = virtual_value(dist, mid)
-        if abs(phi) <= _ROOT_TOL * mid:
-            return mid
-        if phi < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _ROOT_TOL * hi:
-            break
-    return 0.5 * (lo + hi)
+    """The price where the virtual valuation crosses zero, floored at the
+    bottom of the support: max(lo, hi/2) for U[lo, hi], whose virtual value
+    is 2v - hi, and 1/rate for an exponential, whose virtual value is
+    v - 1/rate. Both increase, so both kinds are regular."""
+    if dist.kind == UNIFORM:
+        return max(dist._lo, dist._hi / 2.0)
+    if dist.kind == EXPONENTIAL:
+        return 1.0 / dist._rate
+    raise UndefinedVirtualValueError(f"{dist.kind} has no density")
 
 
 # ---- adversarial instances ----

@@ -17,6 +17,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -187,15 +188,35 @@ def _count(value, field: str) -> int:
     return int(value)
 
 
-def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
-    desc = spec.distribution
+@contextmanager
+def _malformed(field: str):
+    """Re-raise what parsing a malformed nested payload raises (a missing key,
+    a wrong type, a bad number or distribution parameter, an unreadable
+    file) as an InvalidSpecError that names the field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise InvalidSpecError(f"{field}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _nested(spec: ExperimentSpec, field: str) -> dict:
+    desc = getattr(spec, field)
     if desc is None:
-        raise InvalidSpecError("distribution: required for this kind")
+        raise InvalidSpecError(f"{field}: required for this kind")
+    if not isinstance(desc, dict):
+        raise InvalidSpecError(f"{field}: must be an object, got {desc!r}")
+    return desc
+
+
+def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
+    desc = _nested(spec, "distribution")
     if "iid" in desc:
-        dist = ValueDistribution.from_json(desc["iid"])
-        instance = ProductInstance.iid(dist, _count(desc.get("n", spec.n), "distribution"))
+        n = _count(desc.get("n", spec.n), "distribution")
+        with _malformed("distribution"):
+            instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), n)
     elif "components" in desc:
-        instance = ProductInstance.from_json(desc["components"])
+        with _malformed("distribution"):
+            instance = ProductInstance.from_json(desc["components"])
     else:
         raise InvalidSpecError("distribution: need 'iid' or 'components'")
     if instance.n != spec.n:
@@ -204,13 +225,11 @@ def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
 
 
 def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
-    desc = spec.values
-    if desc is None:
-        raise InvalidSpecError("values: required for this kind")
+    desc = _nested(spec, "values")
     kind = desc.get("kind")
     if kind == "geometric":
         n = _count(desc.get("n", spec.n), "values")
-        ratio = desc["ratio"]
+        ratio = desc.get("ratio")
         if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
             raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")
         if not 1.0 < ratio < math.inf:
@@ -218,14 +237,22 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
             raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
         values = float(ratio) ** -np.arange(n, dtype=float)
     elif kind == "list":
-        values = np.asarray(desc["values"], dtype=float)
+        with _malformed("values"):
+            values = np.asarray(desc["values"], dtype=float)
     elif kind == "csv":
-        with open(desc["path"]) as fh:
+        with _malformed("values"), open(desc["path"]) as fh:
             values = np.asarray([float(line) for line in fh if line.strip()], dtype=float)
     else:
         raise InvalidSpecError("values: kind must be geometric, list, or csv")
-    if len(values) != spec.n:
-        raise InvalidSpecError(f"values: {len(values)} values but n={spec.n}")
+    if values.shape != (spec.n,):
+        raise InvalidSpecError(f"values: need a flat list of n={spec.n} values, "
+                               f"got shape {values.shape}")
+    if not np.all((values >= 0) & (values < math.inf)):
+        # NaN values make a NaN estimate and negative ones a ratio above 1,
+        # both of which a vacuous bound would pass
+        raise InvalidSpecError("values: every value must be finite and >= 0")
+    if not values.any():
+        raise InvalidSpecError("values: all values are 0, so the top-ell sum is 0")
     return values
 
 
@@ -285,6 +312,10 @@ def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
     if instance.all_atomless:
         algorithm, engine = "alg_max", experiments.alg_max_trials
     else:
+        if spec.k == 2 and math.isinf(max(c.support[1] for c in instance.distinct())):
+            raise InvalidSpecError(
+                "k: alg_max_atoms needs k >= 3 when a component is unbounded; at k = 2 its "
+                "threshold is the max-CDF's 1-quantile, which no finite value reaches")
         algorithm, engine = "alg_max_atoms", experiments.alg_max_atoms_trials
     stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
     return _Outcome(algorithm, stats.ratio, stats.ratio_stderr,
@@ -352,6 +383,10 @@ def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
     if "iid" not in (spec.distribution or {}):
         raise InvalidSpecError("distribution: revenue mode needs an iid prior")
     prior = _resolve_instance(spec).components[0]
+    if not prior.atomless:
+        raise InvalidSpecError(
+            f"distribution: revenue mode needs a prior with a density, got {prior.kind}; "
+            "only the uniform and exponential kinds have a virtual value, and both are regular")
     tau = _tau(spec)
     stats = experiments.mechanism_revenue_trials(
         prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)

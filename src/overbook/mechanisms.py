@@ -9,7 +9,6 @@ ell+1 tickets were issued.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from .distributions import (
     ProductInstance,
+    UndefinedVirtualValueError,
     ValueDistribution,
-    check_regular,
     max_quantile,
     monopoly_price,
     virtual_value,
@@ -27,11 +26,6 @@ from .prophet import TWO_THIRDS, accept_first, default_tau
 
 SOURCE_ALG_TAU = "alg_tau-sample"
 SOURCE_ALG_MAX = "alg_max"
-
-#: `to_json` keys of the revenue priors that passed `check_regular`. A prior
-#: that fails is not recorded, so it is refused on every construction.
-_REGULAR_PRIORS: set[str] = set()
-
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -51,10 +45,9 @@ class MechanismConfig:
         if self.mode == "revenue":
             if self.prior is None:
                 raise ValueError("revenue mode requires a prior")
-            key = json.dumps(self.prior.to_json(), sort_keys=True)
-            if key not in _REGULAR_PRIORS:
-                check_regular(self.prior)
-                _REGULAR_PRIORS.add(key)
+            if not self.prior.atomless:
+                # only the kinds with a density have a virtual value; both are regular
+                raise UndefinedVirtualValueError(f"{self.prior.kind} prior has no density")
 
 
 @dataclass

@@ -10,10 +10,8 @@ from overbook.distributions import (
     DegenerateThresholdError,
     DistributionError,
     ProductInstance,
-    RegularityViolationError,
     UndefinedVirtualValueError,
     ValueDistribution,
-    check_regular,
     hard_prophet_instance,
     max_quantile,
     max_quantile_inf,
@@ -55,6 +53,22 @@ class TestValueDistribution:
     def test_atom_values_nonnegative(self):
         with pytest.raises(DistributionError):
             ValueDistribution.finite([(-1.0, 0.5), (1.0, 0.5)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: ValueDistribution.finite([(0.0, 0.5), (math.nan, 0.5)]),
+        lambda: ValueDistribution.finite([(0.0, 0.5), (math.inf, 0.5)]),
+        lambda: ValueDistribution.finite([(0.0, math.nan), (1.0, 1.0)]),
+        lambda: ValueDistribution.uniform(0.0, math.inf),
+        lambda: ValueDistribution.exponential(math.nan),
+        lambda: ValueDistribution.exponential(math.inf),
+        lambda: ValueDistribution.degenerate(math.nan),
+        lambda: ValueDistribution.degenerate(math.inf),
+    ], ids=["nan-atom", "inf-atom", "nan-prob", "inf-uniform", "nan-rate", "inf-rate",
+            "nan-point", "inf-point"])
+    def test_refuses_non_finite_parameters(self, make):
+        # NaN passes every <= and > check, so each of these used to be accepted
+        with pytest.raises(DistributionError, match="finite|inf"):
+            make()
 
     def test_atomless_flag(self):
         assert ValueDistribution.uniform(0, 1).atomless
@@ -441,6 +455,12 @@ class TestMaxQuantile:
         q = (2.0 / 3.0) ** 11
         assert max_quantile(inst, q) == pytest.approx((2.0 / 3.0) ** 0.11, abs=1e-9)
 
+    def test_hundred_uniforms_to_the_last_float(self):
+        # the correctly rounded root (2/3)^0.11 = 0.95637884610635168...; a
+        # residual stop at 1e-9 * q returned 0.9563788461091463
+        inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 100)
+        assert max_quantile(inst, (2.0 / 3.0) ** 11) == 0.9563788461063517
+
     def test_monotone_in_q(self, rng):
         inst = ProductInstance.iid(ValueDistribution.exponential(1), 5)
         qs = np.sort(rng.uniform(0.01, 0.99, 50))
@@ -547,25 +567,27 @@ class TestMyerson:
         assert monopoly_price(ValueDistribution.uniform(a, b)) == pytest.approx(
             max(a, b / 2), abs=1e-9)
 
+    @pytest.mark.parametrize("dist", [
+        *[pytest.param(ValueDistribution.exponential(rate), id=f"exp-{rate}")
+          for rate in [1e-3, 1.0, 100.0, 1000.0, 1e6]],
+        *[pytest.param(ValueDistribution.uniform(a, b), id=f"unif-{a}-{b}")
+          for a, b in [(0.0, 1.0), (0.2, 2.0), (1.5, 2.0), (0.9, 1.1)]],
+    ])
+    def test_monopoly_price_is_the_virtual_value_root(self, dist):
+        # the closed form is the zero of v - (1 - F(v)) / f(v), or the support
+        # bottom where the virtual value is already nonnegative
+        price, lo = monopoly_price(dist), dist.support[0]
+        phi = virtual_value(dist, price)
+        if price == lo:
+            assert phi >= 0.0
+        else:
+            assert phi == pytest.approx(0.0, abs=1e-12 * price)
+
     def test_virtual_value_array_matches_scalar(self):
         u = ValueDistribution.uniform(0.25, 1.5)
         xs = np.linspace(0.3, 1.4, 17)
         expect = [virtual_value(u, float(x)) for x in xs]
         assert np.allclose(virtual_value_array(u, xs), expect, atol=1e-12)
-
-    def test_regularity_check_rejects_decreasing_virtual(self):
-        class Irregular:
-            kind = "uniform-interval"
-            def quantile(self, q):
-                return q
-            def cdf(self, x):
-                return x
-            def pdf(self, x):
-                # density shaped so v - (1-F)/f oscillates downward
-                return 0.1 if 0.4 < x < 0.6 else 2.0
-
-        with pytest.raises(RegularityViolationError):
-            check_regular(Irregular())
 
 
 class TestHardInstances:

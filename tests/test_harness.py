@@ -145,15 +145,27 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^k:"):
             run_experiment(spec)
 
+    def test_rejects_k2_for_atoms_threshold_on_unbounded_support(self):
+        # the (2/3)^0 = 1 quantile: a bisection that stopped early put it where
+        # exp(1)'s CDF rounds to 1.0, and the spec reported 0.0 and PASSed
+        components = [EXPONENTIAL, {"kind": "degenerate", "params": {"value": 0.5}}, EXPONENTIAL]
+        spec = ExperimentSpec(kind="prophet-max", n=3, ell=1, k=2, trials=100, master_seed=1,
+                              distribution={"components": components})
+        with pytest.raises(InvalidSpecError, match="^k:"):
+            run_experiment(spec)
+
     @pytest.mark.parametrize("kind,source", [("prophet-tau", None),
-                                             ("mechanism-welfare", "alg_tau-sample")])
+                                             ("mechanism-welfare", "alg_tau-sample"),
+                                             ("mechanism-revenue", None)])
     @pytest.mark.parametrize("distribution", [
         {"iid": ATOMS},
         {"components": [UNIFORM] * 9 + [{"kind": "degenerate", "params": {"value": 0.5}}]},
     ], ids=["iid-atoms", "one-point-mass"])
     def test_rejects_atoms_for_sample_threshold(self, kind, source, distribution):
         # the batch engine has no tie-break priorities: on the iid atoms it
-        # reported 0.592 where the scalar alg_tau gives 0.845
+        # reported 0.592 where the scalar alg_tau gives 0.845. Revenue mode
+        # also needs a density for its virtual values: its iid atoms raised
+        # UndefinedVirtualValueError, and it takes no components at all
         spec = ExperimentSpec(kind=kind, n=10, ell=2, k=4, trials=1000, master_seed=1,
                               tau=3, distribution=distribution, source=source)
         with pytest.raises(InvalidSpecError, match="^distribution:"):
@@ -262,14 +274,38 @@ class TestRunExperiment:
         ("values", {"kind": "geometric", "ratio": 0.5, "n": 2000}),
         ("values", {"kind": "geometric", "ratio": math.inf}),
         ("values", {"kind": "geometric", "ratio": math.nan}),
+        ("values", {"kind": "geometric"}),
+        ("values", {"kind": "list"}),
+        ("values", [1.0] * 20),
+        ("values", {"kind": "csv"}),
+        ("values", {"kind": "csv", "path": "no-such-dir/values.csv"}),
+        ("values", {"kind": "list", "values": 3.0}),
+        ("values", {"kind": "list", "values": ["a"] * 20}),
+        ("values", {"kind": "list", "values": [math.nan] + [1.0] * 19}),
+        ("values", {"kind": "list", "values": [math.inf] + [1.0] * 19}),
+        ("values", {"kind": "list", "values": [-1.0] * 20}),
+        ("values", {"kind": "list", "values": [0.0] * 20}),
+        ("distribution", {"iid": {"kind": "uniform-interval"}}),
+        ("distribution", {"iid": {"kind": "uniform-interval", "params": {"lo": 1.0, "hi": 0.0}}}),
+        ("distribution", {"iid": {"kind": "pareto", "params": {"alpha": 2.0}}}),
+        ("distribution", {"components": [{"kind": "exponential", "params": {}}] * 20}),
+        ("distribution", "uniform-interval"),
     ], ids=["float-iid-n", "bool-iid-n", "str-geometric-n", "str-ratio", "bool-ratio",
             "zero-ratio", "negative-ratio", "unit-ratio", "overflowing-ratio",
-            "infinite-ratio", "nan-ratio"])
+            "infinite-ratio", "nan-ratio", "no-ratio", "no-list", "non-dict-values",
+            "no-csv-path", "missing-csv", "scalar-list", "str-list", "nan-value",
+            "inf-value", "negative-values", "zero-values", "no-params", "bad-params",
+            "unknown-kind", "no-rate", "non-dict-distribution"])
     def test_refuses_untyped_nested_counts(self, field, desc):
-        # before: int(20.7), int("20") and float("2") let these specs run
+        # before: int(20.7), int("20") and float("2") let these specs run; a
+        # malformed payload raised a raw KeyError, AttributeError,
+        # FileNotFoundError or DistributionError; and on this vacuous secretary
+        # bound NaN values PASSed with estimate nan, negative ones with ratio
+        # 1.08, and all zeros raised ZeroDivisionError
         kind = "prophet-max" if field == "distribution" else "secretary"
         # a nested integer n is the spec's n too, so no count mismatch is refused instead
-        n = desc["n"] if type(desc.get("n")) is int else 20
+        nested_n = desc.get("n") if isinstance(desc, dict) else None
+        n = nested_n if type(nested_n) is int else 20
         spec = ExperimentSpec(kind=kind, n=n, ell=1, k=4, trials=10, master_seed=1,
                               **{field: desc})
         with pytest.raises(InvalidSpecError, match=f"^{field}:"):

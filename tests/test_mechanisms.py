@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from overbook import distributions, mechanisms
 from overbook.distributions import (
     ProductInstance,
     UndefinedVirtualValueError,
@@ -85,37 +84,13 @@ class TestRunTwoPhase:
 
 
 class TestRevenueConfig:
-    """`MechanismConfig(mode="revenue")` checks its prior's regularity once per
-    distinct prior; a prior that fails is refused on every construction."""
+    """`MechanismConfig(mode="revenue")` refuses a prior without a density."""
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = []
-        real = mechanisms.check_regular
-
-        def counted(dist, *args, **kwargs):
-            calls.append(dist)
-            return real(dist, *args, **kwargs)
-
-        monkeypatch.setattr(mechanisms, "check_regular", counted)
-        monkeypatch.setattr(mechanisms, "_REGULAR_PRIORS", set())
-        return calls
-
-    def test_grid_evaluated_once_per_prior(self, counted):
-        # it used to run all 1,024 grid points on every construction
-        for _ in range(300):
-            MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.uniform(0, 1))
-        assert len(counted) == 1
-        MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.exponential(2.0))
-        MechanismConfig(2, 4, 0.6, "revenue", ValueDistribution.uniform(0, 2))
-        assert len(counted) == 3
-
-    def test_finite_prior_refused_on_every_construction(self, counted):
+    def test_finite_prior_refused_on_every_construction(self):
         prior = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)])
-        for attempt in range(3):
+        for _ in range(3):
             with pytest.raises(UndefinedVirtualValueError):
                 MechanismConfig(2, 4, 0.6, "revenue", prior)
-            assert len(counted) == attempt + 1
 
 
 class TestThresholds:
@@ -152,23 +127,6 @@ class TestThresholds:
         for source in (SOURCE_ALG_MAX, SOURCE_ALG_TAU):
             with pytest.raises(UndefinedVirtualValueError):
                 revenue_threshold(prior, source, n=2, k=2, rng=np.random.default_rng(1))
-
-    def test_revenue_threshold_checks_regularity_once(self, monkeypatch):
-        # 1,024 quantile and virtual-value evaluations each; it used to run twice
-        calls = []
-        real = distributions.check_regular
-
-        def counted(dist, *args, **kwargs):
-            calls.append(dist)
-            return real(dist, *args, **kwargs)
-
-        monkeypatch.setattr(distributions, "check_regular", counted)
-        monkeypatch.setattr(mechanisms, "check_regular", counted)
-        prior = ValueDistribution.uniform(0, 1)
-        revenue_threshold(prior, SOURCE_ALG_MAX, n=2, k=2)
-        assert len(calls) == 1
-        revenue_threshold(prior, SOURCE_ALG_TAU, n=3, k=3, rng=np.random.default_rng(1))
-        assert len(calls) == 2
 
     def test_revenue_exponential_floor(self):
         rng = np.random.default_rng(4)
