@@ -25,6 +25,7 @@ import numpy as np
 
 from . import experiments
 from .distributions import (
+    DegenerateThresholdError,
     ProductInstance,
     ValueDistribution,
     hard_prophet_instance,
@@ -312,12 +313,14 @@ def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
     if instance.all_atomless:
         algorithm, engine = "alg_max", experiments.alg_max_trials
     else:
-        if spec.k == 2 and math.isinf(max(c.support[1] for c in instance.distinct())):
-            raise InvalidSpecError(
-                "k: alg_max_atoms needs k >= 3 when a component is unbounded; at k = 2 its "
-                "threshold is the max-CDF's 1-quantile, which no finite value reaches")
         algorithm, engine = "alg_max_atoms", experiments.alg_max_atoms_trials
-    stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
+    try:
+        stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
+    except DegenerateThresholdError as err:
+        # at k = 2 the atoms rule reads the max-CDF's 1-quantile, which no
+        # finite value reaches when a component is unbounded
+        raise InvalidSpecError(
+            f"k: {algorithm} has no finite threshold at k = {spec.k}: {err}") from err
     return _Outcome(algorithm, stats.ratio, stats.ratio_stderr,
                     max_selector_bound(spec.k, atoms_variant=not instance.all_atomless),
                     {"binding_frac": stats.binding_frac})
@@ -365,11 +368,14 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
             raise InvalidSpecError(f"tau: {engine} does not read it")
         tau, bound, extras = None, max_selector_bound(spec.k), {}
     elif source == SOURCE_ALG_TAU:
-        _require_atomless(instance, engine)
         tau = _tau(spec)
         bound, extras = tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau}
     else:
         raise InvalidSpecError(f"source: unknown mechanism source {source!r}")
+    # both sources accept values strictly above the threshold, with no
+    # tie-break priorities: on atoms an alg_max threshold can sit at the top
+    # atom and accept nothing
+    _require_atomless(instance, engine)
     stats = experiments.mechanism_welfare_trials(
         instance, spec.ell, spec.k, spec.trials, spec.master_seed,
         source=source, tau=tau)

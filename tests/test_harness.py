@@ -156,6 +156,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind,source", [("prophet-tau", None),
                                              ("mechanism-welfare", "alg_tau-sample"),
+                                             ("mechanism-welfare", "alg_max"),
                                              ("mechanism-revenue", None)])
     @pytest.mark.parametrize("distribution", [
         {"iid": ATOMS},
@@ -163,11 +164,14 @@ class TestRunExperiment:
     ], ids=["iid-atoms", "one-point-mass"])
     def test_rejects_atoms_for_sample_threshold(self, kind, source, distribution):
         # the batch engine has no tie-break priorities: on the iid atoms it
-        # reported 0.592 where the scalar alg_tau gives 0.845. Revenue mode
+        # reported 0.592 where the scalar alg_tau gives 0.845. On the iid
+        # atoms at k = 4 the alg_max threshold is the top atom 2.0, so the
+        # mechanism's strict rule accepted nothing and reported 0.0. Revenue mode
         # also needs a density for its virtual values: its iid atoms raised
         # UndefinedVirtualValueError, and it takes no components at all
+        tau = None if source == "alg_max" else 3
         spec = ExperimentSpec(kind=kind, n=10, ell=2, k=4, trials=1000, master_seed=1,
-                              tau=3, distribution=distribution, source=source)
+                              tau=tau, distribution=distribution, source=source)
         with pytest.raises(InvalidSpecError, match="^distribution:"):
             run_experiment(spec)
 
