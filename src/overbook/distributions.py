@@ -81,8 +81,10 @@ class ValueDistribution:
             self._lo, self._hi = lo, hi
         elif kind == EXPONENTIAL:
             rate = float(params["rate"])
-            if not (0 < rate < math.inf):
-                raise DistributionError("exponential rate must be positive and finite")
+            # a subnormal rate is positive and finite, but its mean 1/rate is inf
+            if not (0 < rate < math.inf and 1.0 / rate < math.inf):
+                raise DistributionError(
+                    "exponential rate must be positive and finite, with a finite mean 1/rate")
             self._rate = rate
             self._lo, self._hi = 0.0, math.inf
         elif kind == DEGENERATE:

@@ -258,9 +258,18 @@ class SecretaryTrialStats:
     trials: int
 
 
-#: Rank cells (rows x n) that the secretary engine holds per row chunk. It
+def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc.accumulate(a, axis=0)` in place, one row at a time: on a few
+    long rows this beats the ufunc's own accumulate, which loops over the
+    columns."""
+    for i in range(1, len(a)):
+        ufunc(a[i - 1], a[i], out=a[i])
+    return a
+
+
+#: Uniform cells (rows x n) that the secretary engine holds per row chunk. It
 #: bounds the engine's working memory; it does not change any result.
-_RANK_CHUNK_CELLS = 1 << 21
+_RANK_CHUNK_CELLS = 1 << 18
 
 
 def secretary_trials(
@@ -272,28 +281,42 @@ def secretary_trials(
 ) -> SecretaryTrialStats:
     """Simulate the interval selector over uniformly random arrival orders.
 
-    Decisions depend only on relative ranks, so the engine permutes ranks
-    (0 = largest value) and maps accepted ranks back to values at the end.
-    Tied values share the key of their best rank, so an earlier arrival of
-    an equal value counts as better, as in the scalar selector.
+    Decisions depend only on relative ranks, and no permutation is built.
+    Each row chunk draws u = rng.random((rows, n)) and reads u[:, g] as the
+    arrival time of global rank g (0 = largest value): rank g arrives at
+    position #{h : u_h < u_g}, the order that argsort(u) realizes. Drawn in
+    order, the chunks consume the same stream as one (batch, n) draw, so
+    the estimates do not depend on the chunk size.
 
-    No loop runs over arrival positions. With r_q the key arriving at
-    0-based position q, let C_j[p] be the j-th smallest key among arrivals
-    0..p, with n for an empty prefix. Then
+    Acceptance. With bounds = (0,) + beta.boundaries, rank g arrives in
+    interval j when its position lies in bounds[j] .. bounds[j+1] - 1, that
+    is, when u_g lies between the arrival times at those positions; in-place
+    partitions of u find them. The unbounded run accepts g iff j >= 1 and
+    u_g <= C_j(end(g)), the j-th smallest arrival time among ranks
+    0..end(g), where end(g) is the last rank of g's tie group: an earlier
+    arrival of an equal value counts as better, as in the scalar selector.
+    The bounded run keeps the k earliest acceptances, and its top ell
+    values are those of its first ell kept ranks.
 
-        C_1 = minimum.accumulate(r),
-        C_j[p] = min_{q <= p} max(C_{j-1}[q-1], r_q),
+    Candidate filter. Cut the ranks into blocks [s_b, s_{b+1}) with
+    s = 0, ell, 2 ell, 4 ell, ..., and let theta_b be the ell-th smallest
+    arrival time among ranks 0..s_b - 1. Every prefix of ranks that holds a
+    rank g of block b also holds ranks 0..s_b - 1, and more ranks never
+    raise an order statistic. So g can be accepted, or be among the
+    j <= ell earliest arrivals of any prefix, only if u_g <= theta_b: the
+    filter is exact. It leaves about ell (1 + log2(n / ell)) candidates per
+    row.
 
-    so `ell` passes of `maximum` and `minimum.accumulate` give every order
-    statistic the selector needs. The arrival at position p of interval j
-    (positions bounds[j] .. bounds[j+1]-1, bounds = (0,) + beta.boundaries)
-    is accepted by the unbounded run iff r_p < C_j[p-1]; interval 0 never
-    accepts. The bounded run keeps the first k of those acceptances.
+    Narrow block. The candidates fill the slots of a block x in rank order,
+    one column per row, padded with +inf. Over x,
 
-    Each seeded batch is processed in row chunks of int32 keys, each drawn
-    as rng.random((rows, n)). Drawn in order, the chunks consume the same
-    stream as one (batch, n) draw, so the permutations, and the estimates,
-    do not depend on the chunk size.
+        C_1 = minimum.accumulate(x),
+        C_j[i] = min_{q <= i} max(C_{j-1}[q-1], x_q),
+
+    with +inf for the empty prefix, and at every candidate C_j equals C_j
+    over all ranks. Ties need no lookup of end(g): a tie group's candidates
+    take its arrival times in increasing order, so that within the group an
+    earlier arrival has the better rank, and the same arrivals are accepted.
     """
     vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
     n = len(vals_desc)
@@ -301,18 +324,18 @@ def secretary_trials(
     if beta.n != n:
         raise ValueError("beta.n must match the number of values")
     bench = float(vals_desc[:ell].sum())
-    vals_ext = np.append(vals_desc, 0.0)  # sentinel key n -> contributes 0
-    first = np.r_[True, vals_desc[1:] != vals_desc[:-1]]
-    key = np.maximum.accumulate(np.where(first, np.arange(n), 0)).astype(np.int32)
-    ell_key = key[ell - 1] if ell <= n else n
+    ell_value = vals_desc[ell - 1] if ell <= n else np.nan  # tie group of rank ell
+    # per rank: its tie group, and whether that group holds another rank
+    group = np.cumsum(np.r_[True, vals_desc[1:] != vals_desc[:-1]])
+    tied = np.bincount(group)[group] > 1
     bounds = (0,) + beta.boundaries
-    # the last interval that holds a position; higher order statistics are unused
-    last_j = max((j for j in range(1, ell + 1) if bounds[j] < bounds[j + 1]), default=0)
+    live = [j for j in range(ell + 1) if bounds[j] < bounds[j + 1]]
+    blocks = [0, min(ell, n)]
+    while blocks[-1] < n:
+        blocks.append(min(2 * blocks[-1], n))
     rows = max(1, min(BATCH_SIZE, trials, _RANK_CHUNK_CELLS // n))
-    acc = np.empty((rows, n), dtype=bool)
-    # column p + 1 holds C_j[p]; column 0 is the empty prefix
-    cur = np.full((rows, n + 1), n, dtype=np.int32)
-    nxt = cur.copy()
+    cand = np.ones((rows, n), dtype=bool)  # ranks 0..ell-1 stay candidates
+    low = np.empty((rows, ell + blocks[-2] // 2))
 
     def step(rng, size):
         # per row: the bounded run's top-ell value, and 0/1 flags for a run
@@ -320,28 +343,65 @@ def secretary_trials(
         ell_vals, differ, missed = np.empty(size), np.empty(size), np.empty(size)
         for lo in range(0, size, rows):
             c = min(rows, size - lo)
-            # r[:, pos] = key of the global rank arriving at position pos
-            r = key[np.argsort(rng.random((c, n)), axis=1)]
-            a_u, c_j, c_next = acc[:c], cur[:c], nxt[:c]
-            a_u[:, :bounds[1]] = False
-            np.minimum.accumulate(r, axis=1, out=c_j[:, 1:])
-            for j in range(1, last_j + 1):
-                lo_j, hi_j = bounds[j], bounds[j + 1]
-                np.less(r[:, lo_j:hi_j], c_j[:, lo_j:hi_j], out=a_u[:, lo_j:hi_j])
-                if j < last_j:
-                    np.maximum(c_j[:, :-1], r, out=c_next[:, 1:])
-                    np.minimum.accumulate(c_next[:, 1:], axis=1, out=c_next[:, 1:])
+            u = rng.random((c, n))
+            mask = cand[:c]
+            # the candidate filter: work[:, :ell] holds the ell earliest
+            # arrivals among the ranks before the block, theta_b at ell - 1
+            work = low[:c]
+            work[:, :blocks[1]] = u[:, :blocks[1]]
+            filled = blocks[1]
+            for s, e in zip(blocks[1:-1], blocks[2:]):
+                work[:, :filled].partition(ell - 1, axis=1)
+                np.less_equal(u[:, s:e], work[:, ell - 1:ell], out=mask[:, s:e])
+                if e < n:
+                    work[:, ell:ell + e - s] = u[:, s:e]
+                    filled = ell + e - s
+            # the narrow block: arrival times x and values, 0.0 in padding
+            flat = np.flatnonzero(mask)
+            row, rank = np.divmod(flat, n)
+            counts = np.bincount(row, minlength=c)
+            width = int(counts.max())
+            slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+            cell = slot * c + row
+            x = np.full((width, c), np.inf)
+            vals = np.zeros((width, c))
+            x.flat[cell] = u.flat[flat]
+            vals.flat[cell] = vals_desc[rank]
+            # a tie group's candidates take its arrival times in increasing order
+            t = np.flatnonzero(tied[rank])
+            by_time = np.lexsort((x.flat[cell[t]], group[rank[t]], row[t]))
+            x.flat[cell[t]] = x.flat[cell[t]][by_time]
+            # the arrival times at the interval starts inside (0, n): partitions
+            # of u in place, the latest start first
+            end = n
+            for j in reversed(live[1:]):
+                u[:, :end].partition(bounds[j], axis=1)
+                end = bounds[j]
+            limit = np.full((width, c), -np.inf)  # C_j of the arrival's interval
+            c_j, c_next = np.empty((width + 1, c)), np.empty((width + 1, c))
+            c_j[0] = c_next[0] = np.inf  # slot i + 1 holds C_j[i]
+            c_j[1:] = x
+            _accumulate(np.minimum, c_j[1:])
+            for j in range(1, live[-1] + 1):
+                if j in live:
+                    # the arrivals from the start of interval j on; those of
+                    # a later interval are overwritten
+                    np.copyto(limit, c_j[1:], where=x >= u[:, bounds[j]] if bounds[j] else True)
+                if j < live[-1]:
+                    np.maximum(c_j[:-1], x, out=c_next[1:])
+                    _accumulate(np.minimum, c_next[1:])
                     c_j, c_next = c_next, c_j
-            missed[lo:lo + c] = ~(a_u & (r == ell_key)).any(axis=1)
-            # capacity cut: only rows with more than k acceptances change
-            over = np.count_nonzero(a_u, axis=1) > k
+            a_u = (x <= limit) & (np.arange(width)[:, None] < counts)
+            missed[lo:lo + c] = ~(a_u & (vals == ell_value)).any(axis=0)
+            # capacity cut: binding rows keep their k earliest acceptances
+            over = np.count_nonzero(a_u, axis=0) > k
             differ[lo:lo + c] = over
             if over.any():
-                a_u[over] = _first_k(a_u[over], k)
-            kept = np.where(a_u, r, n)
-            if ell < n:
-                kept = np.partition(kept, ell - 1, axis=1)[:, :ell]
-            ell_vals[lo:lo + c] = vals_ext[kept].sum(axis=1)
+                x_over = np.where(a_u[:, over], x[:, over], np.inf)
+                a_u[:, over] &= x_over <= np.partition(x_over, k - 1, axis=0)[k - 1]
+            # the top ell kept values: those of the first ell kept ranks
+            top = a_u & (_accumulate(np.add, a_u.astype(np.int32)) <= ell)
+            ell_vals[lo:lo + c] = np.where(top, vals, 0.0).sum(axis=0)
         return ell_vals, differ, missed
 
     moments = _run_batches(step, 3, trials, master_seed)

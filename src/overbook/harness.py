@@ -209,13 +209,23 @@ def _nested(spec: ExperimentSpec, field: str) -> dict:
     return desc
 
 
+def _refuse_unread(desc: dict, read: tuple[str, ...], field: str, form: str) -> None:
+    """Refuse the keys of a nested payload that its form does not read,
+    which would otherwise be ignored without a word."""
+    unread = [key for key in desc if key not in read]
+    if unread:
+        raise InvalidSpecError(f"{field}: the {form} form does not read {unread}")
+
+
 def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
     desc = _nested(spec, "distribution")
     if "iid" in desc:
+        _refuse_unread(desc, ("iid", "n"), "distribution", "iid")
         n = _count(desc.get("n", spec.n), "distribution")
         with _malformed("distribution"):
             instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), n)
     elif "components" in desc:
+        _refuse_unread(desc, ("components",), "distribution", "components")
         with _malformed("distribution"):
             instance = ProductInstance.from_json(desc["components"])
     else:
@@ -229,6 +239,7 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     desc = _nested(spec, "values")
     kind = desc.get("kind")
     if kind == "geometric":
+        _refuse_unread(desc, ("kind", "n", "ratio"), "values", "geometric")
         n = _count(desc.get("n", spec.n), "values")
         ratio = desc.get("ratio")
         if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
@@ -238,9 +249,11 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
             raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
         values = float(ratio) ** -np.arange(n, dtype=float)
     elif kind == "list":
+        _refuse_unread(desc, ("kind", "values"), "values", "list")
         with _malformed("values"):
             values = np.asarray(desc["values"], dtype=float)
     elif kind == "csv":
+        _refuse_unread(desc, ("kind", "path"), "values", "csv")
         with _malformed("values"), open(desc["path"]) as fh:
             values = np.asarray([float(line) for line in fh if line.strip()], dtype=float)
     else:

@@ -22,7 +22,9 @@ import numpy as np
 #: On any other instance `ProductInstance.sample_matrix` draws column i as
 #: the i-th block, as n successive per-component `sample_n(rng, trials)`
 #: calls would. The revenue engine draws its i.i.d. values with one C-order
-#: `sample_n(rng, (trials, n))` call.
+#: `sample_n(rng, (trials, n))` call. The secretary engine draws one
+#: `rng.random((rows, n))` block per row chunk, chunk after chunk, and column
+#: g of a row is the arrival time of global rank g (0 = largest value).
 BATCH_SIZE = 20_000
 
 

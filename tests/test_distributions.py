@@ -70,6 +70,13 @@ class TestValueDistribution:
         with pytest.raises(DistributionError, match="finite|inf"):
             make()
 
+    def test_refuses_rate_with_infinite_mean(self):
+        # 1e-310 is positive and finite, but 1/1e-310 overflows: sample_n drew
+        # inf values and the mean was inf
+        with pytest.raises(DistributionError, match="finite mean"):
+            ValueDistribution.exponential(1e-310)
+        assert ValueDistribution.exponential(1e-300).mean() == pytest.approx(1e300)
+
     def test_atomless_flag(self):
         assert ValueDistribution.uniform(0, 1).atomless
         assert ValueDistribution.exponential(2.0).atomless

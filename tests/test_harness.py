@@ -241,6 +241,26 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^distribution:"):
             run_experiment(spec)
 
+    def test_components_form_refuses_n(self):
+        # before: n was ignored, and this spec ran as n = 10 (estimate 0.745, PASS)
+        spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=4, trials=200, master_seed=1,
+                              distribution={"components": [UNIFORM] * 10, "n": 5})
+        with pytest.raises(InvalidSpecError, match="^distribution: the components form"):
+            run_experiment(spec)
+
+    def test_iid_form_refuses_components(self):
+        # before: the components were ignored, and the spec ran on iid (0.752)
+        spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=4, trials=200, master_seed=1,
+                              distribution={"iid": UNIFORM, "components": []})
+        with pytest.raises(InvalidSpecError, match="^distribution: the iid form"):
+            run_experiment(spec)
+
+    def test_values_kind_refuses_keys_it_does_not_read(self):
+        spec = ExperimentSpec(kind="secretary", n=3, ell=1, k=2, trials=10, master_seed=1,
+                              values={"kind": "list", "values": [3.0, 1.0, 2.0], "ratio": 2.0})
+        with pytest.raises(InvalidSpecError, match="^values: the list form"):
+            run_experiment(spec)
+
     def test_revenue_runs_at_small_value_scale(self):
         # monopoly_price of exp(1000) used to raise UndefinedVirtualValueError
         prior = {"kind": "exponential", "params": {"rate": 1000.0}}

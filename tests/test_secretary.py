@@ -167,6 +167,10 @@ class TestVectorizedEngine:
         (5, 5, 6, (0, 1, 2, 3, 4, 5), True, 23, 8, 3),   # ell == n, ties
         (1, 1, 1, (0, 1), False, 5, 2, 1),
         (40, 2, 30, (5, 12, 40), True, 45, 30, None),    # default chunk, non-binding k
+        # the engine's candidate filter over eight rank blocks: tie groups
+        # straddle the block starts 96 and 192, interval 0 is nonempty, k binds
+        (300, 3, 4, (10, 10, 40, 300), True, 45, 20, 7),
+        (512, 2, 6, (30, 80, 512), False, 30, 16, 5),    # nine blocks, binding k
     ]
 
     @pytest.mark.parametrize("cfg", REPLAY_CONFIGS)
@@ -177,7 +181,7 @@ class TestVectorizedEngine:
         if rows is not None:
             monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", rows * n)
         gen = np.random.default_rng(n * 100 + ell * 10 + k)
-        values = (gen.integers(0, 4, size=n).astype(float) if ties
+        values = (gen.integers(0, max(4, n // 16), size=n).astype(float) if ties
                   else gen.exponential(size=n))
         beta = BetaVector(bounds, n=n, ell=ell)
         master_seed = int(gen.integers(10_000))
@@ -197,6 +201,13 @@ class TestVectorizedEngine:
                 bench_sum += top_ell(arrival, ell).value
                 differ += int(len(ub.accepted) > k)
                 missed += int(ell > n or vals_desc[ell - 1] not in ub.accepted_values)
+        if n >= 256:
+            # the candidate filter's edges: six or more rank blocks that start
+            # at ell 2^i, a tie group across one of those starts, a nonempty
+            # interval 0 and a binding k
+            starts = [ell * 2 ** i for i in range(int(math.log2(n / ell)) + 1)]
+            assert len(starts) >= 6 and bounds[0] > 0 and differ > 0
+            assert not ties or any(vals_desc[s - 1] == vals_desc[s] for s in starts if s < n)
         assert stats.trials == trials
         assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
         assert stats.prob_capacity_differs == pytest.approx(differ / trials, abs=1e-12)
@@ -210,6 +221,19 @@ class TestVectorizedEngine:
         whole = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
         monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
         chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
+        assert chunked == whole
+
+    def test_chunking_leaves_results_unchanged_at_n2000(self, monkeypatch):
+        # the benchmark's regime: 925 of the 2000 values underflow to tied zeros
+        n, ell, k = 2000, 2, 40
+        values = 2.0 ** -np.arange(n)
+        assert np.count_nonzero(values == 0) == 925
+        beta = default_beta(n, ell, k)
+        monkeypatch.setattr(experiments, "BATCH_SIZE", 1_000)
+        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 1 << 20)
+        whole = secretary_trials(values, beta, k, trials=2_500, master_seed=79)
+        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
+        chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=79)
         assert chunked == whole
 
     def test_empirical_bounds_smaller_scale(self):
