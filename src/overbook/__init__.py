@@ -47,13 +47,12 @@ from .oracle import (
 )
 from .prophet import (
     SelectionOutcome,
-    ThresholdRule,
     UseAtomsVariantError,
+    accept_first,
     alg_max,
     alg_max_atoms,
     alg_tau,
     default_tau,
-    run_threshold,
 )
 from .secretary import (
     BetaVector,

@@ -508,5 +508,10 @@ def emit_report(reports: list[ExperimentReport], format: str, path: str) -> None
 def load_config(path: str) -> list[ExperimentSpec]:
     with open(path) as fh:
         obj = json.load(fh)
-    entries = obj["experiments"] if isinstance(obj, dict) else obj
-    return [ExperimentSpec.from_json(e) for e in entries]
+    if isinstance(obj, dict):
+        if "experiments" not in obj:
+            raise InvalidSpecError("experiments: required at the top level")
+        obj = obj["experiments"]
+    if not isinstance(obj, list) or not all(isinstance(e, dict) for e in obj):
+        raise InvalidSpecError(f"experiments: must be a list of objects, got {obj!r}")
+    return [ExperimentSpec.from_json(e) for e in obj]

@@ -9,6 +9,7 @@ ell+1 tickets were issued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,8 +39,8 @@ class MechanismConfig:
     def __post_init__(self):
         if not (1 <= self.ell <= self.k):
             raise ValueError("need k >= ell >= 1")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise ValueError("threshold must be finite and nonnegative")
         if self.mode not in ("welfare", "revenue"):
             raise ValueError("mode must be 'welfare' or 'revenue'")
         if self.mode == "revenue":
@@ -75,7 +76,7 @@ def run_two_phase(values: Sequence[float], config: MechanismConfig) -> AuctionOu
     model assigns this probability zero; the rule here is just deterministic).
     """
     values = [float(v) for v in values]
-    tickets = [i for i, _ in accept_first(values, config.threshold, config.k)]
+    tickets = accept_first(values, config.threshold, config.k)
     ranked = sorted(tickets, key=lambda i: (-values[i], i))
     winners = tuple(ranked[: config.ell])
     if len(ranked) > config.ell:

@@ -58,11 +58,6 @@ def top_block(matrix: np.ndarray, m: int) -> np.ndarray:
     return np.partition(matrix, n - m, axis=1)[:, n - m:].copy()
 
 
-def top_ell_values(matrix: np.ndarray, ell: int) -> np.ndarray:
-    """Row-wise top-ell sums of a (trials, n) matrix of nonnegative values."""
-    return top_block(matrix, ell).sum(axis=1)
-
-
 def _atom_lists(instance: ProductInstance) -> list[list[tuple[float, float]]]:
     lists = []
     for comp in instance.components:

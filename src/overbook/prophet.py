@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,21 +29,6 @@ TWO_THIRDS = 2.0 / 3.0
 
 class UseAtomsVariantError(DistributionError):
     """The atomless selector was given an atom-bearing instance."""
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Threshold plus the tie-break rank of the threshold element itself."""
-
-    threshold: float
-    threshold_priority: float
-    capacity: int
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not math.isfinite(self.threshold) or self.threshold < 0:
-            raise ValueError("threshold must be finite and nonnegative")
 
 
 @dataclass
@@ -71,44 +56,27 @@ class SelectionOutcome:
         }
 
     @classmethod
-    def from_accepted(cls, accepted: list[tuple[int, float]], threshold: float,
-                      ell: int) -> "SelectionOutcome":
-        """The outcome that accepted `accepted`, scored on its top ell values."""
+    def from_accepted(cls, values: Sequence[float], indices: list[int],
+                      threshold: float, ell: int) -> "SelectionOutcome":
+        """The outcome that accepted the arrivals `indices` of `values`,
+        scored on its top ell values."""
+        accepted = [(i, float(values[i])) for i in indices]
         return cls(accepted, threshold, top_ell([v for _, v in accepted], ell).value)
 
 
-def accept_first(values: Sequence[float], threshold: float, k: int,
-                 first_ge: bool = False) -> list[tuple[int, float]]:
-    """The first k (index, value) arrivals strictly above `threshold`, and
-    with `first_ge` the first arrival >= threshold too. The scalar twin of
-    the batch kernel `experiments._threshold_top`."""
-    accepted: list[tuple[int, float]] = []
-    for i, v in enumerate(values):
+def accept_first(keys: Iterable, threshold, k: int, first_ge: bool = False) -> list[int]:
+    """Arrival indices of the first k keys strictly above `threshold`, and
+    with `first_ge` of the first key >= threshold too. Keys compare with
+    Python's ordering, so (value, priority) pairs against a (threshold,
+    priority) pair break ties lexicographically. The scalar twin of the
+    batch kernel `experiments._threshold_top`."""
+    accepted: list[int] = []
+    for i, key in enumerate(keys):
         if len(accepted) >= k:
             break
-        if v > threshold or (first_ge and not accepted and v >= threshold):
-            accepted.append((i, float(v)))
+        if key > threshold or (first_ge and not accepted and key >= threshold):
+            accepted.append(i)
     return accepted
-
-
-def run_threshold(
-    values: Sequence[float],
-    priorities: Sequence[float],
-    rule: ThresholdRule,
-    ell: Optional[int] = None,
-) -> SelectionOutcome:
-    """Accept the first `capacity` arrivals with (value, priority)
-    lexicographically above (threshold, threshold_priority)."""
-    if len(values) != len(priorities):
-        raise ValueError("values and priorities must have equal length")
-    ell = rule.capacity if ell is None else ell
-    accepted: list[tuple[int, float]] = []
-    for i, (v, pri) in enumerate(zip(values, priorities)):
-        if len(accepted) >= rule.capacity:
-            break
-        if (v, pri) > (rule.threshold, rule.threshold_priority):
-            accepted.append((i, float(v)))
-    return SelectionOutcome.from_accepted(accepted, rule.threshold, ell)
 
 
 def default_tau(ell: int, k: int) -> int:
@@ -139,12 +107,17 @@ def alg_tau(
         raise ValueError("samples and values must have equal length")
     if not (1 <= tau <= n):
         raise ValueError("tau must lie in [1, n]")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     priorities = rng.random(2 * n)
     sample_pri, value_pri = priorities[:n], priorities[n:]
     pairs = sorted(zip(samples, sample_pri), reverse=True)
-    threshold, threshold_pri = pairs[tau - 1]
-    rule = ThresholdRule(float(threshold), float(threshold_pri), k)
-    return run_threshold(values, value_pri, rule, ell)
+    threshold, threshold_pri = map(float, pairs[tau - 1])
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError("threshold must be finite and nonnegative")
+    # the zip itself, not a list: acceptance stops reading it at capacity
+    indices = accept_first(zip(values, value_pri), (threshold, threshold_pri), k)
+    return SelectionOutcome.from_accepted(values, indices, threshold, ell)
 
 
 def alg_max(
@@ -164,7 +137,8 @@ def alg_max(
     if not instance.all_atomless:
         raise UseAtomsVariantError("instance has atoms; use alg_max_atoms")
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    return SelectionOutcome.from_accepted(accept_first(values, threshold, k), threshold, ell)
+    indices = accept_first(values, threshold, k)
+    return SelectionOutcome.from_accepted(values, indices, threshold, ell)
 
 
 def alg_max_atoms(
@@ -181,5 +155,5 @@ def alg_max_atoms(
     if k < 2:
         raise DegenerateThresholdError("k must be >= 2")
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
-    accepted = accept_first(values, threshold, k, first_ge=True)
-    return SelectionOutcome.from_accepted(accepted, threshold, ell)
+    indices = accept_first(values, threshold, k, first_ge=True)
+    return SelectionOutcome.from_accepted(values, indices, threshold, ell)

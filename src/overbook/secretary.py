@@ -84,16 +84,16 @@ def default_beta(n: int, ell: int, k: int) -> BetaVector:
 def _run(values: Sequence[float], beta: BetaVector, capacity: float) -> SelectionOutcome:
     if len(values) != beta.n:
         raise ValueError("values length must equal beta.n")
-    accepted: list[tuple[int, float]] = []
+    accepted: list[int] = []
     seen: list[float] = []  # ascending
     for pos0, v in enumerate(values):
         j = interval_index(beta, pos0 + 1)
         # rank among v_1..v_i with earlier arrivals winning ties
         rank = len(seen) - bisect_left(seen, v) + 1
         if rank <= j and len(accepted) < capacity:
-            accepted.append((pos0, float(v)))
+            accepted.append(pos0)
         insort(seen, v)
-    return SelectionOutcome.from_accepted(accepted, math.nan, beta.ell)
+    return SelectionOutcome.from_accepted(values, accepted, math.nan, beta.ell)
 
 
 def run_secretary(values: Sequence[float], beta: BetaVector, k: int) -> SelectionOutcome:

@@ -34,7 +34,7 @@ from overbook.experiments import (
 )
 from overbook.harness import ExperimentSpec, run_experiment
 from overbook.mechanisms import MechanismConfig, myerson_virtual_surplus, run_two_phase
-from overbook.oracle import top_ell, top_ell_values
+from overbook.oracle import top_block, top_ell
 from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
 from overbook.secretary import default_beta
 from overbook.seeding import batch_indices, trial_rng
@@ -107,7 +107,7 @@ def test_kernel_matches_full_path(ell, regime, per_row, first_ge):
     assert np.array_equal(np.sort(alg_block, axis=1), np.sort(chosen, axis=1)[:, -ell:])
     assert np.array_equal(np.sort(bench_block, axis=1), np.sort(values, axis=1)[:, -ell:])
     alg, bench = alg_block.sum(axis=1), bench_block.sum(axis=1)
-    ref_alg, ref_bench = top_ell_values(chosen, ell), top_ell_values(values, ell)
+    ref_alg, ref_bench = top_block(chosen, ell).sum(axis=1), top_block(values, ell).sum(axis=1)
     if ell <= 2:
         assert np.array_equal(alg, ref_alg)
         assert np.array_equal(bench, ref_bench)

@@ -519,6 +519,20 @@ class TestCli:
         assert code == 0
         assert out["winners"] == [0] and out["payments"] == {"0": 4.0}
 
+    @pytest.mark.parametrize("text", ['{"experiment": []}', '{"experiments": 5}', '[5]'])
+    def test_load_config_refuses_malformed_top_level(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidSpecError, match="^experiments:"):
+            load_config(str(path))
+
+    def test_mechanism_simulate_refuses_non_finite_threshold(self, tmp_path):
+        # Python's json reads NaN and Infinity
+        path = tmp_path / "mech.json"
+        path.write_text('{"ell": 1, "k": 2, "threshold": NaN, "values": [6, 2, 4, 9]}')
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            main(["mechanism", "simulate", "--config", str(path)])
+
     def test_load_config_list_form(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,16 @@ def test_every_import_is_used(path):
     # __init__.py re-exports its imports; every other module must read each name it imports
     imported, used = _imported_and_used(ast.parse(path.read_text(), str(path)))
     assert sorted(imported - used) == []
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer patches these (owner, attribute) pairs by name, so
+    # dropping or renaming one breaks a traced run, not the suite
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = spans.SPANS + spans.COUNTED
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in traced
+               if not callable(vars(owner).get(attr))]
+    assert traced and missing == []

@@ -82,6 +82,11 @@ class TestRunTwoPhase:
         with pytest.raises(ValueError):
             MechanismConfig(ell=1, k=2, threshold=1.0, mode="revenue")
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
+    def test_refuses_threshold_that_is_not_finite_and_nonnegative(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            MechanismConfig(ell=1, k=2, threshold=threshold)
+
 
 class TestRevenueConfig:
     """`MechanismConfig(mode="revenue")` refuses a prior without a density."""

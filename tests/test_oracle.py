@@ -9,8 +9,8 @@ from overbook.oracle import (
     exact_prophet_benchmark,
     optimal_online_dp,
     secretary_max_prob_dp,
+    top_block,
     top_ell,
-    top_ell_values,
 )
 
 
@@ -34,14 +34,14 @@ class TestTopEll:
 
     def test_values_rowwise(self):
         mat = np.array([[3.0, 1.0, 2.0], [0.0, 0.0, 9.0]])
-        assert np.allclose(top_ell_values(mat, 2), [5.0, 9.0])
+        assert np.allclose(top_block(mat, 2).sum(axis=1), [5.0, 9.0])
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_top_ell_values_ell_one_matches_partition_form(self, n):
         m = np.random.default_rng(n).exponential(size=(300, n))
         m[::5, 0] = m[::5, -1]  # ties
         partition = np.partition(m, n - 1, axis=1)[:, n - 1:].sum(axis=1)
-        assert np.array_equal(top_ell_values(m, 1), partition)
+        assert np.array_equal(top_block(m, 1).sum(axis=1), partition)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -86,7 +86,8 @@ class TestBenchmark:
             ell = int(rng.integers(1, inst.n + 1))
             exact = exact_prophet_benchmark(inst, ell)
             trials = 40_000
-            vals = top_ell_values(inst.sample_matrix(np.random.default_rng(1000 + i), trials), ell)
+            matrix = inst.sample_matrix(np.random.default_rng(1000 + i), trials)
+            vals = top_block(matrix, ell).sum(axis=1)
             est, se = vals.mean(), vals.std(ddof=1) / np.sqrt(trials)  # two-pass stderr
             assert abs(est - exact) <= max(3 * se, 1e-9)
 

@@ -8,42 +8,54 @@ from overbook.experiments import alg_max_trials, alg_tau_trials
 from overbook.oracle import top_ell
 from overbook.prophet import (
     SelectionOutcome,
-    ThresholdRule,
     UseAtomsVariantError,
+    accept_first,
     alg_max,
     alg_max_atoms,
     alg_tau,
     default_tau,
-    run_threshold,
 )
 
 
 class TestRunThreshold:
+    """The one scalar threshold rule, `accept_first`, and its scoring."""
+
     def test_simple_trace(self):
-        rule = ThresholdRule(3.0, 0.5, 2)
-        out = run_threshold([1.0, 6.0, 2.0, 4.0, 9.0], [0.1] * 5, rule)
+        values = [1.0, 6.0, 2.0, 4.0, 9.0]
+        assert accept_first(values, 3.0, 2) == [1, 3]
+        out = SelectionOutcome.from_accepted(values, [1, 3], 3.0, 2)
         assert out.accepted == [(1, 6.0), (3, 4.0)]
         assert out.ell_value == 10.0
 
+    def test_first_ge_takes_one_key_at_the_threshold(self):
+        values = [3.0, 3.0, 5.0, 3.0]
+        assert accept_first(values, 3.0, 3) == [2]
+        assert accept_first(values, 3.0, 3, first_ge=True) == [0, 2]
+        # a first key strictly above the threshold uses up the ">=" slot
+        assert accept_first([5.0, 3.0], 3.0, 2, first_ge=True) == [0]
+
     def test_lexicographic_tie_break(self):
         # all values equal the threshold; only higher priorities clear it
-        rule = ThresholdRule(3.0, 0.5, 3)
-        out = run_threshold([3.0, 3.0, 3.0], [0.2, 0.9, 0.7], rule)
-        assert out.accepted == [(1, 3.0), (2, 3.0)]
+        keys = zip([3.0, 3.0, 3.0], [0.2, 0.9, 0.7])
+        assert accept_first(keys, (3.0, 0.5), 3) == [1, 2]
 
     def test_capacity_stops_acceptance(self):
-        rule = ThresholdRule(0.0, 0.0, 1)
-        out = run_threshold([5.0, 7.0], [0.5, 0.5], rule)
-        assert out.accepted == [(0, 5.0)]
+        assert accept_first([5.0, 7.0], 0.0, 1) == [0]
+        # the loop stops reading its keys once k are accepted
+        keys = iter([5.0, 7.0, 9.0])
+        assert accept_first(keys, 0.0, 1) == [0]
+        assert list(keys) == [9.0]
 
     def test_ell_value_uses_top_ell(self):
-        rule = ThresholdRule(0.0, 0.0, 3)
-        out = run_threshold([2.0, 9.0, 4.0], [0.5] * 3, rule, ell=1)
+        values = [2.0, 9.0, 4.0]
+        out = SelectionOutcome.from_accepted(values, accept_first(values, 0.0, 3), 0.0, 1)
+        assert out.accepted == [(0, 2.0), (1, 9.0), (2, 4.0)]
         assert out.ell_value == 9.0
 
     def test_empty_acceptance(self):
-        rule = ThresholdRule(10.0, 0.5, 2)
-        out = run_threshold([1.0, 2.0], [0.5, 0.5], rule)
+        values = [1.0, 2.0]
+        assert accept_first(values, 10.0, 2) == []
+        out = SelectionOutcome.from_accepted(values, [], 10.0, 2)
         assert out.accepted == [] and out.ell_value == 0.0
 
     def test_outcome_json(self):
@@ -76,6 +88,18 @@ class TestAlgTau:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             alg_tau([1.0, 2.0], [1.0, 2.0], tau=3, k=1, ell=1, rng=rng)
+
+    def test_refuses_k_below_one(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            alg_tau([1.0, 2.0], [1.0, 2.0], tau=1, k=0, ell=1, rng=rng)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_refuses_threshold_that_is_not_finite_and_nonnegative(self, bad):
+        # the sample at rank tau = 1 of a one-entry sample is the threshold
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            alg_tau([bad], [1.0], tau=1, k=1, ell=1, rng=rng)
 
     def test_capacity_respected(self):
         rng = np.random.default_rng(5)
