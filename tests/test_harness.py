@@ -347,6 +347,28 @@ class TestRunExperiment:
         frac = run_experiment(spec).extras["binding_frac"]
         assert 0.0 < frac < 1.0
 
+    @pytest.mark.parametrize("kind,fields,keys", [
+        ("prophet-tau", {"distribution": {"iid": UNIFORM}}, ["tau", "binding_frac"]),
+        ("prophet-max", {"distribution": {"iid": UNIFORM}}, ["binding_frac"]),
+        ("secretary", {"values": {"kind": "geometric", "ratio": 2.0}},
+         ["beta", "prob_capacity_differs", "prob_capacity_differs_stderr",
+          "prob_ell_missed", "prob_ell_missed_stderr", "capacity_event_bound"]),
+        ("hard-instance-dp", {}, ["dp_value", "benchmark"]),
+        ("secretary-upper-bound", {}, []),
+        ("mechanism-welfare", {"distribution": {"iid": UNIFORM}, "source": "alg_max"},
+         ["binding_frac", "trace_mismatches"]),
+        ("mechanism-welfare", {"distribution": {"iid": UNIFORM}, "source": "alg_tau-sample"},
+         ["tau", "binding_frac", "trace_mismatches"]),
+        ("mechanism-revenue", {"distribution": {"iid": UNIFORM}},
+         ["tau", "revenue_mean", "revenue_stderr", "optimal_mean", "optimal_stderr",
+          "identity_gap", "identity_gap_stderr"]),
+    ])
+    def test_extras_keys_per_kind(self, kind, fields, keys):
+        # the JSON report's extras, key order included, for every kind
+        spec = ExperimentSpec(kind=kind, n=10, ell=1, k=4, trials=50, master_seed=3,
+                              **fields)
+        assert list(run_experiment(spec).extras) == keys
+
     def test_parallel_matches_serial(self):
         specs = [
             ExperimentSpec(kind="hard-instance-dp", n=k + 1, ell=k, k=k,
