@@ -63,7 +63,8 @@ def revenue():
                                      master_seed=81)
     print(f"20k trials: revenue/optimal = {stats.ratio:.4f}")
     print(f"payment identity check: E[revenue] - E[winner virtual surplus] = "
-          f"{stats.identity_gap:.2e} (stderr {stats.identity_gap_stderr:.1e})")
+          f"{stats.extras['identity_gap']:.2e} "
+          f"(stderr {stats.extras['identity_gap_stderr']:.1e})")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ def at_scale():
     print(f"ratio to the realized top-{ell}: {stats.ratio:.4f} "
           f"(guarantee {guarantee:.4f})")
     print(f"Pr[capacity cap changes the outcome] = "
-          f"{stats.prob_capacity_differs:.2e} (bound e^(-k/6) = "
+          f"{stats.extras['prob_capacity_differs']:.2e} (bound e^(-k/6) = "
           f"{math.exp(-k / 6):.2e})")
 
 

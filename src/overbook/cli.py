@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
@@ -55,9 +56,16 @@ def _cmd_oracle_dp(args) -> int:
     return 0
 
 
+#: The keys that `mechanism simulate` reads from its config.
+_MECHANISM_KEYS = ("ell", "k", "threshold", "mode", "prior", "values", "order")
+
+
 def _cmd_mechanism_simulate(args) -> int:
     with open(args.config) as fh:
         obj = json.load(fh)
+    for key in obj:
+        if key not in _MECHANISM_KEYS:
+            raise ValueError(f"{key}: unknown mechanism config key")
     prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
     config = MechanismConfig(
         ell=int(obj["ell"]),
@@ -67,6 +75,9 @@ def _cmd_mechanism_simulate(args) -> int:
         prior=prior,
     )
     values = [float(v) for v in obj["values"]]
+    if not all(0 <= v < math.inf for v in values):
+        # a NaN agent would silently decline its ticket, and inf reports welfare inf
+        raise ValueError(f"values: every value must be finite and >= 0, got {values}")
     order = obj.get("order")
     if order is not None:
         if sorted(order) != list(range(len(values))):

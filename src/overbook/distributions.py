@@ -44,12 +44,11 @@ class ValueDistribution:
     Every parameter must be finite: NaN and inf are refused.
     """
 
-    __slots__ = ("kind", "_values", "_probs", "_cum", "_cdf", "_steps", "_lo", "_hi", "_rate",
-                 "_point")
+    __slots__ = ("kind", "_values", "_probs", "_cdf", "_steps", "_lo", "_hi", "_rate", "_point")
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self._values = self._probs = self._cum = self._cdf = self._steps = None
+        self._values = self._probs = self._cdf = self._steps = None
         self._rate = self._point = None
         if kind == FINITE:
             atoms = sorted(params["atoms"])
@@ -68,11 +67,13 @@ class ValueDistribution:
             if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
                 raise DistributionError("atom probabilities must sum to 1")
             self._values, self._probs = values, probs
-            self._cum = np.cumsum(probs)
+            # the one CDF table that `cdf`, `quantile` and `sample_n` read,
+            # normalized as numpy's Generator.choice normalizes p: its top
+            # level is exactly 1.0 even when the probabilities sum to less
+            cum = np.cumsum(probs)
+            self._cdf = cum / cum[-1]
             # the step points and levels of the CDF as Python floats, for `cdf`
-            self._steps = (tuple(values.tolist()), tuple(self._cum.tolist()))
-            # normalized as numpy's Generator.choice normalizes p
-            self._cdf = self._cum / self._cum[-1]
+            self._steps = (tuple(values.tolist()), tuple(self._cdf.tolist()))
             self._lo, self._hi = float(values[0]), float(values[-1])
         elif kind == UNIFORM:
             lo, hi = float(params["lo"]), float(params["hi"])
@@ -164,7 +165,7 @@ class ValueDistribution:
         if not (0 < q <= 1):
             raise DistributionError("quantile requires q in (0, 1]")
         if self.kind == FINITE:
-            idx = int(np.searchsorted(self._cum, q - _ATOM_PROB_TOL))
+            idx = int(np.searchsorted(self._cdf, q - _ATOM_PROB_TOL))
             idx = min(idx, len(self._values) - 1)
             return float(self._values[idx])
         if self.kind == UNIFORM:

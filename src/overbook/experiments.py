@@ -93,6 +93,17 @@ def _run_batches(step, width: int, trials: int, master_seed: int) -> _Moments:
     return acc
 
 
+@dataclass
+class TrialStats:
+    """What every engine returns: its ratio estimate and stderr, the trial
+    count, and its diagnostics keyed as in the report's `extras`."""
+
+    ratio: float
+    ratio_stderr: float
+    trials: int
+    extras: dict
+
+
 def _binomial(successes: float, count: int) -> tuple[float, float]:
     p = successes / count
     return p, math.sqrt(max(0.0, p * (1 - p)) / count)
@@ -151,29 +162,20 @@ def _threshold_top(
     return sel, bench, count > k
 
 
-@dataclass
-class ThresholdTrialStats:
-    ratio: float
-    ratio_stderr: float
-    binding_frac: float  # share of rows where more than k values clear the threshold
-    trials: int
-
-
-@dataclass
-class WelfareTrialStats(ThresholdTrialStats):
-    trace_mismatches: int  # replayed trials where the scalar mechanism's welfare differs
-
-
 def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
                       master_seed: int, threshold: Optional[float] = None,
                       tau: Optional[int] = None, first_ge: bool = False,
-                      replay: bool = False) -> ThresholdTrialStats:
+                      replay: bool = False) -> TrialStats:
     """Per-row top-ell values of the threshold selector and of the benchmark,
     and whether k binds. The threshold is `threshold`, or else per row the
     tau-th highest of a fresh sample vector (`ProductInstance.sample_rank`),
     drawn before the values. The values are `ProductInstance.sample_rows`:
     reduced rows on an i.i.d. atomless instance. `replay` adds the
-    `_welfare_replay` column and returns `WelfareTrialStats`."""
+    `_welfare_replay` column.
+
+    Extras: `binding_frac`, the share of rows where more than k values clear
+    the threshold, and with `replay` `trace_mismatches`, the replayed rows
+    whose scalar mechanism welfare differs."""
     def step(rng, size):
         thr = instance.sample_rank(rng, size, tau) if threshold is None else threshold
         values = instance.sample_rows(rng, size, thr, ell)
@@ -184,9 +186,10 @@ def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
         return alg, bench, binds
 
     acc = _run_batches(step, 4 if replay else 3, trials, master_seed)
-    ratio, se = acc.ratio_stderr()
-    stats = (ratio, se, acc.sums[2] / acc.count, acc.count)
-    return WelfareTrialStats(*stats, int(acc.sums[3])) if replay else ThresholdTrialStats(*stats)
+    extras = {"binding_frac": acc.sums[2] / acc.count}
+    if replay:
+        extras["trace_mismatches"] = int(acc.sums[3])
+    return TrialStats(*acc.ratio_stderr(), acc.count, extras)
 
 
 # ---- prophet: single-sample threshold ----
@@ -199,7 +202,7 @@ def alg_tau_trials(
     tau: int,
     trials: int,
     master_seed: int,
-) -> ThresholdTrialStats:
+) -> TrialStats:
     """Ratio of the selector's expected top-ell value to the offline top-ell
     benchmark, both estimated on the same realized award vectors.
 
@@ -222,7 +225,7 @@ def alg_max_trials(
     k: int,
     trials: int,
     master_seed: int,
-) -> ThresholdTrialStats:
+) -> TrialStats:
     """Ratio for the atomless max-distribution selector (accept first k
     values strictly above the (2/3)^(k-1) quantile of the max)."""
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
@@ -235,7 +238,7 @@ def alg_max_atoms_trials(
     k: int,
     trials: int,
     master_seed: int,
-) -> ThresholdTrialStats:
+) -> TrialStats:
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
     threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
@@ -243,19 +246,6 @@ def alg_max_atoms_trials(
 
 
 # ---- secretary: interval selector under random arrival ----
-
-
-@dataclass
-class SecretaryTrialStats:
-    """Aggregates over random-arrival trials of the interval selector."""
-
-    ratio: float
-    ratio_stderr: float
-    prob_capacity_differs: float       # Pr[bounded and unbounded runs differ]
-    prob_capacity_differs_stderr: float
-    prob_ell_missed: float             # Pr[unbounded run misses the ell-th largest]
-    prob_ell_missed_stderr: float
-    trials: int
 
 
 def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
@@ -278,7 +268,7 @@ def secretary_trials(
     k: int,
     trials: int,
     master_seed: int,
-) -> SecretaryTrialStats:
+) -> TrialStats:
     """Simulate the interval selector over uniformly random arrival orders.
 
     Decisions depend only on relative ranks, and no permutation is built.
@@ -296,7 +286,10 @@ def secretary_trials(
     0..end(g), where end(g) is the last rank of g's tie group: an earlier
     arrival of an equal value counts as better, as in the scalar selector.
     The bounded run keeps the k earliest acceptances, and its top ell
-    values are those of its first ell kept ranks.
+    values are those of its first ell kept ranks. Extras:
+    `prob_capacity_differs`, Pr[the bounded and unbounded runs differ], and
+    `prob_ell_missed`, Pr[the unbounded run misses the ell-th largest],
+    each with its binomial stderr.
 
     Candidate filter. Cut the ranks into blocks [s_b, s_{b+1}) with
     s = 0, ell, 2 ell, 4 ell, ..., and let theta_b be the ell-th smallest
@@ -407,10 +400,12 @@ def secretary_trials(
     moments = _run_batches(step, 3, trials, master_seed)
     count = moments.count
     mean, se = moments.mean_stderr(0)
-    p_diff, se_diff = _binomial(moments.sums[1], count)
-    p_miss, se_miss = _binomial(moments.sums[2], count)
-    return SecretaryTrialStats(mean / bench, se / bench, p_diff, se_diff,
-                               p_miss, se_miss, count)
+    extras = {}
+    extras["prob_capacity_differs"], extras["prob_capacity_differs_stderr"] = \
+        _binomial(moments.sums[1], count)
+    extras["prob_ell_missed"], extras["prob_ell_missed_stderr"] = \
+        _binomial(moments.sums[2], count)
+    return TrialStats(mean / bench, se / bench, count, extras)
 
 
 # ---- mechanisms ----
@@ -442,7 +437,7 @@ def mechanism_welfare_trials(
     master_seed: int,
     source: str = "alg_max",
     tau: Optional[int] = None,
-) -> WelfareTrialStats:
+) -> TrialStats:
     """Welfare ratio of the two-phase mechanism, plus a check of the batch
     kernel against the scalar mechanism on the leading rows of every batch.
 
@@ -461,19 +456,6 @@ def mechanism_welfare_trials(
                              replay=True)
 
 
-@dataclass
-class RevenueTrialStats:
-    ratio: float                 # MC revenue / MC optimal revenue
-    ratio_stderr: float
-    revenue_mean: float
-    revenue_stderr: float
-    optimal_mean: float
-    optimal_stderr: float
-    identity_gap: float          # mean(revenue - winner virtual surplus)
-    identity_gap_stderr: float
-    trials: int
-
-
 def mechanism_revenue_trials(
     prior: ValueDistribution,
     n: int,
@@ -482,10 +464,12 @@ def mechanism_revenue_trials(
     tau: int,
     trials: int,
     master_seed: int,
-) -> RevenueTrialStats:
+) -> TrialStats:
     """Expected revenue of the two-phase mechanism with a fresh sample-based
     threshold per trial, against the optimal-revenue benchmark (expected
-    top-ell positive virtual surplus), plus the Myerson payment-identity gap.
+    top-ell positive virtual surplus). Extras: the means and stderrs of the
+    revenue, the optimal revenue and the Myerson payment-identity gap
+    (revenue minus winner virtual surplus), and `binding_frac`.
     """
     phat = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)
@@ -496,19 +480,20 @@ def mechanism_revenue_trials(
         # the top ell + 1 ticket values and row values, in decreasing order. A
         # ticket value exceeds thr >= phat > 0, so 0.0 is an unfilled slot; the
         # virtual value increases, so the top ell values hold the top ell of it
-        tickets, top = (-np.sort(-b, axis=1) for b in _threshold_top(values, thr, k, ell + 1)[:2])
+        sel, bench, binds = _threshold_top(values, thr, k, ell + 1)
+        tickets, top = (-np.sort(-b, axis=1) for b in (sel, bench))
         won = tickets[:, :ell]
         # winners pay the (ell+1)-th ticket value, or thr when it is missing
         price = np.maximum(thr, tickets[:, ell]) if n > ell else thr
         revenue = np.count_nonzero(won, axis=1) * price
         surplus = (virtual_value_array(prior, won) * (won > 0)).sum(axis=1)
         optimal = np.maximum(virtual_value_array(prior, top[:, :ell]), 0.0).sum(axis=1)
-        return revenue, optimal, revenue - surplus
+        return revenue, optimal, revenue - surplus, binds
 
-    acc = _run_batches(step, 3, trials, master_seed)
-    ratio, ratio_se = acc.ratio_stderr(0, 1)
-    rev_mean, rev_se = acc.mean_stderr(0)
-    opt_mean, opt_se = acc.mean_stderr(1)
-    gap_mean, gap_se = acc.mean_stderr(2)
-    return RevenueTrialStats(ratio, ratio_se, rev_mean, rev_se, opt_mean, opt_se,
-                             gap_mean, gap_se, acc.count)
+    acc = _run_batches(step, 4, trials, master_seed)
+    extras = {}
+    extras["revenue_mean"], extras["revenue_stderr"] = acc.mean_stderr(0)
+    extras["optimal_mean"], extras["optimal_stderr"] = acc.mean_stderr(1)
+    extras["identity_gap"], extras["identity_gap_stderr"] = acc.mean_stderr(2)
+    extras["binding_frac"] = acc.sums[3] / acc.count
+    return TrialStats(*acc.ratio_stderr(0, 1), acc.count, extras)

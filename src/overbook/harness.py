@@ -316,8 +316,7 @@ def _run_prophet_tau(spec: ExperimentSpec) -> _Outcome:
     stats = experiments.alg_tau_trials(
         instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
     return _Outcome("alg_tau", stats.ratio, stats.ratio_stderr,
-                    tau_selector_bound(spec.ell, spec.k, tau),
-                    {"tau": tau, "binding_frac": stats.binding_frac})
+                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau, **stats.extras})
 
 
 def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
@@ -336,7 +335,7 @@ def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
             f"k: {algorithm} has no finite threshold at k = {spec.k}: {err}") from err
     return _Outcome(algorithm, stats.ratio, stats.ratio_stderr,
                     max_selector_bound(spec.k, atoms_variant=not instance.all_atomless),
-                    {"binding_frac": stats.binding_frac})
+                    stats.extras)
 
 
 def _run_secretary(spec: ExperimentSpec) -> _Outcome:
@@ -344,14 +343,8 @@ def _run_secretary(spec: ExperimentSpec) -> _Outcome:
     beta = default_beta(spec.n, spec.ell, spec.k)
     stats = experiments.secretary_trials(
         values, beta, spec.k, spec.trials, spec.master_seed)
-    extras = {
-        "beta": list(beta.boundaries),
-        "prob_capacity_differs": stats.prob_capacity_differs,
-        "prob_capacity_differs_stderr": stats.prob_capacity_differs_stderr,
-        "prob_ell_missed": stats.prob_ell_missed,
-        "prob_ell_missed_stderr": stats.prob_ell_missed_stderr,
-        "capacity_event_bound": math.exp(-spec.k / 6.0),
-    }
+    extras = {"beta": list(beta.boundaries), **stats.extras,
+              "capacity_event_bound": math.exp(-spec.k / 6.0)}
     # below k = 8*ell the phase exponent clamps to 0: the bound is negative, so vacuous
     return _Outcome("alg_beta", stats.ratio, stats.ratio_stderr,
                     secretary_bound(spec.ell, spec.k), extras)
@@ -392,10 +385,8 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
     stats = experiments.mechanism_welfare_trials(
         instance, spec.ell, spec.k, spec.trials, spec.master_seed,
         source=source, tau=tau)
-    extras["binding_frac"] = stats.binding_frac
-    extras["trace_mismatches"] = stats.trace_mismatches
     return _Outcome(f"two_phase[{source}]", stats.ratio, stats.ratio_stderr, bound,
-                    extras, ok=stats.trace_mismatches == 0)
+                    {**extras, **stats.extras}, ok=stats.extras["trace_mismatches"] == 0)
 
 
 def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
@@ -409,19 +400,11 @@ def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
     tau = _tau(spec)
     stats = experiments.mechanism_revenue_trials(
         prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
-    extras = {
-        "tau": tau,
-        "revenue_mean": stats.revenue_mean,
-        "revenue_stderr": stats.revenue_stderr,
-        "optimal_mean": stats.optimal_mean,
-        "optimal_stderr": stats.optimal_stderr,
-        "identity_gap": stats.identity_gap,
-        "identity_gap_stderr": stats.identity_gap_stderr,
-    }
     # Myerson payment identity: revenue equals winner virtual surplus
-    identity_ok = abs(stats.identity_gap) <= 3.0 * max(stats.identity_gap_stderr, 1e-12)
+    gap, gap_se = stats.extras["identity_gap"], stats.extras["identity_gap_stderr"]
     return _Outcome(f"two_phase[{SOURCE_ALG_TAU}]", stats.ratio, stats.ratio_stderr,
-                    tau_selector_bound(spec.ell, spec.k, tau), extras, ok=identity_ok)
+                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau, **stats.extras},
+                    ok=abs(gap) <= 3.0 * max(gap_se, 1e-12))
 
 
 class _Kind(NamedTuple):
@@ -511,6 +494,9 @@ def load_config(path: str) -> list[ExperimentSpec]:
     if isinstance(obj, dict):
         if "experiments" not in obj:
             raise InvalidSpecError("experiments: required at the top level")
+        for key in obj:
+            if key != "experiments":
+                raise InvalidSpecError(f"{key}: unknown top-level key")
         obj = obj["experiments"]
     if not isinstance(obj, list) or not all(isinstance(e, dict) for e in obj):
         raise InvalidSpecError(f"experiments: must be a list of objects, got {obj!r}")

@@ -149,9 +149,10 @@ def test_criterion_05_secretary_bound(secretary_run):
 def test_criterion_06_capacity_event_bound(secretary_run):
     stats, ell, k = secretary_run
     bound = math.exp(-k / 6)
-    ok = stats.prob_capacity_differs <= bound + 3 * stats.prob_capacity_differs_stderr
+    p, se = stats.extras["prob_capacity_differs"], stats.extras["prob_capacity_differs_stderr"]
+    ok = p <= bound + 3 * se
     _report(6, "bounded/unbounded selector disagreement probability", ok,
-            f"p={stats.prob_capacity_differs:.2e} <= {bound:.2e}+3se")
+            f"p={p:.2e} <= {bound:.2e}+3se")
     assert ok
 
 
@@ -165,12 +166,13 @@ def test_criterion_05b_secretary_bound_nonzero_loss():
     stats = secretary_trials(values, beta, k, TRIALS, master_seed=5002)
     bound = secretary_bound(ell, k)
     miss_bound = ell * math.exp(-secretary_phase_length(ell, k))
-    ok = (stats.ratio < 1.0 and stats.prob_ell_missed > 0.0
+    p_miss, se_miss = stats.extras["prob_ell_missed"], stats.extras["prob_ell_missed_stderr"]
+    ok = (stats.ratio < 1.0 and p_miss > 0.0
           and stats.ratio + 3 * stats.ratio_stderr >= bound
-          and stats.prob_ell_missed <= miss_bound + 3 * stats.prob_ell_missed_stderr)
+          and p_miss <= miss_bound + 3 * se_miss)
     _report(5, "interval selector ratio below 1, n=200 geometric values", ok,
             f"ratio={stats.ratio:.6f} >= {bound:.6f}, "
-            f"p_miss={stats.prob_ell_missed:.2e} <= {miss_bound:.2e}+3se")
+            f"p_miss={p_miss:.2e} <= {miss_bound:.2e}+3se")
     assert ok
 
 
@@ -190,10 +192,10 @@ def test_criterion_08_mechanism_welfare():
                                      source="alg_max", tau=None)
     bound = max_selector_bound(k)
     ok = (stats.ratio + 3 * stats.ratio_stderr >= bound
-          and stats.trace_mismatches == 0)
+          and stats.extras["trace_mismatches"] == 0)
     _report(8, "two-phase mechanism welfare ratio + trace equivalence", ok,
             f"ratio={stats.ratio:.6f} >= {bound:.6f}, "
-            f"mismatches={stats.trace_mismatches}")
+            f"mismatches={stats.extras['trace_mismatches']}")
     assert ok
 
 
@@ -206,13 +208,13 @@ def test_criterion_09_mechanism_revenue():
     bound = tau_selector_bound(ell, k, tau)
     # the ratio guarantee only binds when the closed form is positive
     ratio_ok = bound <= 0 or stats.ratio + 3 * stats.ratio_stderr >= bound
-    identity_ok = abs(stats.identity_gap) <= 3 * max(stats.identity_gap_stderr, 1e-12)
+    gap, gap_se = stats.extras["identity_gap"], stats.extras["identity_gap_stderr"]
+    identity_ok = abs(gap) <= 3 * max(gap_se, 1e-12)
     ok = ratio_ok and identity_ok
     _report(9, "two-phase mechanism revenue + payment identity", ok,
             f"ratio={stats.ratio:.6f} bound={bound:.3f}"
             f"{' (vacuous)' if bound <= 0 else ''}, "
-            f"identity_gap={stats.identity_gap:.2e} "
-            f"<= {3 * stats.identity_gap_stderr:.2e}")
+            f"identity_gap={gap:.2e} <= {3 * gap_se:.2e}")
     assert ok
 
 

@@ -102,6 +102,15 @@ class TestValueDistribution:
             if 0 < f < 1 - 1e-9:
                 assert dist.quantile(f) <= x + 1e-9 * max(1.0, abs(x))
 
+    def test_finite_cdf_reaches_one_when_probabilities_sum_below_it(self):
+        # the CDF and the quantile read the sampler's normalized table, so the
+        # top atom's level is 1.0 although the probabilities sum to 1 - 1.1e-16
+        probs = (0.014642150797064277, 0.0005317522920528652, 0.9848260969108827)
+        assert sum(probs) < 1.0
+        dist = ValueDistribution.finite(list(zip((0.0, 1.0, 2.0), probs)))
+        assert dist.cdf(2.0) == 1.0 and dist.quantile(1.0) == 2.0
+        assert dist.cdf(0.0) == pytest.approx(probs[0], rel=1e-15)
+
     def test_json_round_trip(self):
         dists = [
             ValueDistribution.finite([(0.0, 0.5), (2.0, 0.5)]),

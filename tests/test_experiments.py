@@ -170,12 +170,12 @@ def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
     inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 20)
     monkeypatch.setattr(experiments, "BATCH_SIZE", 300)
     args = dict(source="alg_tau-sample", tau=10)
-    assert mechanism_welfare_trials(inst, 1, 2, 900, 5, **args).trace_mismatches == 0
+    assert mechanism_welfare_trials(inst, 1, 2, 900, 5, **args).extras["trace_mismatches"] == 0
 
     monkeypatch.setattr(experiments, "_threshold_top",
                         _without_capacity(experiments._threshold_top))
     stats = mechanism_welfare_trials(inst, 1, 2, 900, 5, **args)
-    assert 0 < stats.trace_mismatches <= 3 * experiments._REPLAY_ROWS
+    assert 0 < stats.extras["trace_mismatches"] <= 3 * experiments._REPLAY_ROWS
     spec = ExperimentSpec("mechanism-welfare", 20, 1, 2, 900, 5, tau=10,
                           distribution={"iid": {"kind": "uniform-interval",
                                                 "params": {"lo": 0.0, "hi": 1.0}}},
@@ -209,9 +209,9 @@ def _revenue_replay(prior, n, ell, k, tau, trials, seed, batch):
 
 
 def _assert_revenue_matches(stats, means):
-    assert stats.revenue_mean == pytest.approx(means[0], rel=1e-12)
-    assert stats.optimal_mean == pytest.approx(means[1], rel=1e-12)
-    assert stats.identity_gap == pytest.approx(means[2], rel=1e-12)
+    assert stats.extras["revenue_mean"] == pytest.approx(means[0], rel=1e-12)
+    assert stats.extras["optimal_mean"] == pytest.approx(means[1], rel=1e-12)
+    assert stats.extras["identity_gap"] == pytest.approx(means[2], rel=1e-12)
 
 
 @pytest.mark.parametrize("prior,n,k,tau", [
@@ -226,6 +226,7 @@ def test_revenue_engine_matches_scalar_replay(prior, n, k, tau, monkeypatch):
     means, binding, floored = _revenue_replay(prior, n, ell, k, tau, trials, seed, batch)
     assert binding > 0 and floored > 0
     _assert_revenue_matches(stats, means)
+    assert stats.extras["binding_frac"] == binding / trials
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -322,7 +323,7 @@ def test_binding_frac_counts_rows_where_k_binds(monkeypatch):
         rows = inst.sample_rows(trial_rng(seed, b_idx), b_size, thr, 1)
         binding += np.count_nonzero(np.count_nonzero(rows > thr, axis=1) > k)
     assert 0 < binding < trials
-    assert stats.binding_frac == binding / trials and stats.trials == trials
+    assert stats.extras["binding_frac"] == binding / trials and stats.trials == trials
 
 
 def test_moments_extra_column_leaves_others_bit_identical():

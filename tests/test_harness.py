@@ -6,7 +6,7 @@ import pytest
 
 from overbook import experiments, harness
 from overbook.cli import main
-from overbook.experiments import RevenueTrialStats, ThresholdTrialStats
+from overbook.experiments import TrialStats
 from overbook.harness import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -153,6 +153,19 @@ class TestRunExperiment:
                               distribution={"components": components})
         with pytest.raises(InvalidSpecError, match="^k:"):
             run_experiment(spec)
+
+    def test_runs_k2_atoms_whose_probabilities_sum_below_one(self):
+        # the probabilities sum to 0.9999999999999999. The CDF read their
+        # unnormalized cumulative sums, so the max-CDF never reached the
+        # (2/3)^0 = 1 quantile and this spec was refused as "k: ... no finite
+        # threshold", although the sampler draws the top atom 2.0 there
+        atoms = [[0.0, 0.014642150797064277], [1.0, 0.0005317522920528652],
+                 [2.0, 0.9848260969108827]]
+        spec = ExperimentSpec(kind="prophet-max", n=5, ell=1, k=2, trials=2_000, master_seed=1,
+                              distribution={"iid": {"kind": "finite-support",
+                                                    "params": {"atoms": atoms}}})
+        report = run_experiment(spec)
+        assert report.algorithm == "alg_max_atoms" and report.passed
 
     @pytest.mark.parametrize("kind,source", [("prophet-tau", None),
                                              ("mechanism-welfare", "alg_tau-sample"),
@@ -338,10 +351,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kind,source", [
         ("prophet-tau", None), ("prophet-max", None),
         ("mechanism-welfare", "alg_max"), ("mechanism-welfare", "alg_tau-sample"),
+        ("mechanism-revenue", None),
     ])
     def test_threshold_kinds_report_binding_frac(self, kind, source):
-        # tau = 5 and the (2/3)^3 max quantile put about 5 and 2.5 of 30
-        # uniform values above the threshold, so k = 4 binds on some rows
+        # the default tau = 3 and the (2/3)^3 max quantile put about 3 and 2.5
+        # of 30 uniform values above the threshold, so k = 4 binds on some rows
         spec = ExperimentSpec(kind=kind, n=30, ell=1, k=4, trials=2_000, master_seed=8,
                               distribution={"iid": UNIFORM}, source=source)
         frac = run_experiment(spec).extras["binding_frac"]
@@ -361,7 +375,7 @@ class TestRunExperiment:
          ["tau", "binding_frac", "trace_mismatches"]),
         ("mechanism-revenue", {"distribution": {"iid": UNIFORM}},
          ["tau", "revenue_mean", "revenue_stderr", "optimal_mean", "optimal_stderr",
-          "identity_gap", "identity_gap_stderr"]),
+          "identity_gap", "identity_gap_stderr", "binding_frac"]),
     ])
     def test_extras_keys_per_kind(self, kind, fields, keys):
         # the JSON report's extras, key order included, for every kind
@@ -408,7 +422,7 @@ class TestPassRules:
         edge = bound - 3.0 * stderr
         assert edge + 3.0 * stderr == bound
         estimate = np.nextafter(edge, 0.0) if step else edge
-        stats = ThresholdTrialStats(estimate, stderr, binding_frac=0.0, trials=10)
+        stats = TrialStats(estimate, stderr, trials=10, extras={"binding_frac": 0.0})
         monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="prophet-max", n=100, ell=1, k=12, trials=10,
                               master_seed=0, distribution={"iid": UNIFORM})
@@ -418,9 +432,8 @@ class TestPassRules:
 
     @pytest.mark.parametrize("gap,passed", [(0.02, True), (0.04, False), (-0.04, False)])
     def test_revenue_identity_gap_beyond_three_sigma_fails(self, monkeypatch, gap, passed):
-        stats = RevenueTrialStats(ratio=1.0, ratio_stderr=0.01, revenue_mean=1.0,
-                                  revenue_stderr=0.01, optimal_mean=1.0, optimal_stderr=0.01,
-                                  identity_gap=gap, identity_gap_stderr=0.01, trials=10)
+        stats = TrialStats(ratio=1.0, ratio_stderr=0.01, trials=10,
+                           extras={"identity_gap": gap, "identity_gap_stderr": 0.01})
         monkeypatch.setattr(experiments, "mechanism_revenue_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,
                               master_seed=0, distribution={"iid": UNIFORM})
@@ -553,6 +566,29 @@ class TestCli:
         path = tmp_path / "mech.json"
         path.write_text('{"ell": 1, "k": 2, "threshold": NaN, "values": [6, 2, 4, 9]}')
         with pytest.raises(ValueError, match="threshold must be finite"):
+            main(["mechanism", "simulate", "--config", str(path)])
+
+    def test_load_config_refuses_unknown_top_level_key(self, tmp_path):
+        # a misspelt key used to be ignored, and the file loaded one spec
+        spec = {"kind": "hard-instance-dp", "n": 2, "ell": 1, "k": 1, "trials": 1,
+                "master_seed": 0}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"experiments": [spec], "experimnets": [spec, spec]}))
+        with pytest.raises(InvalidSpecError, match="^experimnets: unknown top-level key$"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("payload,field", [
+        ('"values": [NaN, 3]', "values"),
+        ('"values": [Infinity, 3]', "values"),
+        ('"values": [-5, 3]', "values"),
+        ('"values": [6, 3], "vlaues": [1, 2]', "vlaues"),
+    ], ids=["nan", "inf", "negative", "misspelt-key"])
+    def test_mechanism_simulate_refuses_bad_values_and_keys(self, tmp_path, payload, field):
+        # each used to run: the NaN agent declined its ticket, inf reported
+        # welfare inf, and the misspelt key was ignored
+        path = tmp_path / "mech.json"
+        path.write_text('{"ell": 1, "k": 2, "threshold": 1.0, ' + payload + "}")
+        with pytest.raises(ValueError, match=f"^{field}:"):
             main(["mechanism", "simulate", "--config", str(path)])
 
     def test_load_config_list_form(self, tmp_path):

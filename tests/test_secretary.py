@@ -153,8 +153,8 @@ class TestVectorizedEngine:
             differ += int(len(ub.accepted) > k)
             missed += int(vals_desc[ell - 1] not in ub.accepted_values)
         assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
-        assert stats.prob_capacity_differs == pytest.approx(differ / batch, abs=1e-12)
-        assert stats.prob_ell_missed == pytest.approx(missed / batch, abs=1e-12)
+        assert stats.extras["prob_capacity_differs"] == pytest.approx(differ / batch, abs=1e-12)
+        assert stats.extras["prob_ell_missed"] == pytest.approx(missed / batch, abs=1e-12)
 
     # (n, ell, k, boundaries, duplicate values, trials, batch, rows per chunk)
     REPLAY_CONFIGS = [
@@ -210,8 +210,8 @@ class TestVectorizedEngine:
             assert not ties or any(vals_desc[s - 1] == vals_desc[s] for s in starts if s < n)
         assert stats.trials == trials
         assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
-        assert stats.prob_capacity_differs == pytest.approx(differ / trials, abs=1e-12)
-        assert stats.prob_ell_missed == pytest.approx(missed / trials, abs=1e-12)
+        assert stats.extras["prob_capacity_differs"] == pytest.approx(differ / trials, abs=1e-12)
+        assert stats.extras["prob_ell_missed"] == pytest.approx(missed / trials, abs=1e-12)
 
     def test_chunking_leaves_results_unchanged(self, monkeypatch):
         n, ell, k = 200, 3, 24
@@ -246,7 +246,7 @@ class TestVectorizedEngine:
         stats = secretary_trials(values, beta, k, trials=20_000, master_seed=3131)
         bound = 1 - ell * math.exp(-s) - math.exp(-k / 6)
         assert stats.ratio + 3 * stats.ratio_stderr >= bound
-        assert stats.prob_capacity_differs <= math.exp(-k / 6) \
-            + 3 * stats.prob_capacity_differs_stderr
-        assert stats.prob_ell_missed <= ell * math.exp(-s) \
-            + 3 * stats.prob_ell_missed_stderr
+        assert stats.extras["prob_capacity_differs"] <= math.exp(-k / 6) \
+            + 3 * stats.extras["prob_capacity_differs_stderr"]
+        assert stats.extras["prob_ell_missed"] <= ell * math.exp(-s) \
+            + 3 * stats.extras["prob_ell_missed_stderr"]
