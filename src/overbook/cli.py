@@ -14,12 +14,20 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
 from .harness import emit_report, load_config, run_experiments
 from .mechanisms import MechanismConfig, run_two_phase
 from .oracle import optimal_online_dp
+
+
+def _non_discriminating(report) -> bool:
+    """A check that cannot catch a fault: the capacity k never binds, or the
+    estimate is exactly 1.0 with zero stderr."""
+    return (report.extras.get("binding_frac") == 0
+            or (report.ratio_estimate == 1.0 and report.stderr == 0.0))
 
 
 def _cmd_run(args) -> int:
@@ -39,16 +47,26 @@ def _cmd_run(args) -> int:
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         bound = f"{r.theoretical_bound:.6f}" + (" (vacuous)" if r.vacuous else "")
+        tag = " (non-discriminating)" if _non_discriminating(r) else ""
         print(f"[{status}] {r.spec.label()}: estimate={r.ratio_estimate:.6f} "
-              f"stderr={r.stderr:.2e} bound={bound} ({r.elapsed_seconds:.1f}s)")
+              f"stderr={r.stderr:.2e} bound={bound}{tag} ({r.elapsed_seconds:.1f}s)")
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _count(obj: dict, key: str) -> int:
+    """The count `obj[key]`: an integer, not a bool; a float such as 1.9 is
+    refused, not truncated."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def _cmd_oracle_dp(args) -> int:
     with open(args.instance) as fh:
         obj = json.load(fh)
     instance = ProductInstance.from_json(obj["components"])
-    dp = optimal_online_dp(instance, int(obj["ell"]), int(obj["k"]))
+    dp = optimal_online_dp(instance, _count(obj, "ell"), _count(obj, "k"))
     out = {"expected_value": dp.expected_value}
     if args.policy:
         out["policy"] = json.loads(dp.policy_json())
@@ -68,8 +86,8 @@ def _cmd_mechanism_simulate(args) -> int:
             raise ValueError(f"{key}: unknown mechanism config key")
     prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
     config = MechanismConfig(
-        ell=int(obj["ell"]),
-        k=int(obj["k"]),
+        ell=_count(obj, "ell"),
+        k=_count(obj, "k"),
         threshold=float(obj["threshold"]),
         mode=obj.get("mode", "welfare"),
         prior=prior,

@@ -263,6 +263,108 @@ class ValueDistribution:
         return isinstance(other, ValueDistribution) and self.to_json() == other.to_json()
 
 
+class _Conditioned:
+    """The laws of distinct components conditioned on one side of a
+    threshold t: on [t, inf) (`above`) or on (-inf, t), drawn by inversion,
+    one uniform per value, for any mix of components in one vectorized pass.
+
+    `prob[h]` is the probability of that side for component h. A finite
+    support or a point mass keeps its atoms on that side, renormalized; its
+    table `levels[h]` holds the interior CDF points, padded with inf, and
+    `atoms[h]` the values. A uniform keeps its interval cut at t, and draws
+    a + u w. An exponential draws a - log1p(u c) / rate: with c = -1 that is
+    t + Exp(rate) above t, and with c = expm1(-rate t) the law below t. A
+    side with probability 0 gets a placeholder law, which is never read.
+    """
+
+    def __init__(self, heads: Sequence[ValueDistribution], thr: float, above: bool):
+        size = len(heads)
+        self.prob = np.zeros(size)
+        self.family = np.array([FINITE if c.kind == DEGENERATE else c.kind for c in heads])
+        self.a, self.w, self.c, self.rate = (np.zeros(size) for _ in range(4))
+        tables = []
+        for h, comp in enumerate(heads):
+            if comp.kind in (FINITE, DEGENERATE):
+                if comp.kind == FINITE:
+                    values, probs = comp._values, comp._probs
+                else:
+                    values, probs = np.array([comp._point]), np.ones(1)
+                cut = int(np.searchsorted(values, thr))
+                vals, probs_side = (values[cut:], probs[cut:]) if above \
+                    else (values[:cut], probs[:cut])
+                # normalized by the whole table, as `sample_n` draws it; exact
+                # where the side holds every atom or none
+                self.prob[h] = probs_side.sum() / probs.sum() if 0 < cut < len(values) \
+                    else float(len(vals) > 0)
+                cum = np.cumsum(probs_side)
+                tables.append((vals, cum[:-1] / cum[-1]) if len(vals) else (np.zeros(1), ()))
+                continue
+            tables.append((np.zeros(1), ()))
+            survival = float(comp.sf(thr))
+            self.prob[h] = survival if above else 1.0 - survival
+            if comp.kind == UNIFORM:
+                lo, hi = (max(thr, comp._lo), comp._hi) if above \
+                    else (comp._lo, min(thr, comp._hi))
+                self.a[h], self.w[h] = lo, max(hi - lo, 0.0)
+            else:
+                self.rate[h] = comp._rate
+                self.a[h], self.c[h] = (max(thr, 0.0), -1.0) if above \
+                    else (0.0, math.expm1(-comp._rate * thr))
+        width = max(len(v) for v, _ in tables)
+        self.atoms = np.zeros((size, width))
+        self.levels = np.full((size, width - 1), np.inf)
+        for h, (vals, levels) in enumerate(tables):
+            self.atoms[h, :len(vals)] = vals
+            self.levels[h, :len(levels)] = levels
+
+    def draw(self, u: np.ndarray, j) -> np.ndarray:
+        """Values for the uniforms `u` in [0, 1), where `j` is the component
+        of each entry along u's last axis, or one component for all."""
+        families = set(self.family.tolist())
+        if len(families) == 1:
+            return self._draw(families.pop(), u, j)
+        out = np.empty(u.shape)
+        family_of = self.family[j]
+        for family in families:
+            cols = family_of == family
+            out[..., cols] = self._draw(family, u[..., cols], j[cols])
+        return out
+
+    def _draw(self, family: str, u: np.ndarray, j) -> np.ndarray:
+        if family == FINITE:
+            idx = np.zeros(u.shape, dtype=np.intp)
+            for level in self.levels.T:
+                idx += u >= level[j]
+            return self.atoms[j, idx]
+        if family == UNIFORM:
+            return self.a[j] + u * self.w[j]
+        return self.a[j] - np.log1p(u * self.c[j]) / self.rate[j]
+
+
+def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarray:
+    """The sorted cells among 0..cells-1 that a Bernoulli(p) process hits.
+
+    Each gap between hits is one plus floor(E / -log1p(-p)) for a standard
+    exponential E, a geometric count of misses. Gaps are drawn in chunks a
+    little longer than the expected number of hits; a chunk that ends
+    before the last cell is followed by another.
+    """
+    if p >= 1.0:
+        return np.arange(cells)
+    scale = -1.0 / math.log1p(-p)
+    found, start = [], 0
+    while start < cells:
+        left = cells - start
+        size = int(left * p + 4.0 * math.sqrt(left * p) + 8.0)
+        gaps = np.minimum(np.floor(rng.standard_exponential(size) * scale), left) + 1.0
+        hits = np.cumsum(gaps) + (start - 1)
+        found.append(hits[hits < cells].astype(np.int64))
+        if hits[-1] >= cells:
+            break
+        start = int(hits[-1]) + 1
+    return np.concatenate(found)
+
+
 class ProductInstance:
     """Ordered collection of n independent ValueDistributions."""
 
@@ -335,28 +437,42 @@ class ProductInstance:
     def sample_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
         """Rows that hold what a threshold rule and its top-m benchmark read.
 
-        `thr` is a scalar or one threshold per row. For a single run of one
-        atomless component (what `iid` builds), row r is a reduced row: its
-        C_r ~ Binomial(n, sf(thr)) values above thr, drawn from the law
-        conditioned above thr as isf(sf(thr) * V) with V in (0, 1], in
-        arrival order; zero padding up to the largest C; then the top
-        min(m, n) of its n - C_r values below thr, in decreasing order, with
-        0.0 where there are fewer. Those are descending uniform order
-        statistics of the law conditioned below thr (the Renyi
-        representation; Devroye, Non-Uniform Random Variate Generation,
-        1986, ch. V): the j-th has 1 - U_(j) = -expm1(sum_{i <= j} log(V_i) /
-        (n - C_r - i + 1)), mapped through `isf` and clamped to thr. So
-        `values > thr` holds exactly the row's values above thr, in arrival
-        order, and its top m are the top m of a full row. The stream holds
-        the counts, then the sum(C) above-threshold uniforms, then a
-        (trials, min(m, n)) block of below-threshold ones.
+        `thr` is a scalar or one threshold per row. A reduced row r holds the
+        C_r values of row r that are >= thr, in arrival order; zero padding
+        up to the largest C; then a block of the top min(m, n) values below
+        thr, in decreasing order, with 0.0 where there are fewer (`_sparse_rows`
+        leaves the block 0.0 when C_r >= min(m, n)). Values are nonnegative,
+        so the first value >= thr, the values > thr in arrival order and the
+        top m of a reduced row are those of the full row: all that the strict
+        rule, the atoms rule and the benchmark read.
 
-        Any other instance returns `sample_matrix(rng, trials)`, which is
-        also the reference the tests hold the reduced rows to.
+        - A single run of one atomless component (what `iid` builds), at a
+          scalar or per-row thr: C_r ~ Binomial(n, sf(thr)), and the values
+          above thr are isf(sf(thr) * V) with V in (0, 1]. The block holds
+          the top min(m, n) of the n - C_r values below thr: descending
+          uniform order statistics of the law conditioned below thr (the
+          Renyi representation; Devroye, Non-Uniform Random Variate
+          Generation, 1986, ch. V). The j-th has 1 - U_(j) = -expm1(sum_{i
+          <= j} log(V_i) / (n - C_r - i + 1)), mapped through `isf` and
+          clamped to thr. The stream holds the counts, then the sum(C)
+          above-threshold uniforms, then a (trials, min(m, n)) block of
+          below-threshold ones.
+        - Any other instance at a scalar thr: see `_sparse_rows`.
+        - Any other instance at per-row thresholds: `sample_matrix(rng,
+          trials)`, the full rows, which are also the reference the tests
+          hold every reduced row to.
         """
         dist = self.components[0]
-        if len(self._runs) > 1 or not dist.atomless:
+        if len(self._runs) == 1 and dist.atomless:
+            return self._renyi_rows(rng, trials, thr, m)
+        if np.ndim(thr) == 1:
             return self.sample_matrix(rng, trials)
+        return self._sparse_rows(rng, trials, float(thr), m)
+
+    def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
+        """Reduced rows of a single run of one atomless component; see
+        `sample_rows`."""
+        dist = self.components[0]
         n, depth = self.n, min(m, self.n)
         per_row = np.ndim(thr) == 1
         p = dist.sf(thr)
@@ -372,6 +488,67 @@ class ProductInstance:
             p, thr = p[:, None], thr[:, None]
         below = dist.isf(p - (1.0 - p) * np.expm1(np.cumsum(logs, axis=1)))
         rows[:, width:] = np.where(left > 0, np.minimum(below, thr), 0.0)
+        return rows
+
+    def _sparse_rows(self, rng: np.random.Generator, trials: int, thr: float,
+                     m: int) -> np.ndarray:
+        """Reduced rows of any instance at a scalar thr; see `sample_rows`.
+
+        The cells >= thr. A single run of identical components draws a
+        count C_r ~ Binomial(n, p) per row, p = Pr[X >= thr]; its values are
+        exchangeable, so their positions need not be drawn. With several
+        runs, the cells >= thr of each run form a Bernoulli(p) process over
+        its (rows, run length) cells, in row-major order, drawn from
+        geometric gaps (`_bernoulli_cells`), run after run; a run with p = 0
+        draws nothing. One sort on the key row * n + position puts them in
+        arrival order. Then one uniform per cell, in that order, draws its
+        value from the component's law conditioned on [thr, inf).
+
+        The values below thr. Only the rows with C_r < min(m, n) read them.
+        Those rows draw one (rows, n) block of uniforms, each cell from its
+        component's law conditioned on (-inf, thr) and held below thr; the
+        cells >= thr are zeroed (with one run, the last C_r of the row), and
+        the block keeps each row's top min(m, n). Every other row's block is
+        0.0: its top m are all >= thr.
+        """
+        n, depth = self.n, min(m, self.n)
+        heads = self.distinct()
+        above = _Conditioned(heads, thr, above=True)
+        one_run = len(self._runs) == 1
+        # the run of each column, and of each value >= thr
+        if one_run:
+            head = value_head = 0
+            count = rng.binomial(n, above.prob[0], trials)
+        else:
+            keys = []
+            for h, (lo, hi) in enumerate(self._runs):
+                if above.prob[h] > 0.0:
+                    size = hi - lo
+                    cells = _bernoulli_cells(rng, trials * size, above.prob[h])
+                    # cell r * size + i of the run is row r, component lo + i
+                    keys.append(cells + (cells // size) * (n - size) + lo)
+            keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+            row, col = np.divmod(keys, n)
+            count = np.bincount(row, minlength=trials)
+            head = np.repeat(np.arange(len(self._runs)), [hi - lo for lo, hi in self._runs])
+            value_head = head[col]
+        width = int(count.max())
+        rows = np.zeros((trials, width + depth))
+        values = above.draw(rng.random(int(count.sum())), value_head)
+        rows[:, :width][np.arange(width) < count[:, None]] = values
+        short = np.flatnonzero(count < depth)
+        if len(short):
+            below = _Conditioned(heads, thr, above=False).draw(rng.random((len(short), n)), head)
+            np.minimum(below, np.nextafter(thr, -np.inf), out=below)
+            if one_run:
+                below[np.arange(n) >= n - count[short, None]] = 0.0
+            else:
+                slot = np.full(trials, -1)
+                slot[short] = np.arange(len(short))
+                hit = slot[row] >= 0
+                below[slot[row[hit]], col[hit]] = 0.0
+            top = np.partition(below, n - depth, axis=1)[:, n - depth:]
+            rows[short, width:] = -np.sort(-top, axis=1)
         return rows
 
     def distinct(self) -> list[ValueDistribution]:

@@ -170,8 +170,8 @@ def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
     and whether k binds. The threshold is `threshold`, or else per row the
     tau-th highest of a fresh sample vector (`ProductInstance.sample_rank`),
     drawn before the values. The values are `ProductInstance.sample_rows`:
-    reduced rows on an i.i.d. atomless instance. `replay` adds the
-    `_welfare_replay` column.
+    reduced rows at a fixed threshold and on an i.i.d. atomless instance,
+    full rows otherwise. `replay` adds the `_welfare_replay` column.
 
     Extras: `binding_frac`, the share of rows where more than k values clear
     the threshold, and with `replay` `trace_mismatches`, the replayed rows

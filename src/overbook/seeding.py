@@ -19,9 +19,17 @@ import numpy as np
 #: an i.i.d. atomless instance those are reduced rows: one binomial count per
 #: row, then one uniform per counted value above the threshold, row by row,
 #: then a (trials, min(ell, n)) block of uniforms for the values below it.
-#: On any other instance `ProductInstance.sample_matrix` draws column i as
-#: the i-th block, as n successive per-component `sample_n(rng, trials)`
-#: calls would. The revenue engine draws its i.i.d. values with one C-order
+#: On any other instance at a fixed threshold they are reduced rows too:
+#: with one run of identical components, one binomial count per row of the
+#: values at or above the threshold; with several, the standard exponentials
+#: behind each run's geometric gaps, run after run, for each run that reaches
+#: the threshold with a probability strictly between 0 and 1. Then one
+#: uniform per value at or above the threshold, in row and arrival order,
+#: then one (rows, n) block of uniforms for the rows with fewer than
+#: min(ell, n) such values. At per-row thresholds on any other instance
+#: `ProductInstance.sample_matrix` draws column i as the i-th block, as n
+#: successive per-component `sample_n(rng, trials)` calls would. The revenue
+#: engine draws its i.i.d. values with one C-order
 #: `sample_n(rng, (trials, n))` call. The secretary engine draws one
 #: `rng.random((rows, n))` block per row chunk, chunk after chunk, and column
 #: g of a row is the arrival time of global rank g (0 = largest value).

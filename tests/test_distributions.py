@@ -20,6 +20,8 @@ from overbook.distributions import (
     virtual_value,
     virtual_value_array,
 )
+from overbook.experiments import _threshold_top
+from overbook.prophet import TWO_THIRDS
 
 
 @pytest.fixture
@@ -358,10 +360,11 @@ def _harmonic(j):
 
 
 class TestSampleRows:
-    """`sample_rows` gives an i.i.d. atomless instance's rows as reduced rows:
-    the count above the threshold, those values in arrival order, zero
-    padding, then the top m values below it. Every other instance draws a
-    full `sample_matrix`."""
+    """`sample_rows` gives an i.i.d. atomless instance's rows as reduced rows
+    from the Renyi representation: the values above the threshold in arrival
+    order, zero padding, then the top m values below it. Every other
+    instance gets reduced rows at a scalar threshold (`TestSparseRows`) and
+    a full `sample_matrix` at per-row thresholds."""
 
     @pytest.mark.parametrize("dist,n,thr", [
         (ValueDistribution.uniform(0.0, 1.0), 100, 0.95),
@@ -428,8 +431,10 @@ class TestSampleRows:
         _mixed_instance(),
     ], ids=["distinct-equal-objects", "iid-atoms", "mixed"])
     def test_other_instances_draw_a_full_matrix(self, instance):
+        # at per-row thresholds; a scalar one gives reduced rows (TestSparseRows)
+        thr = np.linspace(0.5, 1.5, 700)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        got = instance.sample_rows(rng_a, 700, 1.0, 2)
+        got = instance.sample_rows(rng_a, 700, thr, 2)
         assert np.array_equal(got, instance.sample_matrix(rng_b, 700))
         assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
@@ -443,6 +448,114 @@ class TestSampleRows:
                                    rtol=1e-12, atol=1e-15)
         with pytest.raises(DistributionError):
             ValueDistribution.degenerate(1.0).sf(np.array([0.5]))
+
+
+_ATOMS_012 = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+
+#: (instance, scalar threshold, m, k, regime). "binds": some rows accept
+#: more than k values under the atoms rule; "sparse": some rows have fewer
+#: than m values >= thr, so their benchmark reads the block below thr.
+_SPARSE_CASES = {
+    "iid-atoms": (ProductInstance.iid(_ATOMS_012, 30), 1.0, 2, 3, "binds"),
+    "three-atom-components": (_three_atom_components(25), 8.5, 3, 4, "binds sparse"),
+    "mixed": (_mixed_instance(), 1.0, 2, 2, "binds sparse"),
+    "thr-at-lowest-atom": (hard_prophet_instance(4, 8), 0.0, 2, 2, "binds"),
+    "thr-at-top-atom": (ProductInstance.iid(_ATOMS_012, 100), 2.0, 1, 13, ""),
+    "k-binds": (_three_atom_components(25), 3.0, 3, 3, "binds"),
+    "fewer-than-m": (_mixed_instance(), 2.0, 3, 2, "sparse"),
+    "single-sample-hard": (single_sample_hard_instance(3, 2, 2.0, 6), 5.0, 1, 1,
+                           "binds sparse"),
+    "iid-few-components": (ProductInstance.iid(_ATOMS_012, 3), 2.0, 3, 2, "sparse"),
+    "runs-straddling-thr": (ProductInstance([ValueDistribution.uniform(0.0, 4.0)] * 3
+                                            + [ValueDistribution.exponential(1.0)] * 2),
+                            3.0, 2, 1, "binds sparse"),
+}
+
+
+def _row_statistics(rows, thr, m, k):
+    """What a threshold rule reads, per row: the count of positive values
+    >= thr (zero padding is >= a threshold of 0), the first value >= thr
+    (0.0 if none), the strict and the atoms rule's top-m sums, the
+    benchmark's, and whether the atoms rule's capacity binds."""
+    ge = rows >= thr
+    first = np.where(ge.any(axis=1), rows[np.arange(len(rows)), ge.argmax(axis=1)], 0.0)
+    strict, bench, _ = _threshold_top(rows, thr, k, m)
+    atoms, _, binds = _threshold_top(rows, thr, k, m, first_ge=True)
+    return {"count": np.count_nonzero(ge & (rows > 0), axis=1), "first": first,
+            "strict": strict.sum(axis=1), "atoms": atoms.sum(axis=1),
+            "bench": bench.sum(axis=1), "binds": binds}
+
+
+class TestSparseRows:
+    """At a scalar threshold every instance that is not i.i.d. atomless gets
+    reduced rows from `_sparse_rows`: its values >= thr in arrival order,
+    zero padding, then a block of the top min(m, n) values below thr for the
+    rows with fewer than that many values >= thr. Full `sample_matrix` rows
+    are the reference for their law."""
+
+    TRIALS = 5_000
+
+    def test_hard_prophet_threshold_sits_at_the_lowest_atom(self):
+        # the atoms rule's threshold in the "thr-at-lowest-atom" case
+        assert max_quantile_inf(hard_prophet_instance(4, 8), TWO_THIRDS ** 2) == 0.0
+
+    @pytest.mark.parametrize("case", list(_SPARSE_CASES))
+    def test_layout(self, case):
+        inst, thr, m, k, regime = _SPARSE_CASES[case]
+        rows = inst.sample_rows(np.random.default_rng(51), self.TRIALS, thr, m)
+        depth = min(m, inst.n)
+        lead, block = rows[:, :-depth], rows[:, -depth:]
+        ge = lead >= thr
+        count = np.count_nonzero(ge, axis=1)
+        assert rows.shape == (self.TRIALS, count.max() + depth)
+        # the values >= thr lead each row, then zero padding
+        assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
+        assert np.all(lead[~ge] == 0.0)
+        # the block is decreasing and below thr, 0.0 where there are fewer
+        # values; the rows with at least `depth` values >= thr leave it empty
+        assert np.all(np.diff(block, axis=1) <= 0)
+        assert np.all((block < thr) | (block == 0.0))
+        assert np.all(block[count >= depth] == 0.0)
+        assert np.any(count < depth) == ("sparse" in regime)
+        if thr == 0.0:
+            assert np.all(count == inst.n)
+
+    def test_values_keep_arrival_order(self):
+        # every atom value names its component, so each row's values >= thr
+        # must come from strictly increasing components
+        inst, thr = _three_atom_components(25), 6.0
+        owner = {v: i for i, c in enumerate(inst.components) for v, _ in c.atoms}
+        assert len(owner) == 3 * inst.n
+        rows = inst.sample_rows(np.random.default_rng(52), 2_000, thr, 2)
+        for row in rows[:, :-2]:
+            comps = [owner[v] for v in row[row >= thr]]
+            assert len(comps) > 0 and comps == sorted(set(comps))
+
+    @pytest.mark.parametrize("case", list(_SPARSE_CASES))
+    def test_law_matches_full_rows(self, case):
+        inst, thr, m, k, regime = _SPARSE_CASES[case]
+        got = _row_statistics(inst.sample_rows(np.random.default_rng(41), self.TRIALS, thr, m),
+                              thr, m, k)
+        full = inst.sample_matrix(np.random.default_rng(42), self.TRIALS)
+        want = _row_statistics(full, thr, m, k)
+        assert np.any(np.count_nonzero(full >= thr, axis=1) < m) == ("sparse" in regime)
+        assert np.any(got["binds"]) == np.any(want["binds"]) == ("binds" in regime)
+        critical = _ks_critical_1pct(self.TRIALS, self.TRIALS)
+        for key in got:
+            assert _ks_statistic(got[key], want[key]) < critical, key
+
+    def test_point_masses_on_both_sides_of_thr(self):
+        # a run that always reaches thr fills every row and one that never
+        # does draws nothing above it; with one value >= thr per row and
+        # m = 2, every row's block holds the other two, in decreasing order
+        inst = ProductInstance([ValueDistribution.degenerate(3.0),
+                                ValueDistribution.degenerate(1.0),
+                                ValueDistribution.uniform(0.0, 2.0)])
+        rows = inst.sample_rows(np.random.default_rng(53), 1_000, 2.0, 2)
+        assert rows.shape == (1_000, 3) and np.all(rows[:, 0] == 3.0)
+        block = rows[:, 1:]
+        assert np.all(np.diff(block, axis=1) <= 0) and np.all(block < 2.0)
+        assert np.all(np.count_nonzero(block == 1.0, axis=1) == 1)
 
 
 @settings(max_examples=200, deadline=None)

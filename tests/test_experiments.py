@@ -10,6 +10,7 @@ full-matrix form on an instance that is not i.i.d. Every engine is held to the
 batch schedule of `_run_batches`.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,11 @@ from overbook import experiments
 from overbook.distributions import (
     ProductInstance,
     ValueDistribution,
+    hard_prophet_instance,
     max_quantile,
     max_quantile_inf,
     monopoly_price,
+    single_sample_hard_instance,
     virtual_value,
 )
 from overbook.experiments import (
@@ -38,7 +41,7 @@ from overbook.oracle import top_block, top_ell
 from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
 from overbook.secretary import default_beta
 from overbook.seeding import batch_indices, trial_rng
-from test_distributions import _ks_critical_1pct, _ks_statistic
+from test_distributions import _ks_critical_1pct, _ks_statistic, _three_atom_components
 
 ROWS, N = 400, 12
 
@@ -184,6 +187,17 @@ def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
     assert report.extras["trace_mismatches"] > 0 and not report.passed
 
 
+def test_welfare_replay_reads_sparse_rows_as_full_rows(monkeypatch):
+    # several runs at the fixed alg_max threshold: reduced rows from
+    # `_sparse_rows`, which the scalar mechanism replays as whole rows
+    unif, expo = ValueDistribution.uniform(0.0, 1.0), ValueDistribution.exponential(2.0)
+    inst = ProductInstance([unif] * 5 + [expo] * 4 + [ValueDistribution.uniform(0.2, 1.5)] * 3)
+    monkeypatch.setattr(experiments, "BATCH_SIZE", 500)
+    stats = mechanism_welfare_trials(inst, 2, 3, 4_000, 5)
+    assert stats.extras["trace_mismatches"] == 0
+    assert stats.ratio == experiments.alg_max_trials(inst, 2, 3, 4_000, 5).ratio
+
+
 def _revenue_replay(prior, n, ell, k, tau, trials, seed, batch):
     """`mechanism_revenue_trials`'s rows replayed one by one through the scalar
     revenue mechanism: the revenue, optimal and identity-gap means, the rows
@@ -265,20 +279,18 @@ def test_alg_tau_on_non_iid_instance_keeps_partition_form(monkeypatch):
     assert (stats.ratio, stats.ratio_stderr) == _alg_tau_partition_form(*args, 1_000)
 
 
-def _distinct_copies(dist, n):
-    """n equal but distinct component objects: `sample_rows` draws them as a
-    full matrix, the reference for the reduced rows of `iid(dist, n)`."""
-    return ProductInstance([ValueDistribution.from_json(dist.to_json()) for _ in range(n)])
-
-
-def _kernel_sums(instance, seed, trials, thr, k, ell):
-    """Per-row selector and benchmark sums of the kernel on `sample_rows`, and
-    the per-row count above the threshold. A string `thr` "tau=t" draws each
-    row's threshold as the t-th highest of a fresh sample."""
+def _kernel_sums(instance, seed, trials, thr, k, ell, full=False):
+    """Per-row selector and benchmark sums of the kernel on `sample_rows`, or
+    with `full` on `sample_matrix` rows, and the per-row count above the
+    threshold. A string `thr` "tau=t" draws each row's threshold as the t-th
+    highest of a fresh sample."""
     rng = np.random.default_rng(seed)
     if isinstance(thr, str):
         thr = instance.sample_rank(rng, trials, int(thr.split("=")[1]))
-    rows = instance.sample_rows(rng, trials, thr, ell)
+    if full:
+        rows = instance.sample_matrix(rng, trials)
+    else:
+        rows = instance.sample_rows(rng, trials, thr, ell)
     alg, bench, _ = _threshold_top(rows, thr, k, ell)
     count = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
     return alg.sum(axis=1), bench.sum(axis=1), count
@@ -299,11 +311,9 @@ _EXP = ValueDistribution.exponential(1.0)
 def test_reduced_rows_match_full_rows_in_law(dist, n, ell, k, thr, regime):
     # "binds": some rows have more than k values above the threshold;
     # "sparse": some have fewer than ell, so the benchmark reads values below it
-    trials = 5_000
-    got_alg, got_bench, got_count = _kernel_sums(ProductInstance.iid(dist, n), 41, trials,
-                                                 thr, k, ell)
-    want_alg, want_bench, want_count = _kernel_sums(_distinct_copies(dist, n), 42, trials,
-                                                    thr, k, ell)
+    trials, inst = 5_000, ProductInstance.iid(dist, n)
+    got_alg, got_bench, got_count = _kernel_sums(inst, 41, trials, thr, k, ell)
+    want_alg, want_bench, want_count = _kernel_sums(inst, 42, trials, thr, k, ell, full=True)
     for count in (got_count, want_count):
         assert np.any(count > k) or "binds" not in regime
         assert np.any(count < ell) or "sparse" not in regime
@@ -311,6 +321,46 @@ def test_reduced_rows_match_full_rows_in_law(dist, n, ell, k, thr, regime):
     assert _ks_statistic(got_count, want_count) < critical
     assert _ks_statistic(got_alg, want_alg) < critical
     assert _ks_statistic(got_bench, want_bench) < critical
+
+
+def _enumerated_atoms_ratio(instance, ell, k):
+    """E[top-ell accepted by the scalar atoms rule] / E[top-ell of all values],
+    summed over every outcome of a small finite instance."""
+    alg = bench = 0.0
+    for outcome in itertools.product(*(c.atoms for c in instance.components)):
+        values = [v for v, _ in outcome]
+        prob = math.prod(p for _, p in outcome)
+        alg += prob * alg_max_atoms(instance, values, k, ell).ell_value
+        bench += prob * top_ell(values, ell).value
+    return alg / bench
+
+
+_UNIF6 = ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), 6)
+_ATOMS6 = ProductInstance.iid(
+    ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 6)
+
+
+@pytest.mark.parametrize("instance,ell,k", [
+    (hard_prophet_instance(2, 4), 1, 2),
+    (hard_prophet_instance(3, 5), 2, 3),
+    (hard_prophet_instance(4, 6), 1, 4),     # the threshold is the lowest atom, 0
+    (hard_prophet_instance(4, 5), 2, 2),
+    (single_sample_hard_instance(3, 2, 2.0, 6), 1, 2),
+    (single_sample_hard_instance(4, 3, 1.5, 6), 1, 3),
+    (single_sample_hard_instance(3, 2, 2.0, 5), 2, 3),
+    (_three_atom_components(5), 2, 3),
+    (_ATOMS6, 1, 2),
+    (_ATOMS6, 2, 3),
+], ids=["hard-k2", "hard-k3-ell2", "hard-k4-thr0", "hard-k4-ell2", "single-sample-k2",
+        "single-sample-k3", "single-sample-k3-ell2", "three-atom-n5", "iid-atoms-k2",
+        "iid-atoms-k3-ell2"])
+def test_alg_max_atoms_trials_match_enumerated_ratio(instance, ell, k):
+    # an oracle independent of the engine: every outcome of the instance,
+    # scored by the scalar selector and the scalar top-ell
+    exact = _enumerated_atoms_ratio(instance, ell, k)
+    stats = experiments.alg_max_atoms_trials(instance, ell, k, 100_000, 5)
+    assert stats.ratio_stderr > 0
+    assert abs(stats.ratio - exact) <= 4 * stats.ratio_stderr
 
 
 def test_binding_frac_counts_rows_where_k_binds(monkeypatch):
@@ -373,10 +423,6 @@ def test_moments_merge_matches_one_batch():
     assert merged.ratio_stderr(0, 1) == pytest.approx(whole.ratio_stderr(0, 1), rel=1e-12)
     assert merged.ratio_stderr(2, 1) == pytest.approx(whole.ratio_stderr(2, 1), rel=1e-12)
 
-
-_UNIF6 = ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), 6)
-_ATOMS6 = ProductInstance.iid(
-    ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 6)
 
 #: One small call of each engine, as f(trials, master_seed).
 ENGINES = {

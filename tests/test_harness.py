@@ -591,6 +591,58 @@ class TestCli:
         with pytest.raises(ValueError, match=f"^{field}:"):
             main(["mechanism", "simulate", "--config", str(path)])
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("mechanism", "ell", 1.9),
+        ("mechanism", "k", 2.7),
+        ("mechanism", "ell", True),
+        ("mechanism", "k", "2"),
+        ("oracle", "ell", 1.5),
+        ("oracle", "k", True),
+        ("oracle", "k", "1"),
+    ], ids=["mech-ell-float", "mech-k-float", "mech-ell-bool", "mech-k-string",
+            "dp-ell-float", "dp-k-bool", "dp-k-string"])
+    def test_subcommands_refuse_counts_that_are_not_integers(self, tmp_path, command, key,
+                                                            value):
+        # int(...) used to truncate: {"ell": 1.9, "k": 2.7} ran as ell = 1, k = 2
+        from overbook.distributions import hard_prophet_instance
+        if command == "mechanism":
+            obj = {"ell": 1, "k": 2, "threshold": 3.0, "values": [6, 2, 4, 9]}
+            argv = ["mechanism", "simulate", "--config"]
+        else:
+            obj = {"components": hard_prophet_instance(1, 2).to_json(), "ell": 1, "k": 1}
+            argv = ["oracle", "dp", "--instance"]
+        obj[key] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{key}: must be an integer, got {value!r}$"):
+            main(argv + [str(path)])
+
+    def test_run_tags_non_discriminating_checks(self, tmp_path, capsys):
+        # the atoms spec never binds k and its estimate is exactly 1.0; the
+        # sample-threshold spec binds on most rows; the exact kind reports no
+        # binding_frac and a ratio below 1
+        atoms = {"kind": "finite-support",
+                 "params": {"atoms": [[0.0, 0.5], [1.0, 0.25], [2.0, 0.25]]}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"kind": "prophet-max", "n": 100, "ell": 1, "k": 13, "trials": 2000,
+             "master_seed": 3, "distribution": {"iid": atoms}, "name": "atoms"},
+            {"kind": "prophet-tau", "n": 20, "ell": 1, "k": 2, "tau": 10, "trials": 2000,
+             "master_seed": 3, "distribution": {"iid": UNIFORM}, "name": "binds"},
+            {"kind": "hard-instance-dp", "n": 2, "ell": 1, "k": 1, "trials": 1,
+             "master_seed": 0, "name": "exact"},
+        ]}))
+        out = tmp_path / "report.json"
+        main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"])
+        lines = capsys.readouterr().out.splitlines()
+        report = {r["spec"]["name"]: r for r in json.loads(out.read_text())}
+        assert report["atoms"]["ratio_estimate"] == 1.0
+        assert report["atoms"]["extras"]["binding_frac"] == 0.0
+        assert report["binds"]["extras"]["binding_frac"] > 0.5
+        assert report["exact"]["ratio_estimate"] < 1.0
+        assert [("(non-discriminating)" in line) for line in lines] == [True, False, False]
+        assert "non-discriminating" not in out.read_text()
+
     def test_load_config_list_form(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([
