@@ -1,9 +1,11 @@
 """Single and product value distributions, plus adversarial instance generators.
 
 Conventions: CDFs are right-continuous, F(x) = Pr[X <= x]; quantiles are the
-generalized inverse inf{x : F(x) >= q}. All randomness flows through
-caller-supplied numpy Generator objects; distributions are immutable after
-construction and safe to share across threads.
+generalized inverse inf{x : F(x) >= q}; survival functions are left-continuous,
+sf(x) = Pr[X >= x], with `isf` the generalized inverse max{x : sf(x) >= v}.
+All randomness flows through caller-supplied numpy Generator objects;
+distributions are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ class ValueDistribution:
     Every parameter must be finite: NaN and inf are refused.
     """
 
-    __slots__ = ("kind", "_values", "_probs", "_cdf", "_steps", "_lo", "_hi", "_rate", "_point")
+    __slots__ = ("kind", "_values", "_probs", "_cdf", "_tail", "_steps", "_lo", "_hi", "_rate",
+                 "_point")
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self._values = self._probs = self._cdf = self._steps = None
+        self._values = self._probs = self._cdf = self._tail = self._steps = None
         self._rate = self._point = None
         if kind == FINITE:
             atoms = sorted(params["atoms"])
@@ -72,6 +75,7 @@ class ValueDistribution:
             # level is exactly 1.0 even when the probabilities sum to less
             cum = np.cumsum(probs)
             self._cdf = cum / cum[-1]
+            self._tail = _survival(probs)
             # the step points and levels of the CDF as Python floats, for `cdf`
             self._steps = (tuple(values.tolist()), tuple(self._cdf.tolist()))
             self._lo, self._hi = float(values[0]), float(values[-1])
@@ -93,6 +97,7 @@ class ValueDistribution:
             if not (0 <= point < math.inf):
                 raise DistributionError("point mass must be nonnegative and finite")
             self._point = point
+            self._values, self._tail = np.array([point]), _survival(np.ones(1))
             self._lo = self._hi = point
         else:
             raise DistributionError(f"unknown distribution kind: {kind!r}")
@@ -177,28 +182,30 @@ class ValueDistribution:
         return self._point
 
     def isf(self, v: np.ndarray) -> np.ndarray:
-        """Vectorized inverse survival function of an atomless kind: the x
-        with Pr[X > x] = v, for v in (0, 1].
-
-        It maps an upper-tail probability directly, so values far in the top
-        tail keep their precision (1 - v would round them away).
-        """
+        """Vectorized inverse survival function, the generalized inverse
+        max{x : sf(x) >= v}, for v in (0, 1]: for V uniform on (0, 1], isf(V)
+        has this law, and isf(V) >= t exactly when V <= sf(t) (Devroye,
+        Non-Uniform Random Variate Generation, 1986, ch. II). It maps an
+        upper-tail probability directly, so values far in the top tail keep
+        their precision (1 - v would round them away)."""
         v = np.asarray(v, dtype=float)
         if self.kind == UNIFORM:
             return self._hi - v * (self._hi - self._lo)
         if self.kind == EXPONENTIAL:
             return -np.log(v) / self._rate
-        raise DistributionError(f"{self.kind} has no inverse survival function")
+        # the largest atom whose survival level is >= v: the one below the
+        # highest interior level that v exceeds
+        return _lookup(v, self._values, self._tail[1:-1], np.greater)
 
     def sf(self, x) -> np.ndarray:
-        """Vectorized survival function Pr[X > x] of an atomless kind, the
-        complement of `isf`."""
+        """Vectorized survival function Pr[X >= x]. A finite support or a
+        point mass reads its survival table, summed from the top atom down."""
         x = np.asarray(x, dtype=float)
         if self.kind == UNIFORM:
             return np.clip((self._hi - x) / (self._hi - self._lo), 0.0, 1.0)
         if self.kind == EXPONENTIAL:
             return np.exp(-self._rate * np.maximum(x, 0.0))
-        raise DistributionError(f"{self.kind} has no survival function")
+        return self._tail[np.searchsorted(self._values, x)]
 
     def pdf(self, x: float) -> float:
         """Density for continuous kinds; discrete kinds have none."""
@@ -217,19 +224,16 @@ class ValueDistribution:
         """Draw an array of the given size (C order).
 
         A finite support is sampled by sequential-search inversion: the atom
-        index is the number of interior CDF points <= u for u = rng.random.
-        That is the arithmetic of rng.choice(values, size, p=probs), so the
-        draws are bit-identical to it. The cost is O(atoms) whole-array
-        comparisons per cell: well below choice's per-cell binary search at
-        the one to three atoms of every distribution this package builds,
-        about even near 64 atoms, and dearer beyond.
+        drawn is the one above the last interior CDF point <= u, for u =
+        rng.random. That is the arithmetic of rng.choice(values, size,
+        p=probs), so the draws are bit-identical to it. The cost is O(atoms)
+        whole-array passes per cell (`_lookup`, as `isf` reads its survival
+        table): well below choice's per-cell binary search at the one to
+        three atoms of every distribution this package builds, about even
+        near 64 atoms, and dearer beyond.
         """
         if self.kind == FINITE:
-            u = rng.random(size)
-            idx = np.zeros(u.shape, dtype=np.intp)
-            for c in self._cdf[:-1]:
-                idx += u >= c
-            return self._values.take(idx)
+            return _lookup(rng.random(size), self._values, self._cdf[:-1], np.less)
         if self.kind == UNIFORM:
             return rng.uniform(self._lo, self._hi, size=size)
         if self.kind == EXPONENTIAL:
@@ -263,82 +267,24 @@ class ValueDistribution:
         return isinstance(other, ValueDistribution) and self.to_json() == other.to_json()
 
 
-class _Conditioned:
-    """The laws of distinct components conditioned on one side of a
-    threshold t: on [t, inf) (`above`) or on (-inf, t), drawn by inversion,
-    one uniform per value, for any mix of components in one vectorized pass.
+def _survival(probs: np.ndarray) -> np.ndarray:
+    """The survival table of atoms with these probabilities: Pr[X >= atom i]
+    for each i, summed from the top atom down and normalized so that the
+    lowest atom's level is exactly 1.0, then a trailing 0.0 above the top."""
+    tail = np.cumsum(probs[::-1])[::-1]
+    return np.append(tail / tail[0], 0.0)
 
-    `prob[h]` is the probability of that side for component h. A finite
-    support or a point mass keeps its atoms on that side, renormalized; its
-    table `levels[h]` holds the interior CDF points, padded with inf, and
-    `atoms[h]` the values. A uniform keeps its interval cut at t, and draws
-    a + u w. An exponential draws a - log1p(u c) / rate: with c = -1 that is
-    t + Exp(rate) above t, and with c = expm1(-rate t) the law below t. A
-    side with probability 0 gets a placeholder law, which is never read.
-    """
 
-    def __init__(self, heads: Sequence[ValueDistribution], thr: float, above: bool):
-        size = len(heads)
-        self.prob = np.zeros(size)
-        self.family = np.array([FINITE if c.kind == DEGENERATE else c.kind for c in heads])
-        self.a, self.w, self.c, self.rate = (np.zeros(size) for _ in range(4))
-        tables = []
-        for h, comp in enumerate(heads):
-            if comp.kind in (FINITE, DEGENERATE):
-                if comp.kind == FINITE:
-                    values, probs = comp._values, comp._probs
-                else:
-                    values, probs = np.array([comp._point]), np.ones(1)
-                cut = int(np.searchsorted(values, thr))
-                vals, probs_side = (values[cut:], probs[cut:]) if above \
-                    else (values[:cut], probs[:cut])
-                # normalized by the whole table, as `sample_n` draws it; exact
-                # where the side holds every atom or none
-                self.prob[h] = probs_side.sum() / probs.sum() if 0 < cut < len(values) \
-                    else float(len(vals) > 0)
-                cum = np.cumsum(probs_side)
-                tables.append((vals, cum[:-1] / cum[-1]) if len(vals) else (np.zeros(1), ()))
-                continue
-            tables.append((np.zeros(1), ()))
-            survival = float(comp.sf(thr))
-            self.prob[h] = survival if above else 1.0 - survival
-            if comp.kind == UNIFORM:
-                lo, hi = (max(thr, comp._lo), comp._hi) if above \
-                    else (comp._lo, min(thr, comp._hi))
-                self.a[h], self.w[h] = lo, max(hi - lo, 0.0)
-            else:
-                self.rate[h] = comp._rate
-                self.a[h], self.c[h] = (max(thr, 0.0), -1.0) if above \
-                    else (0.0, math.expm1(-comp._rate * thr))
-        width = max(len(v) for v, _ in tables)
-        self.atoms = np.zeros((size, width))
-        self.levels = np.full((size, width - 1), np.inf)
-        for h, (vals, levels) in enumerate(tables):
-            self.atoms[h, :len(vals)] = vals
-            self.levels[h, :len(levels)] = levels
-
-    def draw(self, u: np.ndarray, j) -> np.ndarray:
-        """Values for the uniforms `u` in [0, 1), where `j` is the component
-        of each entry along u's last axis, or one component for all."""
-        families = set(self.family.tolist())
-        if len(families) == 1:
-            return self._draw(families.pop(), u, j)
-        out = np.empty(u.shape)
-        family_of = self.family[j]
-        for family in families:
-            cols = family_of == family
-            out[..., cols] = self._draw(family, u[..., cols], j[cols])
-        return out
-
-    def _draw(self, family: str, u: np.ndarray, j) -> np.ndarray:
-        if family == FINITE:
-            idx = np.zeros(u.shape, dtype=np.intp)
-            for level in self.levels.T:
-                idx += u >= level[j]
-            return self.atoms[j, idx]
-        if family == UNIFORM:
-            return self.a[j] + u * self.w[j]
-        return self.a[j] - np.log1p(u * self.c[j]) / self.rate[j]
+def _lookup(x: np.ndarray, values, levels, hit) -> np.ndarray:
+    """Inversion over a step table, levels[i] between values[i] and
+    values[i + 1]: values[i] for the lowest levels[i] where `hit(x, level)`
+    holds, else the top value. One masked copy per level, from the top down,
+    so a draw at the top step writes nothing; each level is a scalar or an
+    array broadcast against x."""
+    out = np.full(np.shape(x), values[-1])
+    for value, level in zip(values[-2::-1], levels[::-1]):
+        np.copyto(out, value, where=hit(x, level))
+    return out
 
 
 def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarray:
@@ -368,7 +314,7 @@ def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarr
 class ProductInstance:
     """Ordered collection of n independent ValueDistributions."""
 
-    __slots__ = ("components", "_runs")
+    __slots__ = ("components", "_runs", "_stack")
 
     def __init__(self, components: Sequence[ValueDistribution]):
         if len(components) == 0:
@@ -378,6 +324,7 @@ class ProductInstance:
         starts = [i for i, c in enumerate(self.components)
                   if i == 0 or c is not self.components[i - 1]]
         self._runs = tuple(zip(starts, starts[1:] + [len(self.components)]))
+        self._stack = None
 
     @classmethod
     def iid(cls, dist: ValueDistribution, n: int) -> "ProductInstance":
@@ -401,9 +348,10 @@ class ProductInstance:
         n successive `sample_n(rng, trials)` calls would draw it. Each run of
         consecutive components that are the same object is drawn by one
         `sample_n(rng, (run_len, trials))` call, which consumes that stream
-        in the same order; a C-order (trials, n) draw would not. Used for the
-        award values of every engine, and by `sample_rank` for the sample
-        threshold of any instance that is not i.i.d. atomless.
+        in the same order; a C-order (trials, n) draw would not. Used by
+        `sample_rows` at per-row thresholds and by `sample_rank`, on an
+        instance of several runs, and as the reference the tests hold every
+        other sampler to.
         """
         if len(self._runs) == 1:
             cols = self.components[0].sample_n(rng, (self.n, trials))
@@ -416,20 +364,19 @@ class ProductInstance:
     def sample_rank(self, rng: np.random.Generator, trials: int, tau: int) -> np.ndarray:
         """The tau-th highest of n fresh draws, one per row, for `trials` rows.
 
-        For a single run of one atomless component (what `iid` builds), the
-        upper-tail probability of that order statistic is Beta(tau,
-        n - tau + 1) (Devroye, Non-Uniform Random Variate Generation, 1986,
-        ch. V), so one `rng.beta` draw per row, mapped through the
-        component's `isf`, has its exact law. Any other instance draws a
-        full `sample_matrix` and partitions each row; that path is also the
+        For a single run of identical components (what `iid` builds), of any
+        kind, that order statistic is isf(V) for V ~ Beta(tau, n - tau + 1),
+        the tau-th smallest of n uniforms (Devroye, Non-Uniform Random
+        Variate Generation, 1986, ch. V), since `isf` is nonincreasing: one
+        `rng.beta` draw per row. An instance of several runs draws a full
+        `sample_matrix` and partitions each row; that path is also the
         reference the tests hold the beta draw to.
         """
         n = self.n
         if not 1 <= tau <= n:
             raise ValueError(f"tau must lie in [1, n={n}], got {tau}")
-        dist = self.components[0]
-        if len(self._runs) == 1 and dist.atomless:
-            return dist.isf(rng.beta(tau, n - tau + 1, trials))
+        if len(self._runs) == 1:
+            return self.components[0].isf(rng.beta(tau, n - tau + 1, trials))
         samples = self.sample_matrix(rng, trials)
         # copied out, so the partitioned (trials, n) buffer is freed at once
         return np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
@@ -446,31 +393,34 @@ class ProductInstance:
         top m of a reduced row are those of the full row: all that the strict
         rule, the atoms rule and the benchmark read.
 
-        - A single run of one atomless component (what `iid` builds), at a
-          scalar or per-row thr: C_r ~ Binomial(n, sf(thr)), and the values
-          above thr are isf(sf(thr) * V) with V in (0, 1]. The block holds
-          the top min(m, n) of the n - C_r values below thr: descending
-          uniform order statistics of the law conditioned below thr (the
+        Every value is drawn by inversion, X = isf(V) for V uniform on
+        (0, 1]: X >= thr exactly when V <= p = sf(thr), so a value >= thr is
+        isf(p V) and a value below thr is isf(p + (1 - p) V). Which sampler
+        runs depends only on the runs of identical components:
+
+        - A single run (what `iid` builds), of any kind, at a scalar or
+          per-row thr: C_r ~ Binomial(n, p), and the values >= thr are
+          isf(p V). The block holds the top min(m, n) of the n - C_r values
+          below thr: descending uniform order statistics on (p, 1] (the
           Renyi representation; Devroye, Non-Uniform Random Variate
           Generation, 1986, ch. V). The j-th has 1 - U_(j) = -expm1(sum_{i
           <= j} log(V_i) / (n - C_r - i + 1)), mapped through `isf` and
-          clamped to thr. The stream holds the counts, then the sum(C)
-          above-threshold uniforms, then a (trials, min(m, n)) block of
-          below-threshold ones.
-        - Any other instance at a scalar thr: see `_sparse_rows`.
-        - Any other instance at per-row thresholds: `sample_matrix(rng,
-          trials)`, the full rows, which are also the reference the tests
-          hold every reduced row to.
+          clamped below thr. The stream holds the counts, then the sum(C)
+          uniforms of the values >= thr, then a (trials, min(m, n)) block of
+          uniforms for the values below it.
+        - Several runs at a scalar thr: see `_sparse_rows`.
+        - Several runs at per-row thresholds: `sample_matrix(rng, trials)`,
+          the full rows, which are also the reference the tests hold every
+          reduced row to.
         """
-        dist = self.components[0]
-        if len(self._runs) == 1 and dist.atomless:
+        if len(self._runs) == 1:
             return self._renyi_rows(rng, trials, thr, m)
         if np.ndim(thr) == 1:
             return self.sample_matrix(rng, trials)
         return self._sparse_rows(rng, trials, float(thr), m)
 
     def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
-        """Reduced rows of a single run of one atomless component; see
+        """Reduced rows of a single run of identical components; see
         `sample_rows`."""
         dist = self.components[0]
         n, depth = self.n, min(m, self.n)
@@ -479,77 +429,123 @@ class ProductInstance:
         count = rng.binomial(n, p, trials)
         width = int(count.max())
         rows = np.zeros((trials, width + depth))
-        v = 1.0 - rng.random(int(count.sum()))
-        above = np.arange(width) < count[:, None]
-        rows[:, :width][above] = dist.isf((np.repeat(p, count) if per_row else p) * v)
+        v = rng.random(int(count.sum()))
+        np.subtract(1.0, v, out=v)
+        v *= np.repeat(p, count) if per_row else p
+        rows[np.arange(width + depth) < count[:, None]] = dist.isf(v)
+        del v
         left = (n - count)[:, None] - np.arange(depth)  # values below thr not yet drawn
         logs = np.log(1.0 - rng.random((trials, depth))) / np.maximum(left, 1)
         if per_row:
             p, thr = p[:, None], thr[:, None]
         below = dist.isf(p - (1.0 - p) * np.expm1(np.cumsum(logs, axis=1)))
-        rows[:, width:] = np.where(left > 0, np.minimum(below, thr), 0.0)
+        # an atom at thr is >= thr, so the clamp is the float just below it
+        rows[:, width:] = np.where(left > 0, np.minimum(below, np.nextafter(thr, -np.inf)), 0.0)
         return rows
 
     def _sparse_rows(self, rng: np.random.Generator, trials: int, thr: float,
                      m: int) -> np.ndarray:
-        """Reduced rows of any instance at a scalar thr; see `sample_rows`.
+        """Reduced rows of an instance of several runs at a scalar thr; see
+        `sample_rows`.
 
-        The cells >= thr. A single run of identical components draws a
-        count C_r ~ Binomial(n, p) per row, p = Pr[X >= thr]; its values are
-        exchangeable, so their positions need not be drawn. With several
-        runs, the cells >= thr of each run form a Bernoulli(p) process over
-        its (rows, run length) cells, in row-major order, drawn from
-        geometric gaps (`_bernoulli_cells`), run after run; a run with p = 0
-        draws nothing. One sort on the key row * n + position puts them in
-        arrival order. Then one uniform per cell, in that order, draws its
-        value from the component's law conditioned on [thr, inf).
+        The cells >= thr of each run form a Bernoulli(p) process over its
+        (rows, run length) cells, in row-major order, p = sf(thr) of the
+        run's component, drawn from geometric gaps (`_bernoulli_cells`), run
+        after run; a run with p = 0 draws nothing. One sort on the key
+        row * n + position puts them in arrival order. Then one uniform u per
+        cell, in that order, draws its value isf(p (1 - u)).
 
         The values below thr. Only the rows with C_r < min(m, n) read them.
-        Those rows draw one (rows, n) block of uniforms, each cell from its
-        component's law conditioned on (-inf, thr) and held below thr; the
-        cells >= thr are zeroed (with one run, the last C_r of the row), and
-        the block keeps each row's top min(m, n). Every other row's block is
-        0.0: its top m are all >= thr.
+        Those rows draw one (rows, n) block of uniforms, each cell
+        isf(1 - (1 - p) u) and held below thr; the cells >= thr are
+        zeroed, and the block keeps each row's top min(m, n). Every other
+        row's block is 0.0: its top m are all >= thr.
         """
         n, depth = self.n, min(m, self.n)
-        heads = self.distinct()
-        above = _Conditioned(heads, thr, above=True)
-        one_run = len(self._runs) == 1
+        p = np.array([float(c.sf(thr)) for c in self.distinct()])
+        keys = []
+        for h, (lo, hi) in enumerate(self._runs):
+            if p[h] > 0.0:
+                size = hi - lo
+                cells = _bernoulli_cells(rng, trials * size, p[h])
+                # cell r * size + i of the run is row r, component lo + i
+                keys.append(cells + (cells // size) * (n - size) + lo)
+        keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+        row, col = np.divmod(keys, n)
+        count = np.bincount(row, minlength=trials)
         # the run of each column, and of each value >= thr
-        if one_run:
-            head = value_head = 0
-            count = rng.binomial(n, above.prob[0], trials)
-        else:
-            keys = []
-            for h, (lo, hi) in enumerate(self._runs):
-                if above.prob[h] > 0.0:
-                    size = hi - lo
-                    cells = _bernoulli_cells(rng, trials * size, above.prob[h])
-                    # cell r * size + i of the run is row r, component lo + i
-                    keys.append(cells + (cells // size) * (n - size) + lo)
-            keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
-            row, col = np.divmod(keys, n)
-            count = np.bincount(row, minlength=trials)
-            head = np.repeat(np.arange(len(self._runs)), [hi - lo for lo, hi in self._runs])
-            value_head = head[col]
+        head = self._stacked()[0]
+        value_head = head[col]
         width = int(count.max())
         rows = np.zeros((trials, width + depth))
-        values = above.draw(rng.random(int(count.sum())), value_head)
-        rows[:, :width][np.arange(width) < count[:, None]] = values
+        v = rng.random(len(keys))
+        np.subtract(1.0, v, out=v)
+        v *= p[value_head]
+        rows[np.arange(width + depth) < count[:, None]] = self._isf(v, value_head)
         short = np.flatnonzero(count < depth)
         if len(short):
-            below = _Conditioned(heads, thr, above=False).draw(rng.random((len(short), n)), head)
+            # 1 - (1 - p) u is p + (1 - p)(1 - u), in two passes
+            v = rng.random((len(short), n))
+            v *= 1.0 - p[head]
+            np.subtract(1.0, v, out=v)
+            below = self._isf(v, head)
+            del v
             np.minimum(below, np.nextafter(thr, -np.inf), out=below)
-            if one_run:
-                below[np.arange(n) >= n - count[short, None]] = 0.0
-            else:
-                slot = np.full(trials, -1)
-                slot[short] = np.arange(len(short))
-                hit = slot[row] >= 0
-                below[slot[row[hit]], col[hit]] = 0.0
-            top = np.partition(below, n - depth, axis=1)[:, n - depth:]
-            rows[short, width:] = -np.sort(-top, axis=1)
+            slot = np.full(trials, -1)
+            slot[short] = np.arange(len(short))
+            hit = slot[row] >= 0
+            below[slot[row[hit]], col[hit]] = 0.0
+            below.partition(n - depth, axis=1)
+            rows[short, width:] = -np.sort(-below[:, n - depth:], axis=1)
         return rows
+
+    def _stacked(self) -> tuple:
+        """The run of each column, and the `isf` parameters of the distinct
+        components, one entry per run: the index of its kind in `names`, lo,
+        hi and rate, and for a finite support or a point mass its atoms (a
+        row of `values`) and interior survival levels (a column of `levels`,
+        padded with -inf, which no v reaches). Built on first use and kept."""
+        if self._stack is None:
+            heads = self.distinct()
+            names = sorted({c.kind for c in heads})
+            width = max(len(c._values) if c._tail is not None else 1 for c in heads)
+            values = np.zeros((len(heads), width))
+            levels = np.full((width - 1, len(heads)), -np.inf)
+            for h, c in enumerate(heads):
+                if c._tail is not None:
+                    values[h, :len(c._values)] = c._values
+                    levels[:len(c._values) - 1, h] = c._tail[1:-1]
+            self._stack = (
+                np.repeat(np.arange(len(heads)), [hi - lo for lo, hi in self._runs]),
+                names, np.array([names.index(c.kind) for c in heads]),
+                *np.array([[c._lo, c._hi, c._rate or np.nan] for c in heads]).T,
+                values, levels)
+        return self._stack
+
+    def _isf(self, v: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """Each entry's component `isf`, bit for bit, where `head` holds the
+        run of each entry along v's last axis. An atom is found by counting
+        the survival levels >= v, which costs the same however the entries
+        mix the steps (`_lookup`'s masked copies do not), and gathered once."""
+        _, names, code, lo, hi, rate, values, levels = self._stacked()
+
+        def kind_isf(kind: str, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+            if kind == UNIFORM:
+                return hi[j] - x * (hi[j] - lo[j])
+            if kind == EXPONENTIAL:
+                return -np.log(x) / rate[j]
+            at = np.broadcast_to(j * values.shape[1], x.shape).copy()
+            for level in levels:
+                at += x <= level[j]
+            return values.take(at)
+
+        if len(names) == 1:
+            return kind_isf(names[0], v, head)
+        out = np.empty(v.shape)
+        for i, kind in enumerate(names):
+            cols = code[head] == i
+            out[..., cols] = kind_isf(kind, v[..., cols], head[cols])
+        return out
 
     def distinct(self) -> list[ValueDistribution]:
         """One component per run of consecutive identical components."""

@@ -14,19 +14,19 @@ import numpy as np
 #: index b seeds the stream for trials [b * BATCH_SIZE, (b+1) * BATCH_SIZE).
 #: So is how a batch consumes its stream. A sample-threshold engine first
 #: draws its thresholds with `ProductInstance.sample_rank`: one beta draw per
-#: row for an i.i.d. atomless instance, a full sample matrix otherwise. Then
-#: a threshold engine draws the values with `ProductInstance.sample_rows`. On
-#: an i.i.d. atomless instance those are reduced rows: one binomial count per
-#: row, then one uniform per counted value above the threshold, row by row,
-#: then a (trials, min(ell, n)) block of uniforms for the values below it.
-#: On any other instance at a fixed threshold they are reduced rows too:
-#: with one run of identical components, one binomial count per row of the
-#: values at or above the threshold; with several, the standard exponentials
-#: behind each run's geometric gaps, run after run, for each run that reaches
-#: the threshold with a probability strictly between 0 and 1. Then one
-#: uniform per value at or above the threshold, in row and arrival order,
-#: then one (rows, n) block of uniforms for the rows with fewer than
-#: min(ell, n) such values. At per-row thresholds on any other instance
+#: row for a single run of identical components, of any kind, a full sample
+#: matrix otherwise. Then a threshold engine draws the values with
+#: `ProductInstance.sample_rows`, each by inversion through its component's
+#: `isf`. For a single run, at a fixed or per-row threshold, those are
+#: reduced rows: one binomial count per row of the values at or above the
+#: threshold, then one uniform per counted value, row by row, then a
+#: (trials, min(ell, n)) block of uniforms for the values below it. For
+#: several runs at a fixed threshold they are reduced rows too: the standard
+#: exponentials behind each run's geometric gaps, run after run, for each run
+#: that reaches the threshold with a probability strictly between 0 and 1,
+#: then one uniform per value at or above the threshold, in row and arrival
+#: order, then one (rows, n) block of uniforms for the rows with fewer than
+#: min(ell, n) such values. For several runs at per-row thresholds
 #: `ProductInstance.sample_matrix` draws column i as the i-th block, as n
 #: successive per-component `sample_n(rng, trials)` calls would. The revenue
 #: engine draws its i.i.d. values with one C-order

@@ -167,6 +167,9 @@ def _column_reference(instance, rng, trials):
     return np.column_stack(cols)
 
 
+_ATOMS_012 = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+
+
 def _three_atom_components(n):
     rng = np.random.default_rng(404)
     return ProductInstance([
@@ -289,9 +292,10 @@ def _ks_critical_1pct(m, n):
 
 
 class TestSampleRank:
-    """`sample_rank` draws an i.i.d. atomless instance's tau-th highest sample
-    from its Beta order-statistic law; every other instance partitions a full
-    sample matrix, which is the reference for the beta draw."""
+    """`sample_rank` draws the tau-th highest sample of a single run of
+    identical components, of any kind, from its Beta order-statistic law
+    through `isf`; an instance of several runs partitions a full sample
+    matrix, which is the reference for the beta draw."""
 
     TRIALS = 5_000
 
@@ -301,13 +305,27 @@ class TestSampleRank:
         (ValueDistribution.uniform(0.0, 1.0), 20, 9),
         (ValueDistribution.uniform(0.0, 1.0), 20, 1),
         (ValueDistribution.exponential(2.0), 20, 20),
-    ], ids=["exp-n400-tau101", "unif-n100-tau7", "unif-n20-tau9", "tau-1", "tau-n"])
+        (_ATOMS_012, 30, 4),
+        (_ATOMS_012, 5, 5),
+        (ValueDistribution.finite([(0.5, 0.98), (3.0, 0.02)]), 100, 3),
+        (ValueDistribution.degenerate(1.5), 7, 2),
+    ], ids=["exp-n400-tau101", "unif-n100-tau7", "unif-n20-tau9", "tau-1", "tau-n",
+            "iid-atoms", "iid-atoms-tau-n", "rare-top-atom", "point-mass"])
     def test_beta_draw_matches_partition_law(self, dist, n, tau):
         inst = ProductInstance.iid(dist, n)
         got = inst.sample_rank(np.random.default_rng(611), self.TRIALS, tau)
         want = _partition_rank(inst, np.random.default_rng(612), self.TRIALS, tau)
         assert got.shape == (self.TRIALS,)
         assert _ks_statistic(got, want) < _ks_critical_1pct(self.TRIALS, self.TRIALS)
+        if not dist.atomless:
+            # the draws are atoms: Pr[rank >= a] = Pr[Binomial(n, sf(a)) >= tau],
+            # so atom a is drawn with that less the same at the next atom up
+            assert set(np.unique(got).tolist()) <= {a for a, _ in dist.atoms}
+            tails = [_binomial_tail(n, float(dist.sf(a)), tau) for a, _ in dist.atoms] + [0.0]
+            for (a, _), hi, lo in zip(dist.atoms, tails, tails[1:]):
+                prob = hi - lo
+                freq = np.count_nonzero(got == a) / self.TRIALS
+                assert abs(freq - prob) <= 4 * math.sqrt(prob * (1 - prob) / self.TRIALS) + 1e-12
 
     @pytest.mark.parametrize("n,tau", [(100, 7), (20, 9), (20, 1), (20, 20)])
     def test_uniform_moments_match_beta(self, n, tau):
@@ -327,9 +345,8 @@ class TestSampleRank:
         ProductInstance([ValueDistribution.exponential(1.0) for _ in range(30)]),
         ProductInstance([ValueDistribution.uniform(0.0, 1.0)] * 10
                         + [ValueDistribution.exponential(0.5)] * 20),
-        ProductInstance.iid(ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 30),
         _mixed_instance(),
-    ], ids=["distinct-equal-objects", "two-runs", "iid-atoms", "mixed"])
+    ], ids=["distinct-equal-objects", "two-runs", "mixed"])
     def test_other_instances_partition_a_full_matrix(self, instance):
         tau = 4
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
@@ -348,23 +365,22 @@ class TestSampleRank:
         with pytest.raises(ValueError, match="tau"):
             instance.sample_rank(np.random.default_rng(1), 10, tau)
 
-    def test_isf_refuses_atoms(self):
-        for dist in (ValueDistribution.finite([(0.0, 0.5), (1.0, 0.5)]),
-                     ValueDistribution.degenerate(1.0)):
-            with pytest.raises(DistributionError):
-                dist.isf(np.array([0.5]))
-
 
 def _harmonic(j):
     return math.fsum(1.0 / i for i in range(1, j + 1))
 
 
+def _binomial_tail(n, p, tau):
+    """Pr[Binomial(n, p) >= tau]."""
+    return math.fsum(math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(tau, n + 1))
+
+
 class TestSampleRows:
-    """`sample_rows` gives an i.i.d. atomless instance's rows as reduced rows
-    from the Renyi representation: the values above the threshold in arrival
-    order, zero padding, then the top m values below it. Every other
-    instance gets reduced rows at a scalar threshold (`TestSparseRows`) and
-    a full `sample_matrix` at per-row thresholds."""
+    """`sample_rows` gives a single run of identical components, of any kind,
+    reduced rows from the Renyi representation: the values at or above the
+    threshold in arrival order, zero padding, then the top m values below
+    it. An instance of several runs gets reduced rows at a scalar threshold
+    (`TestSparseRows`) and a full `sample_matrix` at per-row thresholds."""
 
     @pytest.mark.parametrize("dist,n,thr", [
         (ValueDistribution.uniform(0.0, 1.0), 100, 0.95),
@@ -425,13 +441,61 @@ class TestSampleRows:
             want = ell * _harmonic(n) - math.fsum(_harmonic(j) for j in range(ell))
         assert abs(bench.mean() - want) <= 4 * bench.std(ddof=1) / math.sqrt(trials)
 
+    @pytest.mark.parametrize("thr", ["at-atom", "between-atoms", "at-lowest-atom", "per-row"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_run_layout_on_atoms(self, thr, m):
+        # no atom is 0.0, so every filled slot of the block is positive
+        dist = ValueDistribution.finite([(0.5, 0.5), (1.0, 0.3), (2.0, 0.2)])
+        inst, trials, n = ProductInstance.iid(dist, 6), 4_000, 6
+        rng = np.random.default_rng(33)
+        case, thr = thr, {"at-atom": 1.0, "between-atoms": 1.5, "at-lowest-atom": 0.5}.get(thr)
+        if case == "per-row":
+            thr = inst.sample_rank(rng, trials, 2)
+        rows = inst.sample_rows(rng, trials, thr, m)
+        t = np.broadcast_to(thr, trials)[:, None]
+        lead, block = rows[:, :-m], rows[:, -m:]
+        ge = lead >= t
+        count = np.count_nonzero(ge, axis=1)
+        assert rows.shape == (trials, count.max() + m)
+        # the values >= thr lead each row, atoms all, then zero padding
+        assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
+        assert np.all(lead[~ge] == 0.0) and np.all(np.isin(lead[ge], [0.5, 1.0, 2.0]))
+        # the block holds the top min(m, n - count) values below thr, all
+        # atoms strictly below it, in decreasing order, then 0.0
+        filled = np.arange(m) < np.minimum(m, n - count)[:, None]
+        assert np.all(block[~filled] == 0.0)
+        assert np.all(np.isin(block[filled], [0.5, 1.0]))
+        assert np.all((block < t)[filled]) and np.all(np.diff(block, axis=1) <= 0)
+        if case == "at-lowest-atom":
+            assert np.all(count == n)
+        else:
+            assert np.any(count < m) and np.any((count > 0) & (count < n))
+
+    @pytest.mark.parametrize("dist,n,m,k,tau", [
+        (_ATOMS_012, 30, 2, 3, 4),
+        (ValueDistribution.finite([(0.5, 0.5), (1.0, 0.3), (2.0, 0.2)]), 6, 3, 2, 2),
+        (ValueDistribution.finite([(0.5, 0.98), (3.0, 0.02)]), 100, 2, 1, 3),
+    ], ids=["iid-atoms", "iid-few-atoms", "rare-top-atom"])
+    def test_one_run_per_row_law_on_atoms(self, dist, n, m, k, tau):
+        # at each row's own sample threshold, as `alg_tau` draws them, the
+        # reduced rows of a run of atoms read as full `sample_matrix` rows
+        inst, trials = ProductInstance.iid(dist, n), 5_000
+        thr = inst.sample_rank(np.random.default_rng(43), trials, tau)
+        got = _row_statistics(inst.sample_rows(np.random.default_rng(44), trials, thr, m),
+                              thr, m, k)
+        want = _row_statistics(inst.sample_matrix(np.random.default_rng(45), trials), thr, m, k)
+        assert np.any(want["binds"]) and np.any(got["binds"])
+        critical = _ks_critical_1pct(trials, trials)
+        for key in got:
+            assert _ks_statistic(got[key], want[key]) < critical, key
+
     @pytest.mark.parametrize("instance", [
         ProductInstance([ValueDistribution.exponential(1.0) for _ in range(30)]),
-        ProductInstance.iid(ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), 30),
         _mixed_instance(),
-    ], ids=["distinct-equal-objects", "iid-atoms", "mixed"])
+    ], ids=["distinct-equal-objects", "mixed"])
     def test_other_instances_draw_a_full_matrix(self, instance):
-        # at per-row thresholds; a scalar one gives reduced rows (TestSparseRows)
+        # several runs at per-row thresholds; a scalar one gives reduced rows
+        # (TestSparseRows), and so does a single run at any threshold
         thr = np.linspace(0.5, 1.5, 700)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         got = instance.sample_rows(rng_a, 700, thr, 2)
@@ -439,18 +503,27 @@ class TestSampleRows:
         assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
     @pytest.mark.parametrize("dist", [ValueDistribution.uniform(0.5, 3.0),
-                                      ValueDistribution.exponential(2.0)])
+                                      ValueDistribution.exponential(2.0),
+                                      ValueDistribution.finite([(0.5, 0.25), (1.0, 0.5),
+                                                                (3.0, 0.25)]),
+                                      ValueDistribution.degenerate(1.0)])
     def test_sf_complements_isf_and_cdf(self, dist):
+        # sf(x) = Pr[X >= x] = 1 - F(x-), and isf is its generalized inverse
         v = np.linspace(0.01, 1.0, 100)
-        np.testing.assert_allclose(dist.sf(dist.isf(v)), v, rtol=1e-12)
-        x = np.linspace(-1.0, 4.0, 101)
-        np.testing.assert_allclose(dist.sf(x), [1.0 - dist.cdf(float(t)) for t in x],
-                                   rtol=1e-12, atol=1e-15)
-        with pytest.raises(DistributionError):
-            ValueDistribution.degenerate(1.0).sf(np.array([0.5]))
+        x = dist.isf(v)
+        if dist.atomless:
+            np.testing.assert_allclose(dist.sf(x), v, rtol=1e-12)
+        else:
+            # the largest atom whose survival reaches v
+            atoms = np.array([a for a, _ in dist.atoms])
+            assert np.all(np.isin(x, atoms)) and np.all(dist.sf(x) >= v)
+            above = np.searchsorted(atoms, x, side="right")
+            assert np.all(dist.sf(np.append(atoms, np.inf)[above]) < v)
+        x = np.concatenate([np.linspace(-1.0, 4.0, 101), [0.5, 1.0, 3.0]])
+        np.testing.assert_allclose(
+            dist.sf(x), [1.0 - dist.cdf(float(np.nextafter(t, -np.inf))) for t in x],
+            rtol=1e-12, atol=1e-15)
 
-
-_ATOMS_012 = ValueDistribution.finite([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
 
 #: (instance, scalar threshold, m, k, regime). "binds": some rows accept
 #: more than k values under the atoms rule; "sparse": some rows have fewer
@@ -477,7 +550,7 @@ def _row_statistics(rows, thr, m, k):
     >= thr (zero padding is >= a threshold of 0), the first value >= thr
     (0.0 if none), the strict and the atoms rule's top-m sums, the
     benchmark's, and whether the atoms rule's capacity binds."""
-    ge = rows >= thr
+    ge = rows >= (thr[:, None] if np.ndim(thr) else thr)
     first = np.where(ge.any(axis=1), rows[np.arange(len(rows)), ge.argmax(axis=1)], 0.0)
     strict, bench, _ = _threshold_top(rows, thr, k, m)
     atoms, _, binds = _threshold_top(rows, thr, k, m, first_ge=True)
@@ -487,11 +560,12 @@ def _row_statistics(rows, thr, m, k):
 
 
 class TestSparseRows:
-    """At a scalar threshold every instance that is not i.i.d. atomless gets
-    reduced rows from `_sparse_rows`: its values >= thr in arrival order,
-    zero padding, then a block of the top min(m, n) values below thr for the
-    rows with fewer than that many values >= thr. Full `sample_matrix` rows
-    are the reference for their law."""
+    """At a scalar threshold every instance gets reduced rows: its values
+    >= thr in arrival order, zero padding, then a block of the top min(m, n)
+    values below thr. An instance of several runs (`_sparse_rows`) fills the
+    block only for the rows with fewer than that many values >= thr; a
+    single run (`_renyi_rows`) fills it for every row with values below thr.
+    Full `sample_matrix` rows are the reference for their law."""
 
     TRIALS = 5_000
 
@@ -512,10 +586,18 @@ class TestSparseRows:
         assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
         assert np.all(lead[~ge] == 0.0)
         # the block is decreasing and below thr, 0.0 where there are fewer
-        # values; the rows with at least `depth` values >= thr leave it empty
+        # values
         assert np.all(np.diff(block, axis=1) <= 0)
         assert np.all((block < thr) | (block == 0.0))
-        assert np.all(block[count >= depth] == 0.0)
+        if len(inst.distinct()) > 1:
+            # the rows with at least `depth` values >= thr leave it empty
+            assert np.all(block[count >= depth] == 0.0)
+        else:
+            # a single run fills it with atoms below thr while values remain
+            below = [a for a, _ in inst.components[0].atoms if a < thr]
+            filled = np.arange(depth) < np.minimum(depth, inst.n - count)[:, None]
+            assert np.all(np.isin(block[filled], below)) and np.all(block[~filled] == 0.0)
+            assert np.any(block[filled] > 0.0) == (len(below) > 1)
         assert np.any(count < depth) == ("sparse" in regime)
         if thr == 0.0:
             assert np.all(count == inst.n)
@@ -543,6 +625,27 @@ class TestSparseRows:
         critical = _ks_critical_1pct(self.TRIALS, self.TRIALS)
         for key in got:
             assert _ks_statistic(got[key], want[key]) < critical, key
+
+    @pytest.mark.parametrize("case,u", [("iid-atoms", 0.0), ("three-atom-components", 1.0)])
+    def test_block_stays_below_an_atom_threshold(self, case, u):
+        # uniforms at the end of their range map a value below thr to
+        # isf(sf(thr)), the lowest atom >= thr (thr itself in the i.i.d. case,
+        # which the atoms rule would read as its first acceptance); the block
+        # must hold the float below thr instead
+        class EdgeUniforms:
+            def __init__(self):
+                self.rng = np.random.default_rng(54)
+
+            def random(self, size=None):
+                return np.full(size, u if u < 1.0 else np.nextafter(1.0, 0.0))
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        inst, thr, m, _, _ = _SPARSE_CASES[case]
+        rows = inst.sample_rows(EdgeUniforms(), 2_000, thr, m)
+        block = rows[:, -m:]
+        assert np.any(block == np.nextafter(thr, -np.inf)) and np.all(block < thr)
 
     def test_point_masses_on_both_sides_of_thr(self):
         # a run that always reaches thr fills every row and one that never
@@ -572,6 +675,50 @@ def test_isf_inverts_cdf(v, kind, a, b):
         dist = ValueDistribution.exponential(b)
     x = float(dist.isf(np.array([v]))[0])
     assert dist.cdf(x) == pytest.approx(1.0 - v, abs=1e-9)
+
+
+@st.composite
+def _finite_laws(draw):
+    """A finite law of 1 to 6 atoms, some of them with tiny probabilities."""
+    values = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6, unique=True))
+    weights = np.array(draw(st.lists(st.sampled_from([1e-15, 1e-9, 1e-4]) | st.floats(0.01, 1.0),
+                                     min_size=len(values), max_size=len(values))))
+    return ValueDistribution.finite(list(zip(sorted(values), (weights / weights.sum()).tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=_finite_laws(), vs=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=20))
+def test_finite_isf_is_the_generalized_inverse_of_sf(dist, vs):
+    # probe every survival level and the floats on either side of it too
+    levels = dist.sf(np.array([a for a, _ in dist.atoms]))
+    v = np.concatenate([vs, levels, np.nextafter(levels, 0.0), np.nextafter(levels, 2.0)])
+    v = v[(v > 0.0) & (v <= 1.0)]
+    atoms = np.array([a for a, _ in dist.atoms] + [np.inf])
+    x = dist.isf(v)
+    # sf(isf(v)) >= v, and the next atom up has survival below v
+    assert np.all(np.isin(x, atoms)) and np.all(dist.sf(x) >= v)
+    assert np.all(dist.sf(atoms[np.searchsorted(atoms, x, side="right")]) < v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=_finite_laws(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_isf_matches_each_component(dist, seed):
+    # a mixed instance, every kind and the random law in runs: its stacked
+    # table returns each entry's own component `isf`, bit for bit
+    inst = ProductInstance([dist] * 2 + list(_mixed_instance().components) + [dist]
+                           + [ValueDistribution.finite([(1.0, 0.5), (7.0, 0.5)])])
+    heads, head = inst.distinct(), inst._stacked()[0]
+    rng = np.random.default_rng(seed)
+    v = 1.0 - rng.random((50, inst.n))
+    want = np.column_stack([heads[h].isf(v[:, i]) for i, h in enumerate(head)])
+    assert np.array_equal(inst._isf(v, head), want)
+    entries = rng.integers(0, len(heads), 300)
+    u = 1.0 - rng.random(300)
+    # the random law's own survival levels, where a strict compare would differ
+    levels = dist.sf(np.array([a for a, _ in dist.atoms]))
+    entries[:len(levels)], u[:len(levels)] = 0, levels
+    want = [float(heads[h].isf(x)) for h, x in zip(entries.tolist(), u.tolist())]
+    assert np.array_equal(inst._isf(u, entries), want)
 
 
 class TestMaxQuantile:
