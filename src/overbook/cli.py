@@ -14,11 +14,10 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
-from .harness import emit_report, load_config, run_experiments
+from .harness import as_count, emit_report, load_config, run_experiments
 from .mechanisms import MechanismConfig, run_two_phase
 from .oracle import optimal_online_dp
 
@@ -53,20 +52,11 @@ def _cmd_run(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _count(obj: dict, key: str) -> int:
-    """The count `obj[key]`: an integer, not a bool; a float such as 1.9 is
-    refused, not truncated."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key}: must be an integer, got {value!r}")
-    return int(value)
-
-
 def _cmd_oracle_dp(args) -> int:
     with open(args.instance) as fh:
         obj = json.load(fh)
     instance = ProductInstance.from_json(obj["components"])
-    dp = optimal_online_dp(instance, _count(obj, "ell"), _count(obj, "k"))
+    dp = optimal_online_dp(instance, as_count(obj["ell"], "ell"), as_count(obj["k"], "k"))
     out = {"expected_value": dp.expected_value}
     if args.policy:
         out["policy"] = json.loads(dp.policy_json())
@@ -86,8 +76,8 @@ def _cmd_mechanism_simulate(args) -> int:
             raise ValueError(f"{key}: unknown mechanism config key")
     prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
     config = MechanismConfig(
-        ell=_count(obj, "ell"),
-        k=_count(obj, "k"),
+        ell=as_count(obj["ell"], "ell"),
+        k=as_count(obj["k"], "k"),
         threshold=float(obj["threshold"]),
         mode=obj.get("mode", "welfare"),
         prior=prior,
@@ -98,6 +88,7 @@ def _cmd_mechanism_simulate(args) -> int:
         raise ValueError(f"values: every value must be finite and >= 0, got {values}")
     order = obj.get("order")
     if order is not None:
+        order = [as_count(i, "order") for i in order]
         if sorted(order) != list(range(len(values))):
             raise ValueError("order must be a permutation of 0..n-1")
         values = [values[i] for i in order]

@@ -1,11 +1,11 @@
 """Single and product value distributions, plus adversarial instance generators.
 
-Conventions: CDFs are right-continuous, F(x) = Pr[X <= x]; quantiles are the
-generalized inverse inf{x : F(x) >= q}; survival functions are left-continuous,
-sf(x) = Pr[X >= x], with `isf` the generalized inverse max{x : sf(x) >= v}.
-All randomness flows through caller-supplied numpy Generator objects;
-distributions are immutable after construction and safe to share across
-threads.
+Conventions: CDFs are right-continuous, F(x) = Pr[X <= x], and
+`max_quantile` is the generalized inverse inf{x : F(x) >= q} of the max's
+CDF; survival functions are left-continuous, sf(x) = Pr[X >= x], with `isf`
+the generalized inverse max{x : sf(x) >= v}. All randomness flows through
+caller-supplied numpy Generator objects; distributions are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ UNIFORM = "uniform-interval"
 EXPONENTIAL = "exponential"
 DEGENERATE = "degenerate"
 
+#: The parameters of each kind, all of them required.
+_PARAMS = {FINITE: ("atoms",), UNIFORM: ("lo", "hi"), EXPONENTIAL: ("rate",),
+           DEGENERATE: ("value",)}
+
 
 class DistributionError(ValueError):
     """Base class for distribution-layer errors."""
@@ -41,50 +45,29 @@ class ValueDistribution:
     """One award's distribution.
 
     Supported kinds: finite list of atoms, uniform on an interval,
-    exponential with a rate, and a single point mass. Atom values must be
-    nonnegative and strictly increasing with probabilities summing to one.
-    Every parameter must be finite: NaN and inf are refused.
+    exponential with a rate, and a single point mass, which is the one-atom
+    finite support. Atom values must be nonnegative and strictly increasing
+    with probabilities summing to one. Every parameter must be finite: NaN
+    and inf are refused, and so are missing or unknown parameters.
     """
 
-    __slots__ = ("kind", "_values", "_probs", "_cdf", "_tail", "_steps", "_lo", "_hi", "_rate",
-                 "_point")
+    __slots__ = ("kind", "_values", "_probs", "_tail", "_steps", "_lo", "_hi", "_rate")
 
     def __init__(self, kind: str, **params):
+        if not isinstance(kind, str) or kind not in _PARAMS:
+            raise DistributionError(f"unknown distribution kind: {kind!r}")
+        if sorted(params) != sorted(_PARAMS[kind]):
+            raise DistributionError(
+                f"{kind} takes the parameters {list(_PARAMS[kind])}, got {sorted(params)}")
         self.kind = kind
-        self._values = self._probs = self._cdf = self._tail = self._steps = None
-        self._rate = self._point = None
-        if kind == FINITE:
-            atoms = sorted(params["atoms"])
-            values = np.asarray([a[0] for a in atoms], dtype=float)
-            probs = np.asarray([a[1] for a in atoms], dtype=float)
-            if len(values) == 0:
-                raise DistributionError("finite-support needs at least one atom")
-            if not (np.isfinite(values).all() and np.isfinite(probs).all()):
-                raise DistributionError("atom values and probabilities must be finite")
-            if np.any(values < 0):
-                raise DistributionError("atom values must be nonnegative")
-            if np.any(np.diff(values) <= 0):
-                raise DistributionError("atom values must be strictly increasing")
-            if np.any(probs <= 0) or np.any(probs > 1):
-                raise DistributionError("atom probabilities must lie in (0, 1]")
-            if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
-                raise DistributionError("atom probabilities must sum to 1")
-            self._values, self._probs = values, probs
-            # the one CDF table that `cdf`, `quantile` and `sample_n` read,
-            # normalized as numpy's Generator.choice normalizes p: its top
-            # level is exactly 1.0 even when the probabilities sum to less
-            cum = np.cumsum(probs)
-            self._cdf = cum / cum[-1]
-            self._tail = _survival(probs)
-            # the step points and levels of the CDF as Python floats, for `cdf`
-            self._steps = (tuple(values.tolist()), tuple(self._cdf.tolist()))
-            self._lo, self._hi = float(values[0]), float(values[-1])
-        elif kind == UNIFORM:
+        self._values = self._probs = self._tail = self._steps = self._rate = None
+        if kind == UNIFORM:
             lo, hi = float(params["lo"]), float(params["hi"])
             if not (0 <= lo < hi < math.inf):
                 raise DistributionError("uniform interval needs 0 <= lo < hi < inf")
             self._lo, self._hi = lo, hi
-        elif kind == EXPONENTIAL:
+            return
+        if kind == EXPONENTIAL:
             rate = float(params["rate"])
             # a subnormal rate is positive and finite, but its mean 1/rate is inf
             if not (0 < rate < math.inf and 1.0 / rate < math.inf):
@@ -92,15 +75,37 @@ class ValueDistribution:
                     "exponential rate must be positive and finite, with a finite mean 1/rate")
             self._rate = rate
             self._lo, self._hi = 0.0, math.inf
-        elif kind == DEGENERATE:
+            return
+        if kind == DEGENERATE:
             point = float(params["value"])
             if not (0 <= point < math.inf):
                 raise DistributionError("point mass must be nonnegative and finite")
-            self._point = point
-            self._values, self._tail = np.array([point]), _survival(np.ones(1))
-            self._lo = self._hi = point
+            atoms = [(point, 1.0)]
         else:
-            raise DistributionError(f"unknown distribution kind: {kind!r}")
+            atoms = sorted(params["atoms"])
+            if not all(len(a) == 2 for a in atoms):
+                raise DistributionError("each atom must be a [value, probability] pair")
+        values = np.asarray([a[0] for a in atoms], dtype=float)
+        probs = np.asarray([a[1] for a in atoms], dtype=float)
+        if len(values) == 0:
+            raise DistributionError("finite-support needs at least one atom")
+        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+            raise DistributionError("atom values and probabilities must be finite")
+        if np.any(values < 0):
+            raise DistributionError("atom values must be nonnegative")
+        if np.any(np.diff(values) <= 0):
+            raise DistributionError("atom values must be strictly increasing")
+        if np.any(probs <= 0) or np.any(probs > 1):
+            raise DistributionError("atom probabilities must lie in (0, 1]")
+        if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
+            raise DistributionError("atom probabilities must sum to 1")
+        self._values, self._probs = values, probs
+        self._tail = _survival(probs)
+        # the CDF's steps as Python floats, for `cdf`, normalized as Generator.choice
+        # normalizes p: the top level is exactly 1.0 even when the probabilities sum to less
+        cum = np.cumsum(probs)
+        self._steps = (tuple(values.tolist()), tuple((cum / cum[-1]).tolist()))
+        self._lo, self._hi = float(values[0]), float(values[-1])
 
     # ---- constructors ----
 
@@ -124,7 +129,7 @@ class ValueDistribution:
 
     @property
     def atomless(self) -> bool:
-        return self.kind in (UNIFORM, EXPONENTIAL)
+        return self._values is None
 
     @property
     def support(self) -> tuple[float, float]:
@@ -133,25 +138,21 @@ class ValueDistribution:
     @property
     def atoms(self) -> Optional[list[tuple[float, float]]]:
         """Atom list for discrete kinds, None for continuous kinds."""
-        if self.kind == FINITE:
-            return [(float(v), float(p)) for v, p in zip(self._values, self._probs)]
-        if self.kind == DEGENERATE:
-            return [(self._point, 1.0)]
-        return None
+        if self._values is None:
+            return None
+        return [(float(v), float(p)) for v, p in zip(self._values, self._probs)]
 
     def mean(self) -> float:
-        if self.kind == FINITE:
+        if self._values is not None:
             return float(self._values @ self._probs)
         if self.kind == UNIFORM:
             return 0.5 * (self._lo + self._hi)
-        if self.kind == EXPONENTIAL:
-            return 1.0 / self._rate
-        return self._point
+        return 1.0 / self._rate
 
     # ---- probability functions ----
 
     def cdf(self, x: float) -> float:
-        if self.kind == FINITE:
+        if self._steps is not None:
             points, levels = self._steps
             idx = bisect_right(points, x)
             return 0.0 if idx == 0 else levels[idx - 1]
@@ -161,25 +162,7 @@ class ValueDistribution:
             if x >= self._hi:
                 return 1.0
             return (x - self._lo) / (self._hi - self._lo)
-        if self.kind == EXPONENTIAL:
-            return 0.0 if x < 0 else 1.0 - math.exp(-self._rate * x)
-        return 1.0 if x >= self._point else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Generalized inverse CDF, inf{x : F(x) >= q}, for q in (0, 1]."""
-        if not (0 < q <= 1):
-            raise DistributionError("quantile requires q in (0, 1]")
-        if self.kind == FINITE:
-            idx = int(np.searchsorted(self._cdf, q - _ATOM_PROB_TOL))
-            idx = min(idx, len(self._values) - 1)
-            return float(self._values[idx])
-        if self.kind == UNIFORM:
-            return self._lo + q * (self._hi - self._lo)
-        if self.kind == EXPONENTIAL:
-            if q == 1.0:
-                return math.inf
-            return -math.log1p(-q) / self._rate
-        return self._point
+        return 0.0 if x < 0 else 1.0 - math.exp(-self._rate * x)
 
     def isf(self, v: np.ndarray) -> np.ndarray:
         """Vectorized inverse survival function, the generalized inverse
@@ -193,9 +176,13 @@ class ValueDistribution:
             return self._hi - v * (self._hi - self._lo)
         if self.kind == EXPONENTIAL:
             return -np.log(v) / self._rate
-        # the largest atom whose survival level is >= v: the one below the
-        # highest interior level that v exceeds
-        return _lookup(v, self._values, self._tail[1:-1], np.greater)
+        # the atom below the highest interior survival level that v exceeds:
+        # one masked copy per level, from the top down, so a draw at the top
+        # step writes nothing
+        out = np.full(v.shape, self._values[-1])
+        for value, level in zip(self._values[-2::-1], self._tail[-2:0:-1]):
+            np.copyto(out, value, where=v > level)
+        return out
 
     def sf(self, x) -> np.ndarray:
         """Vectorized survival function Pr[X >= x]. A finite support or a
@@ -221,44 +208,36 @@ class ValueDistribution:
         return float(self.sample_n(rng, 1)[0])
 
     def sample_n(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        """Draw an array of the given size (C order).
-
-        A finite support is sampled by sequential-search inversion: the atom
-        drawn is the one above the last interior CDF point <= u, for u =
-        rng.random. That is the arithmetic of rng.choice(values, size,
-        p=probs), so the draws are bit-identical to it. The cost is O(atoms)
-        whole-array passes per cell (`_lookup`, as `isf` reads its survival
-        table): well below choice's per-cell binary search at the one to
-        three atoms of every distribution this package builds, about even
-        near 64 atoms, and dearer beyond.
-        """
-        if self.kind == FINITE:
-            return _lookup(rng.random(size), self._values, self._cdf[:-1], np.less)
+        """Draw an array of the given size (C order). A finite support is
+        drawn by `rng.choice(values, size, p=probs)`; a point mass draws
+        nothing from rng."""
+        if self.kind == DEGENERATE:
+            return np.full(size, self._lo)
+        if self._values is not None:
+            return rng.choice(self._values, size, p=self._probs)
         if self.kind == UNIFORM:
             return rng.uniform(self._lo, self._hi, size=size)
-        if self.kind == EXPONENTIAL:
-            return rng.exponential(1.0 / self._rate, size=size)
-        return np.full(size, self._point)
+        return rng.exponential(1.0 / self._rate, size=size)
 
     # ---- serialization ----
 
     def to_json(self) -> dict:
-        if self.kind == FINITE:
+        if self.kind == DEGENERATE:
+            params = {"value": self._lo}
+        elif self._values is not None:
             params = {"atoms": [[float(v), float(p)] for v, p in self.atoms]}
         elif self.kind == UNIFORM:
             params = {"lo": self._lo, "hi": self._hi}
-        elif self.kind == EXPONENTIAL:
-            params = {"rate": self._rate}
         else:
-            params = {"value": self._point}
+            params = {"rate": self._rate}
         return {"kind": self.kind, "params": params}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ValueDistribution":
-        kind, params = obj["kind"], obj["params"]
-        if kind == FINITE:
-            return cls.finite([tuple(a) for a in params["atoms"]])
-        return cls(kind, **params)
+        unread = sorted(set(obj) - {"kind", "params"})
+        if unread:
+            raise DistributionError(f"a distribution reads kind and params, not {unread}")
+        return cls(obj["kind"], **obj["params"])
 
     def __repr__(self) -> str:
         return f"ValueDistribution({self.to_json()})"
@@ -273,18 +252,6 @@ def _survival(probs: np.ndarray) -> np.ndarray:
     lowest atom's level is exactly 1.0, then a trailing 0.0 above the top."""
     tail = np.cumsum(probs[::-1])[::-1]
     return np.append(tail / tail[0], 0.0)
-
-
-def _lookup(x: np.ndarray, values, levels, hit) -> np.ndarray:
-    """Inversion over a step table, levels[i] between values[i] and
-    values[i + 1]: values[i] for the lowest levels[i] where `hit(x, level)`
-    holds, else the top value. One masked copy per level, from the top down,
-    so a draw at the top step writes nothing; each level is a scalar or an
-    array broadcast against x."""
-    out = np.full(np.shape(x), values[-1])
-    for value, level in zip(values[-2::-1], levels[::-1]):
-        np.copyto(out, value, where=hit(x, level))
-    return out
 
 
 def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarray:
@@ -353,12 +320,9 @@ class ProductInstance:
         instance of several runs, and as the reference the tests hold every
         other sampler to.
         """
-        if len(self._runs) == 1:
-            cols = self.components[0].sample_n(rng, (self.n, trials))
-        else:
-            cols = np.empty((self.n, trials))
-            for lo, hi in self._runs:
-                cols[lo:hi] = self.components[lo].sample_n(rng, (hi - lo, trials))
+        cols = np.empty((self.n, trials))
+        for lo, hi in self._runs:
+            cols[lo:hi] = self.components[lo].sample_n(rng, (hi - lo, trials))
         return np.ascontiguousarray(cols.T)
 
     def sample_rank(self, rng: np.random.Generator, trials: int, tau: int) -> np.ndarray:
@@ -501,23 +465,25 @@ class ProductInstance:
 
     def _stacked(self) -> tuple:
         """The run of each column, and the `isf` parameters of the distinct
-        components, one entry per run: the index of its kind in `names`, lo,
-        hi and rate, and for a finite support or a point mass its atoms (a
-        row of `values`) and interior survival levels (a column of `levels`,
-        padded with -inf, which no v reaches). Built on first use and kept."""
+        components, one entry per run: the index of its family in `names`
+        (uniform, exponential, or the step table of a finite support or a
+        point mass), lo, hi and rate, and for a table its atoms (a row of
+        `values`) and interior survival levels (a column of `levels`, padded
+        with -inf, which no v reaches). Built on first use and kept."""
         if self._stack is None:
             heads = self.distinct()
-            names = sorted({c.kind for c in heads})
-            width = max(len(c._values) if c._tail is not None else 1 for c in heads)
+            family = [c.kind if c.atomless else FINITE for c in heads]
+            names = sorted(set(family))
+            width = max(1 if c.atomless else len(c._values) for c in heads)
             values = np.zeros((len(heads), width))
             levels = np.full((width - 1, len(heads)), -np.inf)
             for h, c in enumerate(heads):
-                if c._tail is not None:
+                if not c.atomless:
                     values[h, :len(c._values)] = c._values
                     levels[:len(c._values) - 1, h] = c._tail[1:-1]
             self._stack = (
                 np.repeat(np.arange(len(heads)), [hi - lo for lo, hi in self._runs]),
-                names, np.array([names.index(c.kind) for c in heads]),
+                names, np.array([names.index(f) for f in family]),
                 *np.array([[c._lo, c._hi, c._rate or np.nan] for c in heads]).T,
                 values, levels)
         return self._stack
@@ -526,7 +492,7 @@ class ProductInstance:
         """Each entry's component `isf`, bit for bit, where `head` holds the
         run of each entry along v's last axis. An atom is found by counting
         the survival levels >= v, which costs the same however the entries
-        mix the steps (`_lookup`'s masked copies do not), and gathered once."""
+        mix the steps (the masked copies of `isf` do not), and gathered once."""
         _, names, code, lo, hi, rate, values, levels = self._stacked()
 
         def kind_isf(kind: str, x: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -66,9 +66,8 @@ class ExperimentSpec:
             raise InvalidSpecError(f"kind: unknown kind {self.kind!r}")
         for name in ("n", "ell", "k", "trials", "master_seed", "tau"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise InvalidSpecError(f"{name}: must be an integer, got {value!r}")
+            if value is not None:
+                as_count(value, name)
         if self.n < 1:
             raise InvalidSpecError("n: must be >= 1")
         if self.ell < 1:
@@ -181,11 +180,11 @@ def secretary_upper_bound(n: int, k: int) -> float:
 # ---- spec resolution helpers ----
 
 
-def _count(value, field: str) -> int:
-    """A count nested in a spec field: an integer (not a bool), or an
-    InvalidSpecError that names the field."""
+def as_count(value, field: str) -> int:
+    """A count: an integer, not a bool. A float such as 1.9 is refused, not
+    truncated, by an InvalidSpecError that names the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSpecError(f"{field}: n must be an integer, got {value!r}")
+        raise InvalidSpecError(f"{field}: must be an integer, got {value!r}")
     return int(value)
 
 
@@ -221,7 +220,7 @@ def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
     desc = _nested(spec, "distribution")
     if "iid" in desc:
         _refuse_unread(desc, ("iid", "n"), "distribution", "iid")
-        n = _count(desc.get("n", spec.n), "distribution")
+        n = as_count(desc.get("n", spec.n), "distribution: n")
         with _malformed("distribution"):
             instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), n)
     elif "components" in desc:
@@ -240,7 +239,7 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     kind = desc.get("kind")
     if kind == "geometric":
         _refuse_unread(desc, ("kind", "n", "ratio"), "values", "geometric")
-        n = _count(desc.get("n", spec.n), "values")
+        n = as_count(desc.get("n", spec.n), "values: n")
         ratio = desc.get("ratio")
         if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
             raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")

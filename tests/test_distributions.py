@@ -92,9 +92,13 @@ class TestValueDistribution:
         ValueDistribution.degenerate(4.0),
     ])
     def test_quantile_cdf_galois(self, dist, rng):
-        # right-continuous CDF with generalized-inverse quantile
+        # right-continuous CDF with generalized-inverse quantile: the quantile
+        # of the max of one draw
+        def quantile(q):
+            return max_quantile(ProductInstance.iid(dist, 1), q)
+
         for q in rng.uniform(1e-6, 1.0, 200):
-            x = dist.quantile(float(q))
+            x = quantile(float(q))
             if math.isfinite(x):
                 assert dist.cdf(x) >= q - 1e-12
         lo, hi = dist.support
@@ -102,16 +106,47 @@ class TestValueDistribution:
         for x in rng.uniform(lo, hi, 200):
             f = dist.cdf(float(x))
             if 0 < f < 1 - 1e-9:
-                assert dist.quantile(f) <= x + 1e-9 * max(1.0, abs(x))
+                assert quantile(f) <= x + 1e-9 * max(1.0, abs(x))
 
     def test_finite_cdf_reaches_one_when_probabilities_sum_below_it(self):
-        # the CDF and the quantile read the sampler's normalized table, so the
-        # top atom's level is 1.0 although the probabilities sum to 1 - 1.1e-16
+        # the CDF reads the sampler's normalized table, so the top atom's level
+        # is 1.0 although the probabilities sum to 1 - 1.1e-16, and the quantile
+        # at 1 is that atom
         probs = (0.014642150797064277, 0.0005317522920528652, 0.9848260969108827)
         assert sum(probs) < 1.0
         dist = ValueDistribution.finite(list(zip((0.0, 1.0, 2.0), probs)))
-        assert dist.cdf(2.0) == 1.0 and dist.quantile(1.0) == 2.0
+        assert dist.cdf(2.0) == 1.0 and max_quantile(ProductInstance.iid(dist, 1), 1.0) == 2.0
         assert dist.cdf(0.0) == pytest.approx(probs[0], rel=1e-15)
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "finite-support", "params": {"atoms": [[1.0]]}},
+        {"kind": "finite-support", "params": {"atoms": [[1.0, 1.0, 5.0]]}},
+        {"kind": "uniform-interval", "params": {"lo": 0, "hi": 1, "extra": 3}},
+        {"kind": "uniform-interval", "params": {"lo": 0, "hi": 1}, "extra": 3},
+        {"kind": "degenerate", "params": {}},
+    ], ids=["short-atom", "long-atom", "unknown-param", "unknown-key", "missing-param"])
+    def test_from_json_refuses_malformed_payloads(self, obj):
+        # the short atom raised a raw IndexError; the extra entry and keys were ignored
+        with pytest.raises(DistributionError):
+            ValueDistribution.from_json(obj)
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, 4.0, 1e-300, 3e300])
+    def test_point_mass_is_the_one_atom_support(self, value):
+        point, atom = ValueDistribution.degenerate(value), ValueDistribution.finite([(value, 1.0)])
+        xs = [0.0, value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf), 2 * value]
+        assert [point.cdf(x) for x in xs] == [atom.cdf(x) for x in xs]
+        assert np.array_equal(point.sf(xs), atom.sf(xs))
+        v = np.random.default_rng(3).random(50)
+        assert np.array_equal(point.isf(v), atom.isf(v))
+        assert point.atoms == atom.atoms and point.support == atom.support
+        assert repr(point.mean()) == repr(atom.mean())
+        # the same values, but the point mass leaves the stream untouched and
+        # the one-atom support draws one uniform per cell
+        rng_point, rng_atom, rng_ref = (np.random.default_rng(9) for _ in range(3))
+        assert np.array_equal(point.sample_n(rng_point, (4, 6)), atom.sample_n(rng_atom, (4, 6)))
+        assert np.array_equal(rng_point.random(3), np.random.default_rng(9).random(3))
+        rng_ref.random((4, 6))
+        assert np.array_equal(rng_atom.random(3), rng_ref.random(3))
 
     def test_json_round_trip(self):
         dists = [

@@ -327,12 +327,20 @@ class TestRunExperiment:
         ("distribution", {"iid": {"kind": "pareto", "params": {"alpha": 2.0}}}),
         ("distribution", {"components": [{"kind": "exponential", "params": {}}] * 20}),
         ("distribution", "uniform-interval"),
+        ("distribution", {"iid": {"kind": "finite-support", "params": {"atoms": [[1.0]]}}}),
+        ("distribution", {"iid": {"kind": "finite-support",
+                                  "params": {"atoms": [[1.0, 1.0, 5.0]]}}}),
+        ("distribution", {"iid": {"kind": "uniform-interval",
+                                  "params": {"lo": 0, "hi": 1, "extra": 3}}}),
+        ("distribution", {"iid": {"kind": "uniform-interval", "params": {"lo": 0, "hi": 1},
+                                  "extra": 3}}),
     ], ids=["float-iid-n", "bool-iid-n", "str-geometric-n", "str-ratio", "bool-ratio",
             "zero-ratio", "negative-ratio", "unit-ratio", "overflowing-ratio",
             "infinite-ratio", "nan-ratio", "no-ratio", "no-list", "non-dict-values",
             "no-csv-path", "missing-csv", "scalar-list", "str-list", "nan-value",
             "inf-value", "negative-values", "zero-values", "no-params", "bad-params",
-            "unknown-kind", "no-rate", "non-dict-distribution"])
+            "unknown-kind", "no-rate", "non-dict-distribution", "short-atom", "long-atom",
+            "unknown-param", "unknown-distribution-key"])
     def test_refuses_untyped_nested_counts(self, field, desc):
         # before: int(20.7), int("20") and float("2") let these specs run; a
         # malformed payload raised a raw KeyError, AttributeError,
@@ -582,10 +590,12 @@ class TestCli:
         ('"values": [Infinity, 3]', "values"),
         ('"values": [-5, 3]', "values"),
         ('"values": [6, 3], "vlaues": [1, 2]', "vlaues"),
-    ], ids=["nan", "inf", "negative", "misspelt-key"])
+        ('"values": [6, 3], "order": [1.0, 0.0]', "order"),
+    ], ids=["nan", "inf", "negative", "misspelt-key", "float-order"])
     def test_mechanism_simulate_refuses_bad_values_and_keys(self, tmp_path, payload, field):
         # each used to run: the NaN agent declined its ticket, inf reported
-        # welfare inf, and the misspelt key was ignored
+        # welfare inf, and the misspelt key was ignored; a float order entry
+        # raised a raw TypeError
         path = tmp_path / "mech.json"
         path.write_text('{"ell": 1, "k": 2, "threshold": 1.0, ' + payload + "}")
         with pytest.raises(ValueError, match=f"^{field}:"):
