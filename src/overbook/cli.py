@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
-from .harness import as_count, emit_report, load_config, run_experiments
+from .harness import (InvalidSpecError, _malformed, as_count, as_values, emit_report,
+                      load_config, read_object, run_experiments)
 from .mechanisms import MechanismConfig, run_two_phase
 from .oracle import optimal_online_dp
 
@@ -54,8 +54,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle_dp(args) -> int:
     with open(args.instance) as fh:
-        obj = json.load(fh)
-    instance = ProductInstance.from_json(obj["components"])
+        obj = read_object(json.load(fh), "", ("components", "ell", "k"))
+    with _malformed("components"):
+        instance = ProductInstance.from_json(obj["components"])
     dp = optimal_online_dp(instance, as_count(obj["ell"], "ell"), as_count(obj["k"], "k"))
     out = {"expected_value": dp.expected_value}
     if args.policy:
@@ -64,33 +65,27 @@ def _cmd_oracle_dp(args) -> int:
     return 0
 
 
-#: The keys that `mechanism simulate` reads from its config.
-_MECHANISM_KEYS = ("ell", "k", "threshold", "mode", "prior", "values", "order")
-
-
 def _cmd_mechanism_simulate(args) -> int:
     with open(args.config) as fh:
-        obj = json.load(fh)
-    for key in obj:
-        if key not in _MECHANISM_KEYS:
-            raise ValueError(f"{key}: unknown mechanism config key")
-    prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
+        obj = read_object(json.load(fh), "", ("ell", "k", "threshold", "values"),
+                          ("mode", "prior", "order"))
+    with _malformed("prior"):
+        prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
+    with _malformed("threshold"):
+        threshold = float(obj["threshold"])
     config = MechanismConfig(
         ell=as_count(obj["ell"], "ell"),
         k=as_count(obj["k"], "k"),
-        threshold=float(obj["threshold"]),
+        threshold=threshold,
         mode=obj.get("mode", "welfare"),
         prior=prior,
     )
-    values = [float(v) for v in obj["values"]]
-    if not all(0 <= v < math.inf for v in values):
-        # a NaN agent would silently decline its ticket, and inf reports welfare inf
-        raise ValueError(f"values: every value must be finite and >= 0, got {values}")
-    order = obj.get("order")
-    if order is not None:
-        order = [as_count(i, "order") for i in order]
+    values = as_values(obj["values"], "values").tolist()
+    if "order" in obj:
+        with _malformed("order"):
+            order = [as_count(i, "order") for i in obj["order"]]
         if sorted(order) != list(range(len(values))):
-            raise ValueError("order must be a permutation of 0..n-1")
+            raise InvalidSpecError("order: must be a permutation of 0..n-1")
         values = [values[i] for i in order]
     outcome = run_two_phase(values, config)
     print(json.dumps(outcome.to_json(), indent=2))

@@ -234,9 +234,16 @@ class ValueDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ValueDistribution":
+        if not isinstance(obj, dict):
+            raise DistributionError(f"a distribution must be an object, got {obj!r}")
+        for key in ("kind", "params"):
+            if key not in obj:
+                raise DistributionError(f"{key}: required in a distribution")
         unread = sorted(set(obj) - {"kind", "params"})
         if unread:
             raise DistributionError(f"a distribution reads kind and params, not {unread}")
+        if not isinstance(obj["params"], dict):
+            raise DistributionError(f"params: must be an object, got {obj['params']!r}")
         return cls(obj["kind"], **obj["params"])
 
     def __repr__(self) -> str:

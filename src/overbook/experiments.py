@@ -436,23 +436,18 @@ def mechanism_welfare_trials(
     k: int,
     trials: int,
     master_seed: int,
-    source: str = "alg_max",
     tau: Optional[int] = None,
 ) -> TrialStats:
     """Welfare ratio of the two-phase mechanism, plus a check of the batch
     kernel against the scalar mechanism on the leading rows of every batch.
 
-    The ticket threshold comes from the max-distribution quantile
-    (source="alg_max", fixed across trials) or from the tau-th highest entry
-    of a fresh sample vector per trial (source="alg_tau-sample", drawn by
+    With no `tau` the ticket threshold is the max-distribution quantile
+    (source alg_max, fixed across trials); with one it is the tau-th highest
+    entry of a fresh sample vector per trial (source alg_tau-sample, drawn by
     `ProductInstance.sample_rank`). The top ell of the first k ticket holders
     win, so the welfare is the threshold selector's top-ell value.
     """
-    threshold = None
-    if source == mechanisms.SOURCE_ALG_MAX:
-        threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
-    elif source != mechanisms.SOURCE_ALG_TAU:
-        raise ValueError(f"unknown threshold source: {source!r}")
+    threshold = max_quantile(instance, TWO_THIRDS ** (k - 1)) if tau is None else None
     return _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau,
                              replay=True)
 

@@ -93,14 +93,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
-        known = {f.name: f for f in fields(cls)}
-        for key in obj:
-            if key not in known:
-                raise InvalidSpecError(f"{key}: unknown spec key")
-        for name, f in known.items():
-            if f.default is MISSING and name not in obj:
-                raise InvalidSpecError(f"{name}: required")
-        return cls(**obj)
+        required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+        optional = tuple(f.name for f in fields(cls) if f.default is not MISSING)
+        return cls(**read_object(obj, "", required, optional))
 
 
 @dataclass
@@ -132,6 +127,9 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentReport":
+        read_object(obj, "", ("spec", "algorithm", "ratio_estimate", "stderr",
+                              "theoretical_bound", "vacuous", "pass", "elapsed_seconds"),
+                    ("seed_rule", "extras"))
         return cls(
             spec=ExperimentSpec.from_json(obj["spec"]),
             algorithm=obj["algorithm"],
@@ -188,6 +186,23 @@ def as_count(value, field: str) -> int:
     return int(value)
 
 
+def read_object(obj, where: str, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> dict:
+    """Return `obj` once it is a JSON object with every `required` key and no
+    key outside `required + optional`; otherwise raise an InvalidSpecError that
+    names the key after `where`, the field holding it ("" for a top-level one)."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where or 'top level'}: must be a JSON object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise InvalidSpecError(f"{prefix}{key}: required")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise InvalidSpecError(f"{prefix}{key}: unknown key")
+    return obj
+
+
 @contextmanager
 def _malformed(field: str):
     """Re-raise what parsing a malformed nested payload raises (a missing key,
@@ -195,52 +210,50 @@ def _malformed(field: str):
     file) as an InvalidSpecError that names the field."""
     try:
         yield
+    except InvalidSpecError:
+        raise
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise InvalidSpecError(f"{field}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _nested(spec: ExperimentSpec, field: str) -> dict:
-    desc = getattr(spec, field)
-    if desc is None:
-        raise InvalidSpecError(f"{field}: required for this kind")
-    if not isinstance(desc, dict):
-        raise InvalidSpecError(f"{field}: must be an object, got {desc!r}")
-    return desc
-
-
-def _refuse_unread(desc: dict, read: tuple[str, ...], field: str, form: str) -> None:
-    """Refuse the keys of a nested payload that its form does not read,
-    which would otherwise be ignored without a word."""
-    unread = [key for key in desc if key not in read]
-    if unread:
-        raise InvalidSpecError(f"{field}: the {form} form does not read {unread}")
+def as_values(obj, field: str) -> np.ndarray:
+    """A flat list of finite values >= 0, or an InvalidSpecError that names the
+    field: NaN, inf and negative values make a NaN or infinite estimate or a
+    ratio above 1, which a vacuous bound would pass."""
+    with _malformed(field):
+        values = np.asarray(obj, dtype=float)
+    if values.ndim != 1:
+        raise InvalidSpecError(f"{field}: need a flat list of values, got shape {values.shape}")
+    if not np.all((values >= 0) & (values < math.inf)):
+        raise InvalidSpecError(f"{field}: every value must be finite and >= 0")
+    return values
 
 
 def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
-    desc = _nested(spec, "distribution")
+    desc = spec.distribution if isinstance(spec.distribution, dict) else {}
     if "iid" in desc:
-        _refuse_unread(desc, ("iid", "n"), "distribution", "iid")
+        read_object(desc, "distribution", ("iid",), ("n",))
         n = as_count(desc.get("n", spec.n), "distribution: n")
         with _malformed("distribution"):
             instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), n)
     elif "components" in desc:
-        _refuse_unread(desc, ("components",), "distribution", "components")
+        read_object(desc, "distribution", ("components",))
         with _malformed("distribution"):
             instance = ProductInstance.from_json(desc["components"])
     else:
-        raise InvalidSpecError("distribution: need 'iid' or 'components'")
+        raise InvalidSpecError("distribution: need an object with 'iid' or 'components'")
     if instance.n != spec.n:
         raise InvalidSpecError(f"distribution: {instance.n} components but n={spec.n}")
     return instance
 
 
 def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
-    desc = _nested(spec, "values")
+    desc = spec.values if isinstance(spec.values, dict) else {}
     kind = desc.get("kind")
     if kind == "geometric":
-        _refuse_unread(desc, ("kind", "n", "ratio"), "values", "geometric")
+        read_object(desc, "values", ("kind", "ratio"), ("n",))
         n = as_count(desc.get("n", spec.n), "values: n")
-        ratio = desc.get("ratio")
+        ratio = desc["ratio"]
         if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
             raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")
         if not 1.0 < ratio < math.inf:
@@ -248,22 +261,16 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
             raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
         values = float(ratio) ** -np.arange(n, dtype=float)
     elif kind == "list":
-        _refuse_unread(desc, ("kind", "values"), "values", "list")
-        with _malformed("values"):
-            values = np.asarray(desc["values"], dtype=float)
+        values = read_object(desc, "values", ("kind", "values"))["values"]
     elif kind == "csv":
-        _refuse_unread(desc, ("kind", "path"), "values", "csv")
+        read_object(desc, "values", ("kind", "path"))
         with _malformed("values"), open(desc["path"]) as fh:
-            values = np.asarray([float(line) for line in fh if line.strip()], dtype=float)
+            values = [float(line) for line in fh if line.strip()]
     else:
-        raise InvalidSpecError("values: kind must be geometric, list, or csv")
-    if values.shape != (spec.n,):
-        raise InvalidSpecError(f"values: need a flat list of n={spec.n} values, "
-                               f"got shape {values.shape}")
-    if not np.all((values >= 0) & (values < math.inf)):
-        # NaN values make a NaN estimate and negative ones a ratio above 1,
-        # both of which a vacuous bound would pass
-        raise InvalidSpecError("values: every value must be finite and >= 0")
+        raise InvalidSpecError("values: need an object whose kind is geometric, list, or csv")
+    values = as_values(values, "values")
+    if len(values) != spec.n:
+        raise InvalidSpecError(f"values: need n={spec.n} values, got {len(values)}")
     if not values.any():
         raise InvalidSpecError("values: all values are 0, so the top-ell sum is 0")
     return values
@@ -382,8 +389,7 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
     # atom and accept nothing
     _require_atomless(instance, engine)
     stats = experiments.mechanism_welfare_trials(
-        instance, spec.ell, spec.k, spec.trials, spec.master_seed,
-        source=source, tau=tau)
+        instance, spec.ell, spec.k, spec.trials, spec.master_seed, tau=tau)
     return _Outcome(f"two_phase[{source}]", stats.ratio, stats.ratio_stderr, bound,
                     {**extras, **stats.extras}, ok=stats.extras["trace_mismatches"] == 0)
 
@@ -491,12 +497,7 @@ def load_config(path: str) -> list[ExperimentSpec]:
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict):
-        if "experiments" not in obj:
-            raise InvalidSpecError("experiments: required at the top level")
-        for key in obj:
-            if key != "experiments":
-                raise InvalidSpecError(f"{key}: unknown top-level key")
-        obj = obj["experiments"]
+        obj = read_object(obj, "", ("experiments",))["experiments"]
     if not isinstance(obj, list) or not all(isinstance(e, dict) for e in obj):
         raise InvalidSpecError(f"experiments: must be a list of objects, got {obj!r}")
     return [ExperimentSpec.from_json(e) for e in obj]

@@ -188,8 +188,7 @@ def test_criterion_07_secretary_upper_bound():
 def test_criterion_08_mechanism_welfare():
     n, ell, k = 100, 1, 12
     inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), n)
-    stats = mechanism_welfare_trials(inst, ell, k, TRIALS, master_seed=8001,
-                                     source="alg_max", tau=None)
+    stats = mechanism_welfare_trials(inst, ell, k, TRIALS, master_seed=8001)
     bound = max_selector_bound(k)
     ok = (stats.ratio + 3 * stats.ratio_stderr >= bound
           and stats.extras["trace_mismatches"] == 0)

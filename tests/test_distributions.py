@@ -118,16 +118,22 @@ class TestValueDistribution:
         assert dist.cdf(2.0) == 1.0 and max_quantile(ProductInstance.iid(dist, 1), 1.0) == 2.0
         assert dist.cdf(0.0) == pytest.approx(probs[0], rel=1e-15)
 
-    @pytest.mark.parametrize("obj", [
-        {"kind": "finite-support", "params": {"atoms": [[1.0]]}},
-        {"kind": "finite-support", "params": {"atoms": [[1.0, 1.0, 5.0]]}},
-        {"kind": "uniform-interval", "params": {"lo": 0, "hi": 1, "extra": 3}},
-        {"kind": "uniform-interval", "params": {"lo": 0, "hi": 1}, "extra": 3},
-        {"kind": "degenerate", "params": {}},
-    ], ids=["short-atom", "long-atom", "unknown-param", "unknown-key", "missing-param"])
-    def test_from_json_refuses_malformed_payloads(self, obj):
-        # the short atom raised a raw IndexError; the extra entry and keys were ignored
-        with pytest.raises(DistributionError):
+    @pytest.mark.parametrize("obj,named", [
+        ({"kind": "finite-support", "params": {"atoms": [[1.0]]}}, "atom"),
+        ({"kind": "finite-support", "params": {"atoms": [[1.0, 1.0, 5.0]]}}, "atom"),
+        ({"kind": "uniform-interval", "params": {"lo": 0, "hi": 1, "extra": 3}}, "extra"),
+        ({"kind": "uniform-interval", "params": {"lo": 0, "hi": 1}, "extra": 3}, "extra"),
+        ({"kind": "degenerate", "params": {}}, "value"),
+        ({"params": {"value": 1.0}}, "^kind:"),
+        ({"kind": "degenerate"}, "^params:"),
+        ({"kind": "degenerate", "params": [1.0]}, "^params:"),
+    ], ids=["short-atom", "long-atom", "unknown-param", "unknown-key", "missing-param",
+            "missing-kind", "missing-params", "list-params"])
+    def test_from_json_refuses_malformed_payloads(self, obj, named):
+        # the short atom raised a raw IndexError; the extra entry and keys were
+        # ignored; a missing kind or params raised a raw KeyError, and a list
+        # of params a raw TypeError
+        with pytest.raises(DistributionError, match=named):
             ValueDistribution.from_json(obj)
 
     @pytest.mark.parametrize("value", [0.0, 1.5, 4.0, 1e-300, 3e300])

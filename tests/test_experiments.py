@@ -172,7 +172,7 @@ def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
     # tau = 10 of n = 20 puts about ten values above the threshold, so k = 2 binds
     inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 20)
     monkeypatch.setattr(experiments, "BATCH_SIZE", 300)
-    args = dict(source="alg_tau-sample", tau=10)
+    args = dict(tau=10)
     assert mechanism_welfare_trials(inst, 1, 2, 900, 5, **args).extras["trace_mismatches"] == 0
 
     monkeypatch.setattr(experiments, "_threshold_top",

@@ -102,6 +102,12 @@ class TestExperimentSpec:
             ExperimentSpec.from_json({"kind": "secretary", "n": 4, "ell": 1, "k": 2,
                                       "trials": 10})
 
+    def test_non_object_refused(self):
+        # a list used to be read key by key: [1] gave "1: unknown spec key"
+        with pytest.raises(InvalidSpecError,
+                           match=r"^top level: must be a JSON object, got \[1\]$"):
+            ExperimentSpec.from_json([1])
+
 
 class TestBounds:
     def test_tau_bound_formula(self):
@@ -258,20 +264,20 @@ class TestRunExperiment:
         # before: n was ignored, and this spec ran as n = 10 (estimate 0.745, PASS)
         spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=4, trials=200, master_seed=1,
                               distribution={"components": [UNIFORM] * 10, "n": 5})
-        with pytest.raises(InvalidSpecError, match="^distribution: the components form"):
+        with pytest.raises(InvalidSpecError, match="^distribution: n: unknown key$"):
             run_experiment(spec)
 
     def test_iid_form_refuses_components(self):
         # before: the components were ignored, and the spec ran on iid (0.752)
         spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=4, trials=200, master_seed=1,
                               distribution={"iid": UNIFORM, "components": []})
-        with pytest.raises(InvalidSpecError, match="^distribution: the iid form"):
+        with pytest.raises(InvalidSpecError, match="^distribution: components: unknown key$"):
             run_experiment(spec)
 
     def test_values_kind_refuses_keys_it_does_not_read(self):
         spec = ExperimentSpec(kind="secretary", n=3, ell=1, k=2, trials=10, master_seed=1,
                               values={"kind": "list", "values": [3.0, 1.0, 2.0], "ratio": 2.0})
-        with pytest.raises(InvalidSpecError, match="^values: the list form"):
+        with pytest.raises(InvalidSpecError, match="^values: ratio: unknown key$"):
             run_experiment(spec)
 
     def test_revenue_runs_at_small_value_scale(self):
@@ -582,7 +588,7 @@ class TestCli:
                 "master_seed": 0}
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"experiments": [spec], "experimnets": [spec, spec]}))
-        with pytest.raises(InvalidSpecError, match="^experimnets: unknown top-level key$"):
+        with pytest.raises(InvalidSpecError, match="^experimnets: unknown key$"):
             load_config(str(path))
 
     @pytest.mark.parametrize("payload,field", [
@@ -600,6 +606,35 @@ class TestCli:
         path.write_text('{"ell": 1, "k": 2, "threshold": 1.0, ' + payload + "}")
         with pytest.raises(ValueError, match=f"^{field}:"):
             main(["mechanism", "simulate", "--config", str(path)])
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("mechanism", {"k": 2, "threshold": 3.0, "values": [6, 2]}, "ell"),
+        ("mechanism", {"ell": 1, "threshold": 3.0, "values": [6, 2]}, "k"),
+        ("mechanism", {"ell": 1, "k": 2, "values": [6, 2]}, "threshold"),
+        ("mechanism", {"ell": 1, "k": 2, "threshold": 3.0, "values": 3}, "values"),
+        ("mechanism", {"ell": 1, "k": 2, "threshold": 3.0, "values": [6, 2],
+                       "prior": {"kind": "uniform-interval"}}, "prior"),
+        ("mechanism", [1, 2], "top level"),
+        ("oracle", {"ell": 1, "k": 1}, "components"),
+        ("oracle", {"components": [{"kind": "degenerate", "params": {"value": 1.0}}],
+                    "k": 1}, "ell"),
+        ("oracle", {"components": [{"kind": "degenerate", "params": {"value": 1.0}}],
+                    "ell": 1, "k": 1, "extra": 3}, "extra"),
+        ("oracle", {"components": [{"kind": "degenerate"}], "ell": 1, "k": 1}, "components"),
+        ("oracle", [1, 2], "top level"),
+    ], ids=["mech-no-ell", "mech-no-k", "mech-no-threshold", "mech-scalar-values",
+            "mech-prior-no-params", "mech-list", "dp-no-components", "dp-no-ell",
+            "dp-extra-key", "dp-component-no-params", "dp-list"])
+    def test_subcommands_refuse_malformed_payloads_by_name(self, tmp_path, command, payload,
+                                                           key):
+        # each used to end in a raw KeyError or TypeError, and the extra key
+        # was ignored: oracle dp printed its expected value
+        argv = (["mechanism", "simulate", "--config"] if command == "mechanism"
+                else ["oracle", "dp", "--instance"])
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidSpecError, match=f"^{key}:"):
+            main(argv + [str(path)])
 
     @pytest.mark.parametrize("command,key,value", [
         ("mechanism", "ell", 1.9),
