@@ -16,8 +16,8 @@ import json
 import sys
 
 from .distributions import ProductInstance, ValueDistribution
-from .harness import (InvalidSpecError, _malformed, as_count, as_values, emit_report,
-                      load_config, read_object, run_experiments)
+from .harness import (InvalidSpecError, _malformed, as_count, as_real, as_values,
+                      emit_report, load_config, read_object, run_experiments)
 from .mechanisms import MechanismConfig, run_two_phase
 from .oracle import optimal_online_dp
 
@@ -71,12 +71,10 @@ def _cmd_mechanism_simulate(args) -> int:
                           ("mode", "prior", "order"))
     with _malformed("prior"):
         prior = ValueDistribution.from_json(obj["prior"]) if "prior" in obj else None
-    with _malformed("threshold"):
-        threshold = float(obj["threshold"])
     config = MechanismConfig(
         ell=as_count(obj["ell"], "ell"),
         k=as_count(obj["k"], "k"),
-        threshold=threshold,
+        threshold=as_real(obj["threshold"], "threshold"),
         mode=obj.get("mode", "welfare"),
         prior=prior,
     )

@@ -64,6 +64,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSpecError(f"kind: unknown kind {self.kind!r}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise InvalidSpecError(f"name: must be a string, got {self.name!r}")
         for name in ("n", "ell", "k", "trials", "master_seed", "tau"):
             value = getattr(self, name)
             if value is not None:
@@ -186,6 +188,14 @@ def as_count(value, field: str) -> int:
     return int(value)
 
 
+def as_real(value, field: str) -> float:
+    """A real number, not a bool or a string, as a float; otherwise an
+    InvalidSpecError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"{field}: must be a real number, got {value!r}")
+    return float(value)
+
+
 def read_object(obj, where: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> dict:
     """Return `obj` once it is a JSON object with every `required` key and no
@@ -244,6 +254,8 @@ def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
         raise InvalidSpecError("distribution: need an object with 'iid' or 'components'")
     if instance.n != spec.n:
         raise InvalidSpecError(f"distribution: {instance.n} components but n={spec.n}")
+    if all(c.support[1] == 0.0 for c in instance.distinct()):
+        raise InvalidSpecError("distribution: every value is 0, so the top-ell sum is 0")
     return instance
 
 
@@ -253,13 +265,11 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     if kind == "geometric":
         read_object(desc, "values", ("kind", "ratio"), ("n",))
         n = as_count(desc.get("n", spec.n), "values: n")
-        ratio = desc["ratio"]
-        if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
-            raise InvalidSpecError(f"values: ratio must be a real number, got {ratio!r}")
+        ratio = as_real(desc["ratio"], "values: ratio")
         if not 1.0 < ratio < math.inf:
             # 0 divides by zero, < 0 flips signs, 1 ties, (0, 1) overflows at large n
             raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
-        values = float(ratio) ** -np.arange(n, dtype=float)
+        values = ratio ** -np.arange(n, dtype=float)
     elif kind == "list":
         values = read_object(desc, "values", ("kind", "values"))["values"]
     elif kind == "csv":

@@ -37,18 +37,21 @@ class MechanismConfig:
     prior: Optional[ValueDistribution] = None
 
     def __post_init__(self):
-        if not (1 <= self.ell <= self.k):
-            raise ValueError("need k >= ell >= 1")
+        # each refusal names its field first, as the harness's refusals do
+        if self.ell < 1:
+            raise ValueError("ell: must be >= 1")
+        if self.k < self.ell:
+            raise ValueError("k: must be >= ell")
         if not math.isfinite(self.threshold) or self.threshold < 0:
-            raise ValueError("threshold must be finite and nonnegative")
+            raise ValueError("threshold: must be finite and nonnegative")
         if self.mode not in ("welfare", "revenue"):
-            raise ValueError("mode must be 'welfare' or 'revenue'")
+            raise ValueError(f"mode: must be 'welfare' or 'revenue', got {self.mode!r}")
         if self.mode == "revenue":
             if self.prior is None:
-                raise ValueError("revenue mode requires a prior")
+                raise ValueError("prior: revenue mode requires a prior")
             if not self.prior.atomless:
                 # only the kinds with a density have a virtual value; both are regular
-                raise UndefinedVirtualValueError(f"{self.prior.kind} prior has no density")
+                raise UndefinedVirtualValueError(f"prior: {self.prior.kind} prior has no density")
 
 
 @dataclass

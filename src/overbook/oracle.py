@@ -93,7 +93,10 @@ class DpPolicyValue:
     The policy maps (position, kept top-ell tuple, accepted count) to a
     per-atom accept decision. The kept tuple stores only the top ell accepted
     values (ascending): lower accepted values never affect the objective or
-    any future decision.
+    any future decision. Once the remaining budget fits in the free top-ell
+    slots (ell >= k, or the budget is spent), every later acceptance counts
+    in full, so the kept values only add to the objective: such an entry has
+    kept = () and holds for any kept tuple.
     """
 
     expected_value: float
@@ -122,6 +125,9 @@ def optimal_online_dp(instance: ProductInstance, ell: int, k: int) -> DpPolicyVa
     policy: dict[tuple, dict[float, bool]] = {}
 
     def value(pos: int, kept: tuple[float, ...], count: int) -> float:
+        if kept and ell - len(kept) >= k - count:
+            # every later acceptance is counted: kept values are banked
+            return sum(kept) + value(pos, (), count)
         if pos == n:
             return sum(kept)
         key = (pos, kept, count)

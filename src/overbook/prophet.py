@@ -109,15 +109,17 @@ def alg_tau(
         raise ValueError("tau must lie in [1, n]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    priorities = rng.random(2 * n)
+    # Python floats: sorting and comparing them skips numpy's scalar boxing
+    priorities = rng.random(2 * n).tolist()
     sample_pri, value_pri = priorities[:n], priorities[n:]
-    pairs = sorted(zip(samples, sample_pri), reverse=True)
-    threshold, threshold_pri = map(float, pairs[tau - 1])
+    vals = values.tolist()
+    pairs = sorted(zip(samples.tolist(), sample_pri), reverse=True)
+    threshold, threshold_pri = pairs[tau - 1]
     if not math.isfinite(threshold) or threshold < 0:
         raise ValueError("threshold must be finite and nonnegative")
     # the zip itself, not a list: acceptance stops reading it at capacity
-    indices = accept_first(zip(values, value_pri), (threshold, threshold_pri), k)
-    return SelectionOutcome.from_accepted(values, indices, threshold, ell)
+    indices = accept_first(zip(vals, value_pri), (threshold, threshold_pri), k)
+    return SelectionOutcome.from_accepted(vals, indices, threshold, ell)
 
 
 def alg_max(

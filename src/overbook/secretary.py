@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .prophet import SelectionOutcome
 
@@ -81,19 +84,33 @@ def default_beta(n: int, ell: int, k: int) -> BetaVector:
     return BetaVector(tuple(clamped), n, ell)
 
 
-def _run(values: Sequence[float], beta: BetaVector, capacity: float) -> SelectionOutcome:
+def _candidates(vals: list[float], beta: BetaVector) -> Iterator[int]:
+    """Arrival indices, in order, of the values that rank among the j highest
+    seen so far in their interval j, earlier arrivals winning ties."""
+    ell = beta.ell
+    # the ell highest values seen, ascending: an arrival in interval j <= ell
+    # qualifies iff fewer than j values were seen or the j-th highest is below it
+    top = sorted(vals[:beta.boundaries[0]])[-ell:]
+    for j, (lo, hi) in enumerate(zip(beta.boundaries, beta.boundaries[1:]), start=1):
+        for pos0 in range(lo, hi):
+            v = vals[pos0]
+            if len(top) < j or top[-j] < v:
+                yield pos0
+            # a value at or below the lowest of ell kept ones changes nothing
+            if len(top) < ell:
+                insort(top, v)
+            elif top[0] < v:
+                insort(top, v)
+                del top[0]
+
+
+def _run(values: Sequence[float], beta: BetaVector, capacity: Optional[int]) -> SelectionOutcome:
     if len(values) != beta.n:
         raise ValueError("values length must equal beta.n")
-    accepted: list[int] = []
-    seen: list[float] = []  # ascending
-    for pos0, v in enumerate(values):
-        j = interval_index(beta, pos0 + 1)
-        # rank among v_1..v_i with earlier arrivals winning ties
-        rank = len(seen) - bisect_left(seen, v) + 1
-        if rank <= j and len(accepted) < capacity:
-            accepted.append(pos0)
-        insort(seen, v)
-    return SelectionOutcome.from_accepted(values, accepted, math.nan, beta.ell)
+    vals = np.asarray(values, dtype=float).tolist()
+    # islice stops the walk at capacity: no later arrival can be accepted
+    accepted = list(islice(_candidates(vals, beta), capacity))
+    return SelectionOutcome.from_accepted(vals, accepted, math.nan, beta.ell)
 
 
 def run_secretary(values: Sequence[float], beta: BetaVector, k: int) -> SelectionOutcome:
@@ -105,4 +122,4 @@ def run_secretary(values: Sequence[float], beta: BetaVector, k: int) -> Selectio
 
 def run_secretary_unbounded(values: Sequence[float], beta: BetaVector) -> SelectionOutcome:
     """Interval selector without the capacity stop; may accept more than k."""
-    return _run(values, beta, math.inf)
+    return _run(values, beta, None)

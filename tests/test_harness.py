@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestExperimentSpec:
                            match=r"^top level: must be a JSON object, got \[1\]$"):
             ExperimentSpec.from_json([1])
 
+    @pytest.mark.parametrize("name", [["a", 5], 7, {"a": 1}])
+    def test_refuses_name_that_is_not_a_string(self, name):
+        # ["a", 5] used to run and write "['a', 5]" into the CSV's experiment column
+        spec = ExperimentSpec.from_json({"kind": "hard-instance-dp", "n": 2, "ell": 1, "k": 1,
+                                         "trials": 1, "master_seed": 0, "name": name})
+        with pytest.raises(InvalidSpecError,
+                           match=f"^name: must be a string, got {re.escape(repr(name))}$"):
+            run_experiment(spec)
+
 
 class TestBounds:
     def test_tau_bound_formula(self):
@@ -203,6 +213,21 @@ class TestRunExperiment:
         spec = ExperimentSpec(kind="prophet-tau", n=10, ell=1, k=9, trials=100,
                               master_seed=1, tau=8, distribution=distribution)
         with pytest.raises(InvalidSpecError, match="^distribution:"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("kind", ["prophet-max", "prophet-tau", "mechanism-welfare"])
+    @pytest.mark.parametrize("distribution", [
+        {"iid": {"kind": "degenerate", "params": {"value": 0.0}}},
+        {"iid": {"kind": "finite-support", "params": {"atoms": [[0.0, 1.0]]}}},
+        {"components": [{"kind": "degenerate", "params": {"value": 0.0}},
+                        {"kind": "finite-support", "params": {"atoms": [[0.0, 1.0]]}}] * 5},
+    ], ids=["point-mass", "one-atom", "components"])
+    def test_refuses_all_zero_instance(self, kind, distribution):
+        # prophet-max used to end in a raw ZeroDivisionError in the ratio's stderr
+        spec = ExperimentSpec(kind=kind, n=10, ell=1, k=3, trials=100, master_seed=1,
+                              distribution=distribution)
+        with pytest.raises(InvalidSpecError,
+                           match="^distribution: every value is 0, so the top-ell sum is 0$"):
             run_experiment(spec)
 
     def test_rejects_unknown_mechanism_source(self):
@@ -579,7 +604,24 @@ class TestCli:
         # Python's json reads NaN and Infinity
         path = tmp_path / "mech.json"
         path.write_text('{"ell": 1, "k": 2, "threshold": NaN, "values": [6, 2, 4, 9]}')
-        with pytest.raises(ValueError, match="threshold must be finite"):
+        with pytest.raises(ValueError, match="^threshold: must be finite and nonnegative$"):
+            main(["mechanism", "simulate", "--config", str(path)])
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"threshold": "3"}, "threshold: must be a real number, got '3'"),
+        ({"threshold": True}, "threshold: must be a real number, got True"),
+        ({"mode": "x"}, "mode: must be 'welfare' or 'revenue', got 'x'"),
+        ({"mode": "revenue"}, "prior: revenue mode requires a prior"),
+        ({"mode": "revenue", "prior": {"kind": "degenerate", "params": {"value": 1.0}}},
+         "prior: degenerate prior has no density"),
+    ], ids=["threshold-string", "threshold-bool", "mode", "no-prior", "prior-without-density"])
+    def test_mechanism_simulate_names_the_config_field(self, tmp_path, extra, message):
+        # "3" and true used to run through float() as 3.0 and 1.0, and the
+        # config's own refusals did not start with their field
+        path = tmp_path / "mech.json"
+        path.write_text(json.dumps({"ell": 1, "k": 2, "threshold": 3.0,
+                                    "values": [6, 2, 4, 9], **extra}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             main(["mechanism", "simulate", "--config", str(path)])
 
     def test_load_config_refuses_unknown_top_level_key(self, tmp_path):

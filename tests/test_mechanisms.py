@@ -77,14 +77,19 @@ class TestRunTwoPhase:
         assert j["payments"] == {"0": 2.0} and j["winners"] == [0]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        # each refusal names its field first
+        with pytest.raises(ValueError, match="^k: must be >= ell$"):
             MechanismConfig(ell=3, k=2, threshold=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^prior: revenue mode requires a prior$"):
             MechanismConfig(ell=1, k=2, threshold=1.0, mode="revenue")
+        with pytest.raises(ValueError, match="^ell: must be >= 1$"):
+            MechanismConfig(ell=0, k=2, threshold=1.0)
+        with pytest.raises(ValueError, match="^mode: "):
+            MechanismConfig(ell=1, k=2, threshold=1.0, mode="auction")
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
     def test_refuses_threshold_that_is_not_finite_and_nonnegative(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^threshold: must be finite and nonnegative$"):
             MechanismConfig(ell=1, k=2, threshold=threshold)
 
 

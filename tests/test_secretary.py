@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, insort
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from overbook import experiments
 from overbook.experiments import secretary_trials
 from overbook.oracle import top_ell
+from overbook.prophet import SelectionOutcome
 from overbook.secretary import (
     BetaVector,
     default_beta,
@@ -127,6 +129,65 @@ class TestRunSecretary:
             vals = rng.exponential(size=30)
             out = run_secretary(vals, beta, k=16)
             assert out.ell_value <= top_ell(vals, 2).value + 1e-12
+
+
+def _full_history_run(values, beta, capacity):
+    """The interval selector that ranks each arrival against every value seen
+    so far: the reference for the top-ell walk of `run_secretary`."""
+    accepted, seen = [], []  # seen ascending
+    for pos0, v in enumerate(values):
+        j = interval_index(beta, pos0 + 1)
+        # rank among v_1..v_i with earlier arrivals winning ties
+        rank = len(seen) - bisect_left(seen, v) + 1
+        if rank <= j and len(accepted) < capacity:
+            accepted.append(pos0)
+        insort(seen, v)
+    return SelectionOutcome.from_accepted(values, accepted, math.nan, beta.ell)
+
+
+def _random_beta(rng, n, ell):
+    """Random nondecreasing boundaries over 1..n, empty intervals included."""
+    inner = np.sort(rng.integers(0, n + 1, size=ell)).tolist()
+    return BetaVector(tuple(inner) + (n,), n, ell)
+
+
+class TestTopEllWalk:
+    """`run_secretary` keeps only the ell highest values seen; the full
+    history gives the same outcome."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_history_selector_on_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        binds = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            ell = int(rng.integers(1, 6))
+            beta = _random_beta(rng, n, ell)
+            # few distinct levels, zeros included, so most ranks meet a tie
+            vals = rng.integers(0, 5, size=n).astype(float)
+            if rng.random() < 0.5:
+                vals = vals.tolist()
+            k = int(rng.integers(1, 2 * ell + 2))
+            unbounded = _full_history_run(vals, beta, math.inf)
+            for got, want in [(run_secretary(vals, beta, k), _full_history_run(vals, beta, k)),
+                              (run_secretary_unbounded(vals, beta), unbounded)]:
+                assert got.accepted == want.accepted
+                assert got.ell_value == want.ell_value
+            binds += len(unbounded.accepted) > k
+        # the capacity both binds and leaves room
+        assert 50 < binds < 450
+
+    def test_matches_full_history_selector_at_n2000(self):
+        rng = np.random.default_rng(11)
+        vals = 2.0 ** -np.arange(2000)
+        for ell, k in [(2, 40), (1, 1), (4, 6), (8, 200)]:
+            beta = default_beta(2000, ell, k)
+            for _ in range(5):
+                order = rng.permutation(vals)
+                assert (run_secretary(order, beta, k).accepted
+                        == _full_history_run(order, beta, k).accepted)
+                assert (run_secretary_unbounded(order, beta).accepted
+                        == _full_history_run(order, beta, math.inf).accepted)
 
 
 class TestVectorizedEngine:
