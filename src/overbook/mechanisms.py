@@ -72,6 +72,21 @@ class AuctionOutcome:
         }
 
 
+def _ticket_auction(values: list[float],
+                    config: MechanismConfig) -> tuple[list[int], list[int], float]:
+    """The whole two-phase rule on a list of Python floats: the ticket
+    holders in arrival order, the winners best first, and the price every
+    winner pays."""
+    tickets = accept_first(values, config.threshold, config.k)
+    # a stable sort: equal values keep arrival order, so the earlier one wins
+    ranked = sorted(tickets, key=values.__getitem__, reverse=True)
+    if len(ranked) > config.ell:
+        price = max(config.threshold, values[ranked[config.ell]])
+    else:
+        price = config.threshold
+    return tickets, ranked[: config.ell], price
+
+
 def run_two_phase(values: Sequence[float], config: MechanismConfig) -> AuctionOutcome:
     """Run the two-phase mechanism on one value profile in arrival order.
 
@@ -79,16 +94,10 @@ def run_two_phase(values: Sequence[float], config: MechanismConfig) -> AuctionOu
     model assigns this probability zero; the rule here is just deterministic).
     """
     values = [float(v) for v in values]
-    tickets = accept_first(values, config.threshold, config.k)
-    ranked = sorted(tickets, key=lambda i: (-values[i], i))
-    winners = tuple(ranked[: config.ell])
-    if len(ranked) > config.ell:
-        price = max(config.threshold, values[ranked[config.ell]])
-    else:
-        price = config.threshold
+    tickets, winners, price = _ticket_auction(values, config)
     payments = {w: price for w in winners}
     welfare = sum(values[w] for w in winners)
-    return AuctionOutcome(tickets, winners, payments, welfare, sum(payments.values()))
+    return AuctionOutcome(tickets, tuple(winners), payments, welfare, sum(payments.values()))
 
 
 def revenue_threshold(
@@ -120,13 +129,16 @@ def revenue_threshold(
     raise ValueError(f"unknown threshold source: {source!r}")
 
 
+def _utility(value: float, reports: list[float], agent: int, config: MechanismConfig) -> float:
+    """`agent_utility` on Python floats, with the agent's true value given."""
+    _, winners, price = _ticket_auction(reports, config)
+    return value - price if agent in winners else 0.0
+
+
 def agent_utility(values: Sequence[float], reports: Sequence[float], agent: int,
                   config: MechanismConfig) -> float:
     """Quasilinear utility of one agent when everyone bids `reports`."""
-    outcome = run_two_phase(reports, config)
-    if agent in outcome.winners:
-        return float(values[agent]) - outcome.payments[agent]
-    return 0.0
+    return _utility(float(values[agent]), [float(r) for r in reports], agent, config)
 
 
 def deviation_test(
@@ -137,13 +149,15 @@ def deviation_test(
     tol: float = 1e-9,
 ) -> bool:
     """True iff no grid deviation beats truthful reporting for this agent,
-    holding the others truthful and the arrival order fixed."""
+    holding the others truthful and the arrival order fixed. The auction
+    runs once for every grid point."""
     profile = [float(v) for v in profile]
-    truthful = agent_utility(profile, profile, agent, config)
-    for dev in deviation_grid:
-        reports = list(profile)
-        reports[agent] = float(dev)
-        if agent_utility(profile, reports, agent, config) > truthful + tol:
+    value = profile[agent]
+    truthful = _utility(value, profile, agent, config)
+    reports = list(profile)
+    for dev in np.asarray(deviation_grid, dtype=float).tolist():
+        reports[agent] = dev
+        if _utility(value, reports, agent, config) > truthful + tol:
             return False
     return True
 

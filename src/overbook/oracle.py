@@ -9,6 +9,7 @@ setting.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -41,7 +42,8 @@ def top_ell(values: Sequence[float], ell: int) -> TopEllResult:
         raise ValueError("ell must be >= 1")
     vals = np.asarray(values, dtype=float)
     take = min(ell, len(vals))
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))[:take]
+    # nlargest is a stable descending sort, so ties go to the lower index
+    order = heapq.nlargest(take, range(len(vals)), key=vals.tolist().__getitem__)
     chosen = tuple(sorted(order))
     return TopEllResult(chosen, float(vals[list(chosen)].sum()))
 

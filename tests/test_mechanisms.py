@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from overbook import mechanisms
 from overbook.distributions import (
     ProductInstance,
     UndefinedVirtualValueError,
@@ -19,7 +20,7 @@ from overbook.mechanisms import (
     revenue_threshold,
     run_two_phase,
 )
-from overbook.prophet import alg_max
+from overbook.prophet import accept_first, alg_max
 
 
 class TestRunTwoPhase:
@@ -175,6 +176,153 @@ class TestTruthfulness:
                 grid = rng.uniform(0, 1, 20)
                 for agent in range(6):
                     assert deviation_test(cfg, profile, agent, grid)
+
+
+def _reference_two_phase(values, config):
+    """The two-phase rule written out apart from `mechanisms`: a
+    (-value, index) sort key per ticket and a payments dict."""
+    values = [float(v) for v in values]
+    tickets = accept_first(values, config.threshold, config.k)
+    ranked = sorted(tickets, key=lambda i: (-values[i], i))
+    winners = tuple(ranked[: config.ell])
+    if len(ranked) > config.ell:
+        price = max(config.threshold, values[ranked[config.ell]])
+    else:
+        price = config.threshold
+    payments = {w: price for w in winners}
+    welfare = sum(values[w] for w in winners)
+    return AuctionOutcome(tickets, winners, payments, welfare, sum(payments.values()))
+
+
+def _reference_utility(values, reports, agent, config):
+    outcome = _reference_two_phase(reports, config)
+    if agent in outcome.winners:
+        return float(values[agent]) - outcome.payments[agent]
+    return 0.0
+
+
+def _reference_deviation_test(config, profile, agent, grid, tol):
+    """One full auction outcome per grid point, the utility read from its
+    payments."""
+    profile = [float(v) for v in profile]
+    truthful = _reference_utility(profile, profile, agent, config)
+    for dev in grid:
+        reports = list(profile)
+        reports[agent] = float(dev)
+        if _reference_utility(profile, reports, agent, config) > truthful + tol:
+            return False
+    return True
+
+
+class TestAuctionCoreEquivalence:
+    """`run_two_phase`, `agent_utility` and `deviation_test` share one core;
+    each must agree exactly with the per-grid-point reference above."""
+
+    PRIOR = ValueDistribution.uniform(0, 1)
+
+    def _cases(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            ell = int(rng.integers(1, 4))
+            k = int(rng.integers(ell, ell + 3))
+            n = int(rng.integers(1, 9))
+            t = float(rng.choice([0.0, 0.25, 0.5, 0.6]))
+            if rng.random() < 0.5:
+                cfg = MechanismConfig(ell=ell, k=k, threshold=t)
+            else:
+                cfg = MechanismConfig(ell=ell, k=k, threshold=t, mode="revenue",
+                                      prior=self.PRIOR)
+            # a small pool: ties across agents, and reports exactly at T
+            pool = [t, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+            profile = rng.choice(pool, size=n).tolist()
+            if rng.random() < 0.5:
+                profile = [v + float(rng.uniform(0, 1e-3)) for v in profile]
+            grid = np.concatenate([rng.choice(pool, size=6), rng.uniform(0, 1.2, 6)])
+            yield cfg, profile, grid
+
+    def test_run_two_phase_matches_reference(self):
+        binding = slack = 0
+        for cfg, profile, grid in self._cases(61, 2000):
+            for reports in (profile, [*profile[:-1], float(grid[0])]):
+                got = run_two_phase(reports, cfg)
+                assert got == _reference_two_phase(reports, cfg)
+                above = sum(v > cfg.threshold for v in reports)
+                binding += above > cfg.k
+                slack += above <= cfg.k
+        assert binding > 100 and slack > 100
+
+    def test_agent_utility_matches_reference_bit_for_bit(self):
+        for cfg, profile, grid in self._cases(62, 1000):
+            for agent in range(len(profile)):
+                for dev in grid.tolist():
+                    reports = list(profile)
+                    reports[agent] = dev
+                    got = agent_utility(profile, reports, agent, cfg)
+                    want = _reference_utility(profile, reports, agent, cfg)
+                    assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-12])
+    def test_deviation_test_matches_reference(self, tol):
+        # a negative tol counts a tie with the truthful utility as a gain,
+        # so both verdicts occur and the comparison is not vacuous
+        verdicts = []
+        for cfg, profile, grid in self._cases(63, 600):
+            for agent in range(len(profile)):
+                got = deviation_test(cfg, profile, agent, grid, tol=tol)
+                assert got is _reference_deviation_test(cfg, profile, agent, grid, tol)
+                verdicts.append(got)
+        assert any(verdicts)
+        if tol < 0:
+            assert not all(verdicts)
+
+    def test_grid_as_list_array_and_integers(self):
+        cfg = MechanismConfig(ell=1, k=2, threshold=0.5)
+        profile = [0.9, 0.6, 0.7]
+        for grid in ([0, 1, 2], np.array([0.55, 0.8]), (0.6,), []):
+            for agent in range(3):
+                assert deviation_test(cfg, profile, agent, grid) is \
+                    _reference_deviation_test(cfg, profile, agent, grid, 1e-9)
+
+
+@pytest.fixture
+def pay_your_bid(monkeypatch):
+    """Swap in a pay-your-bid core. With ell = 1 the single price is the one
+    winner's own report. Returns the monkeypatch, whose `undo` restores the
+    rule."""
+    truthful_core = mechanisms._ticket_auction
+
+    def core(reports, config):
+        tickets, winners, _ = truthful_core(reports, config)
+        return tickets, winners, reports[winners[0]] if winners else config.threshold
+
+    monkeypatch.setattr(mechanisms, "_ticket_auction", core)
+    return monkeypatch
+
+
+class TestCheckCanFail:
+    def test_pay_your_bid_is_caught(self, pay_your_bid):
+        # shading the bid from 0.9 to 0.5 still wins and pays 0.5, not 0.9
+        cfg = MechanismConfig(ell=1, k=2, threshold=0.1)
+        profile, grid = [0.9, 0.3], [0.2, 0.5, 0.9]
+        assert agent_utility(profile, profile, 0, cfg) == 0.0
+        assert not deviation_test(cfg, profile, 0, grid)
+        pay_your_bid.undo()
+        assert agent_utility(profile, profile, 0, cfg) == pytest.approx(0.6)
+        assert deviation_test(cfg, profile, 0, grid)
+
+    @pytest.mark.parametrize("profile, dev, caught", [
+        # a tie with the runner-up's bid goes to the earlier arrival
+        ([0.9, 0.3], 0.3, True),
+        ([0.9, 0.3], math.nextafter(0.3, 0.0), False),
+        # a report exactly at the threshold declines the ticket
+        ([0.9, 0.05], 0.1, False),
+        ([0.9, 0.05], math.nextafter(0.1, 1.0), True),
+    ])
+    def test_pay_your_bid_caught_exactly_at_each_boundary(self, pay_your_bid, profile,
+                                                          dev, caught):
+        cfg = MechanismConfig(ell=1, k=2, threshold=0.1)
+        assert deviation_test(cfg, profile, 0, [dev]) is not caught
+        assert deviation_test(cfg, profile, 0, np.array([dev])) is not caught
 
 
 class TestMyerson:

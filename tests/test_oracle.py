@@ -57,6 +57,25 @@ class TestTopEll:
         perm = rng.permutation(len(vals))
         assert top_ell(arr[perm], ell).value == pytest.approx(top_ell(arr, ell).value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            # heavy ties, signed zeros included
+            st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 7.0]), max_size=12),
+            st.lists(st.floats(-1e9, 1e9), max_size=12),
+            # all equal
+            st.tuples(st.floats(-1e9, 1e9), st.integers(0, 12)).map(lambda p: [p[0]] * p[1]),
+        ),
+        st.integers(1, 15),
+    )
+    def test_matches_stable_sort_reference(self, vals, ell):
+        arr = np.array(vals, dtype=float)
+        order = sorted(range(len(arr)), key=lambda i: (-arr[i], i))[: min(ell, len(arr))]
+        chosen = tuple(sorted(order))
+        res = top_ell(arr, ell)
+        assert res.indices == chosen
+        assert res.value.hex() == float(arr[list(chosen)].sum()).hex()
+
 
 def _random_finite_instance(rng, max_n=4, max_atoms=3):
     n = int(rng.integers(1, max_n + 1))

@@ -111,6 +111,25 @@ class TestAlgTau:
             assert len(out.accepted) <= k
             assert all(val >= out.threshold_used for val in out.accepted_values)
 
+    def test_threshold_is_the_tau_th_pair_of_a_full_sort(self):
+        # heavily tied samples, so the priorities decide which sample entry
+        # is the tau-th highest (sample, priority) pair
+        rng = np.random.default_rng(24)
+        for case in range(400):
+            n = int(rng.integers(1, 30))
+            tau = int(rng.integers(1, n + 1))
+            k = int(rng.integers(1, n + 1))
+            samples = np.full(n, 2.0) if case % 4 == 0 else rng.integers(0, 4, n).astype(float)
+            values = rng.integers(0, 4, n).astype(float)
+            seed = int(rng.integers(2**32))
+            out = alg_tau(samples, values, tau, k, 1, np.random.default_rng(seed))
+            priorities = np.random.default_rng(seed).random(2 * n).tolist()
+            pairs = list(zip(samples.tolist(), priorities[:n]))
+            threshold = sorted(pairs, reverse=True)[tau - 1]
+            assert out.threshold_used == threshold[0]
+            accepted = accept_first(zip(values.tolist(), priorities[n:]), threshold, k)
+            assert [i for i, _ in out.accepted] == accepted
+
     def test_tie_break_is_a_uniform_permutation(self):
         # with all 2n entries equal, each value entry outranks the
         # threshold entry with the exchangeable-permutation probability
