@@ -27,7 +27,7 @@ from overbook.experiments import secretary_trials
 def tiny_trace():
     print("=== hand-checkable trace ===")
     values = [2.0, 9.0, 3.0, 5.0, 4.0, 7.0, 6.0, 10.0]
-    beta = BetaVector((0, 1, 4, 4, 8), n=8, ell=3)
+    beta = BetaVector((1, 4, 4, 8))
     print(f"values: {values}")
     print(f"interval of each position: "
           f"{[interval_index(beta, i) for i in range(1, 9)]}")

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 
-from .distributions import ProductInstance, ValueDistribution
+from .distributions import DistributionError, ProductInstance, ValueDistribution
 from .harness import (InvalidSpecError, _malformed, as_count, as_real, as_values,
                       emit_report, load_config, read_object, run_experiments)
 from .mechanisms import MechanismConfig, run_two_phase
@@ -55,9 +55,16 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_dp(args) -> int:
     with open(args.instance) as fh:
         obj = read_object(json.load(fh), "", ("components", "ell", "k"))
+    ell, k = as_count(obj["ell"], "ell"), as_count(obj["k"], "k")
+    for name, count in (("ell", ell), ("k", k)):
+        if count < 1:
+            raise InvalidSpecError(f"{name}: must be >= 1")
     with _malformed("components"):
         instance = ProductInstance.from_json(obj["components"])
-    dp = optimal_online_dp(instance, as_count(obj["ell"], "ell"), as_count(obj["k"], "k"))
+    try:
+        dp = optimal_online_dp(instance, ell, k)
+    except DistributionError as err:  # a component without a finite support
+        raise InvalidSpecError(f"components: {err}") from err
     out = {"expected_value": dp.expected_value}
     if args.policy:
         out["policy"] = json.loads(dp.policy_json())

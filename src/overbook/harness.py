@@ -31,16 +31,18 @@ from .distributions import (
     hard_prophet_instance,
 )
 from .mechanisms import SOURCE_ALG_MAX, SOURCE_ALG_TAU
-from .oracle import exact_prophet_benchmark, optimal_online_dp, secretary_max_prob_dp
+from .oracle import (StateSpaceTooLargeError, exact_prophet_benchmark, optimal_online_dp,
+                     secretary_max_prob_dp)
 from .prophet import default_tau
 from .secretary import default_beta, secretary_phase_length
+from .seeding import BATCH_SIZE
 
 CSV_COLUMNS = [
     "experiment", "n", "ell", "k", "tau", "algorithm", "trials", "seed",
     "ratio_estimate", "stderr", "theoretical_bound", "pass",
 ]
 
-SEED_RULE = "SeedSequence(entropy=master_seed, spawn_key=(batch_index,)); batch size 20000"
+SEED_RULE = f"SeedSequence(entropy=master_seed, spawn_key=(batch_index,)); batch size {BATCH_SIZE}"
 
 
 class InvalidSpecError(ValueError):
@@ -108,42 +110,29 @@ class ExperimentReport:
     stderr: float
     theoretical_bound: float
     vacuous: bool
-    passed: bool
+    passed: bool = field(metadata={"json": "pass"})
     elapsed_seconds: float
     seed_rule: str = SEED_RULE
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "algorithm": self.algorithm,
-            "ratio_estimate": self.ratio_estimate,
-            "stderr": self.stderr,
-            "theoretical_bound": self.theoretical_bound,
-            "vacuous": self.vacuous,
-            "pass": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "seed_rule": self.seed_rule,
-            "extras": self.extras,
-        }
+        out = {_json_key(f): getattr(self, f.name) for f in fields(self)}
+        out["spec"] = self.spec.to_json()
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentReport":
-        read_object(obj, "", ("spec", "algorithm", "ratio_estimate", "stderr",
-                              "theoretical_bound", "vacuous", "pass", "elapsed_seconds"),
-                    ("seed_rule", "extras"))
-        return cls(
-            spec=ExperimentSpec.from_json(obj["spec"]),
-            algorithm=obj["algorithm"],
-            ratio_estimate=obj["ratio_estimate"],
-            stderr=obj["stderr"],
-            theoretical_bound=obj["theoretical_bound"],
-            vacuous=obj["vacuous"],
-            passed=obj["pass"],
-            elapsed_seconds=obj["elapsed_seconds"],
-            seed_rule=obj.get("seed_rule", SEED_RULE),
-            extras=obj.get("extras", {}),
-        )
+        keyed = {_json_key(f): f for f in fields(cls)}
+        defaulted = tuple(key for key, f in keyed.items()
+                          if f.default is not MISSING or f.default_factory is not MISSING)
+        read_object(obj, "", tuple(key for key in keyed if key not in defaulted), defaulted)
+        kwargs = {keyed[key].name: value for key, value in obj.items()}
+        return cls(**{**kwargs, "spec": ExperimentSpec.from_json(obj["spec"])})
+
+
+def _json_key(f) -> str:
+    """A report field's JSON key: its name, unless its metadata renames it."""
+    return f.metadata.get("json", f.name)
 
 
 # ---- closed-form bounds ----
@@ -242,18 +231,17 @@ def as_values(obj, field: str) -> np.ndarray:
 def _resolve_instance(spec: ExperimentSpec) -> ProductInstance:
     desc = spec.distribution if isinstance(spec.distribution, dict) else {}
     if "iid" in desc:
-        read_object(desc, "distribution", ("iid",), ("n",))
-        n = as_count(desc.get("n", spec.n), "distribution: n")
+        read_object(desc, "distribution", ("iid",))
         with _malformed("distribution"):
-            instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), n)
+            instance = ProductInstance.iid(ValueDistribution.from_json(desc["iid"]), spec.n)
     elif "components" in desc:
         read_object(desc, "distribution", ("components",))
         with _malformed("distribution"):
             instance = ProductInstance.from_json(desc["components"])
+        if instance.n != spec.n:
+            raise InvalidSpecError(f"distribution: {instance.n} components but n={spec.n}")
     else:
         raise InvalidSpecError("distribution: need an object with 'iid' or 'components'")
-    if instance.n != spec.n:
-        raise InvalidSpecError(f"distribution: {instance.n} components but n={spec.n}")
     if all(c.support[1] == 0.0 for c in instance.distinct()):
         raise InvalidSpecError("distribution: every value is 0, so the top-ell sum is 0")
     return instance
@@ -263,13 +251,12 @@ def _resolve_values(spec: ExperimentSpec) -> np.ndarray:
     desc = spec.values if isinstance(spec.values, dict) else {}
     kind = desc.get("kind")
     if kind == "geometric":
-        read_object(desc, "values", ("kind", "ratio"), ("n",))
-        n = as_count(desc.get("n", spec.n), "values: n")
+        read_object(desc, "values", ("kind", "ratio"))
         ratio = as_real(desc["ratio"], "values: ratio")
         if not 1.0 < ratio < math.inf:
             # 0 divides by zero, < 0 flips signs, 1 ties, (0, 1) overflows at large n
             raise InvalidSpecError(f"values: ratio must be > 1 and finite, got {ratio!r}")
-        values = ratio ** -np.arange(n, dtype=float)
+        values = ratio ** -np.arange(spec.n, dtype=float)
     elif kind == "list":
         values = read_object(desc, "values", ("kind", "values"))["values"]
     elif kind == "csv":
@@ -367,9 +354,16 @@ def _run_secretary(spec: ExperimentSpec) -> _Outcome:
 
 
 def _run_hard_instance_dp(spec: ExperimentSpec) -> _Outcome:
+    if spec.n < spec.k + 1:
+        raise InvalidSpecError(f"n: {spec.kind} needs n >= k + 1 = {spec.k + 1}")
     instance = hard_prophet_instance(spec.k, spec.n)
+    # the benchmark counts its 2^(k+1) outcomes before it enumerates them, so
+    # an instance over the cutoff is refused before the DP runs
+    try:
+        bench = exact_prophet_benchmark(instance, spec.ell)
+    except StateSpaceTooLargeError as err:
+        raise InvalidSpecError(f"k: {spec.kind} cannot enumerate its benchmark: {err}") from err
     dp = optimal_online_dp(instance, spec.ell, spec.k)
-    bench = exact_prophet_benchmark(instance, spec.ell)
     return _Outcome("optimal_online_dp", dp.expected_value / bench, 0.0,
                     hard_instance_bound(spec.k),
                     {"dp_value": dp.expected_value, "benchmark": bench})

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import ProductInstance
+from .distributions import DistributionError, ProductInstance
 
 STATE_SPACE_LIMIT = 10**7
 
@@ -62,10 +62,11 @@ def top_block(matrix: np.ndarray, m: int) -> np.ndarray:
 
 def _atom_lists(instance: ProductInstance) -> list[list[tuple[float, float]]]:
     lists = []
-    for comp in instance.components:
+    for i, comp in enumerate(instance.components):
         atoms = comp.atoms
         if atoms is None:
-            raise StateSpaceTooLargeError("exact enumeration requires finite supports")
+            raise DistributionError(
+                f"component {i}: exact enumeration needs a finite support, got {comp.kind}")
         lists.append(atoms)
     return lists
 

@@ -26,25 +26,28 @@ class BetaVector:
     """Interval boundaries (b_0, ..., b_ell) over positions 1..n.
 
     Interval j covers positions b_{j-1}+1 .. b_j, with an implicit b_{-1}=0.
-    Intervals may be empty. The constructor also accepts the (ell+2)-long
-    form that spells out the leading zero.
+    Intervals may be empty. The last boundary is n, and there are ell + 1.
     """
 
     boundaries: tuple[int, ...]
-    n: int
-    ell: int
 
     def __post_init__(self):
         bs = tuple(int(b) for b in self.boundaries)
-        if len(bs) == self.ell + 2 and bs[0] == 0:
-            bs = bs[1:]
-        if len(bs) != self.ell + 1:
-            raise ValueError("need ell + 1 boundaries (b_0..b_ell)")
+        if len(bs) < 2:
+            raise ValueError("need at least two boundaries (b_0..b_ell with ell >= 1)")
         if any(b2 < b1 for b1, b2 in zip(bs, bs[1:])) or bs[0] < 0:
             raise ValueError("boundaries must be nondecreasing and nonnegative")
-        if bs[-1] != self.n:
-            raise ValueError("last boundary must equal n")
+        if bs[-1] < 1:
+            raise ValueError("last boundary n must be >= 1")
         object.__setattr__(self, "boundaries", bs)
+
+    @property
+    def n(self) -> int:
+        return self.boundaries[-1]
+
+    @property
+    def ell(self) -> int:
+        return len(self.boundaries) - 1
 
 
 def interval_index(beta: BetaVector, i: int) -> int:
@@ -65,23 +68,15 @@ def default_beta(n: int, ell: int, k: int) -> BetaVector:
     """Default interval boundaries.
 
     b_0 = floor(n e^{-s} / (2 e ell)), b_j = floor(j n e^{-s/j} / (2 e ell))
-    for 0 < j < ell, b_ell = n, then clamped nondecreasing and <= n. The
-    un-floored sequence is already nondecreasing; the clamp guards small-n
-    edge cases.
+    for 0 < j < ell, and b_ell = n. They need no clamp: j e^{-s/j} is
+    nondecreasing in j and below 2 e ell, so every b_j lies in [0, n].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     s = secretary_phase_length(ell, k)
-    raw = [math.floor(n * math.exp(-s) / (2 * E * ell))]
-    for j in range(1, ell):
-        raw.append(math.floor(j * n * math.exp(-s / j) / (2 * E * ell)))
-    raw.append(n)
-    clamped = []
-    prev = 0
-    for b in raw:
-        prev = min(n, max(prev, b))
-        clamped.append(prev)
-    return BetaVector(tuple(clamped), n, ell)
+    inner = [math.floor(n * math.exp(-s) / (2 * E * ell))]
+    inner += [math.floor(j * n * math.exp(-s / j) / (2 * E * ell)) for j in range(1, ell)]
+    return BetaVector((*inner, n))
 
 
 def _candidates(vals: list[float], beta: BetaVector) -> Iterator[int]:

@@ -249,7 +249,7 @@ def test_criterion_11_reproducibility(tmp_path):
                                       "params": {"lo": 0.0, "hi": 1.0}}}},
             {"kind": "secretary", "n": 200, "ell": 2, "k": 24,
              "trials": 20_000, "master_seed": 1101,
-             "values": {"kind": "geometric", "n": 200, "ratio": 2.0}},
+             "values": {"kind": "geometric", "ratio": 2.0}},
         ]
     }
     cfg_path = tmp_path / "config.json"

@@ -292,6 +292,34 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^distribution: n: unknown key$"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("kind,field,desc", [
+        ("prophet-max", "distribution", {"iid": UNIFORM, "n": 10}),
+        ("secretary", "values", {"kind": "geometric", "ratio": 2.0, "n": 10}),
+    ], ids=["iid", "geometric"])
+    def test_nested_forms_refuse_n(self, kind, field, desc):
+        # before: a nested n equal to the spec's ran, and any other was refused
+        # as a count mismatch; the spec's n is the only n
+        spec = ExperimentSpec(kind=kind, n=10, ell=1, k=4, trials=200, master_seed=1,
+                              **{field: desc})
+        with pytest.raises(InvalidSpecError, match=f"^{field}: n: unknown key$"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("n,k,match", [
+        (1, 1, "^n: hard-instance-dp needs n >= k \\+ 1 = 2$"),
+        (5, 5, "^n: hard-instance-dp needs n >= k \\+ 1 = 6$"),
+        (30, 25, "^k: hard-instance-dp cannot enumerate its benchmark: "
+                 "16777216 outcomes exceed the cutoff$"),
+        (24, 23, "^k: hard-instance-dp cannot enumerate its benchmark: "
+                 "16777216 outcomes exceed the cutoff$"),
+    ], ids=["n1-k1", "n5-k5", "n30-k25", "n24-k23"])
+    def test_hard_instance_refuses_what_it_cannot_compute(self, n, k, match):
+        # before: n < k + 1 ended in a raw DistributionError, and k >= 23 in a
+        # raw StateSpaceTooLargeError after the DP had already run
+        spec = ExperimentSpec(kind="hard-instance-dp", n=n, ell=1, k=k, trials=1,
+                              master_seed=0)
+        with pytest.raises(InvalidSpecError, match=match):
+            run_experiment(spec)
+
     def test_iid_form_refuses_components(self):
         # before: the components were ignored, and the spec ran on iid (0.752)
         spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=4, trials=200, master_seed=1,
@@ -316,7 +344,7 @@ class TestRunExperiment:
     def test_secretary_small_k_vacuous(self):
         spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=4,
                               trials=200, master_seed=3,
-                              values={"kind": "geometric", "n": 50, "ratio": 2.0})
+                              values={"kind": "geometric", "ratio": 2.0})
         report = run_experiment(spec)
         assert report.vacuous and report.passed
 
@@ -339,7 +367,7 @@ class TestRunExperiment:
         ("values", {"kind": "geometric", "ratio": 0.0}),
         ("values", {"kind": "geometric", "ratio": -2.0}),
         ("values", {"kind": "geometric", "ratio": 1.0}),
-        ("values", {"kind": "geometric", "ratio": 0.5, "n": 2000}),
+        ("values", {"kind": "geometric", "ratio": 0.5}),
         ("values", {"kind": "geometric", "ratio": math.inf}),
         ("values", {"kind": "geometric", "ratio": math.nan}),
         ("values", {"kind": "geometric"}),
@@ -379,10 +407,7 @@ class TestRunExperiment:
         # bound NaN values PASSed with estimate nan, negative ones with ratio
         # 1.08, and all zeros raised ZeroDivisionError
         kind = "prophet-max" if field == "distribution" else "secretary"
-        # a nested integer n is the spec's n too, so no count mismatch is refused instead
-        nested_n = desc.get("n") if isinstance(desc, dict) else None
-        n = nested_n if type(nested_n) is int else 20
-        spec = ExperimentSpec(kind=kind, n=n, ell=1, k=4, trials=10, master_seed=1,
+        spec = ExperimentSpec(kind=kind, n=20, ell=1, k=4, trials=10, master_seed=1,
                               **{field: desc})
         with pytest.raises(InvalidSpecError, match=f"^{field}:"):
             run_experiment(spec)
@@ -521,6 +546,27 @@ class TestEmitReport:
         assert loaded[0].spec == report.spec
         assert loaded[0].ratio_estimate == report.ratio_estimate
         assert loaded[0].passed == report.passed
+
+    def test_json_keys_follow_the_report_fields(self, tmp_path):
+        path = tmp_path / "out.json"
+        emit_report([self._report()], "json", str(path))
+        (obj,) = json.loads(path.read_text())
+        assert list(obj) == ["spec", "algorithm", "ratio_estimate", "stderr",
+                             "theoretical_bound", "vacuous", "pass", "elapsed_seconds",
+                             "seed_rule", "extras"]
+        assert obj["seed_rule"] == harness.SEED_RULE
+        assert f"batch size {BATCH_SIZE}" in harness.SEED_RULE
+
+    def test_from_json_defaults_and_refusals(self):
+        obj = self._report().to_json()
+        del obj["seed_rule"], obj["extras"]
+        loaded = ExperimentReport.from_json(obj)
+        assert loaded.seed_rule == harness.SEED_RULE and loaded.extras == {}
+        with pytest.raises(InvalidSpecError, match="^passed: unknown key$"):
+            ExperimentReport.from_json({**obj, "passed": True})
+        del obj["pass"]
+        with pytest.raises(InvalidSpecError, match="^pass: required$"):
+            ExperimentReport.from_json(obj)
 
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -664,13 +710,20 @@ class TestCli:
                     "ell": 1, "k": 1, "extra": 3}, "extra"),
         ("oracle", {"components": [{"kind": "degenerate"}], "ell": 1, "k": 1}, "components"),
         ("oracle", [1, 2], "top level"),
+        ("oracle", {"components": [UNIFORM], "ell": 1, "k": 1}, "components"),
+        ("oracle", {"components": [{"kind": "degenerate", "params": {"value": 1.0}}],
+                    "ell": 1, "k": 0}, "k"),
+        ("oracle", {"components": [{"kind": "degenerate", "params": {"value": 1.0}}],
+                    "ell": 0, "k": 1}, "ell"),
     ], ids=["mech-no-ell", "mech-no-k", "mech-no-threshold", "mech-scalar-values",
             "mech-prior-no-params", "mech-list", "dp-no-components", "dp-no-ell",
-            "dp-extra-key", "dp-component-no-params", "dp-list"])
+            "dp-extra-key", "dp-component-no-params", "dp-list", "dp-continuous-component",
+            "dp-k-zero", "dp-ell-zero"])
     def test_subcommands_refuse_malformed_payloads_by_name(self, tmp_path, command, payload,
                                                            key):
         # each used to end in a raw KeyError or TypeError, and the extra key
-        # was ignored: oracle dp printed its expected value
+        # was ignored: oracle dp printed its expected value. A continuous
+        # component raised StateSpaceTooLargeError, and k = 0 a raw ValueError
         argv = (["mechanism", "simulate", "--config"] if command == "mechanism"
                 else ["oracle", "dp", "--instance"])
         path = tmp_path / "in.json"

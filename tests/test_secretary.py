@@ -19,21 +19,41 @@ from overbook.secretary import (
 from overbook.seeding import trial_rng
 
 EXAMPLE_TRACE = [2.0, 9.0, 3.0, 5.0, 4.0, 7.0, 6.0, 10.0]
-EXAMPLE_BETA = BetaVector((0, 1, 4, 4, 8), n=8, ell=3)
+EXAMPLE_BETA = BetaVector((1, 4, 4, 8))
 
 
 class TestBetaVector:
-    def test_accepts_both_boundary_forms(self):
-        short = BetaVector((1, 4, 4, 8), n=8, ell=3)
-        assert short.boundaries == EXAMPLE_BETA.boundaries == (1, 4, 4, 8)
+    def test_n_and_ell_are_derived(self):
+        assert (EXAMPLE_BETA.n, EXAMPLE_BETA.ell) == (8, 3)
+        assert EXAMPLE_BETA.boundaries == (1, 4, 4, 8)
+        assert (BetaVector((0, 1)).n, BetaVector((0, 1)).ell) == (1, 1)
+
+    def test_leading_zero_is_a_boundary(self):
+        # the (ell+2)-long form with a spelled-out b_{-1} = 0 is gone: a
+        # leading 0 is b_0, an empty interval 0
+        beta = BetaVector((0, 1, 4, 4, 8))
+        assert beta.boundaries == (0, 1, 4, 4, 8) and beta.ell == 4
+
+    def test_boundaries_are_read_as_ints(self):
+        beta = BetaVector(np.array([2, 5, 9]))
+        assert beta.boundaries == (2, 5, 9) and type(beta.boundaries[0]) is int
 
     def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            BetaVector((4, 1, 8), n=8, ell=2)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            BetaVector((4, 1, 8))
 
-    def test_rejects_last_not_n(self):
-        with pytest.raises(ValueError):
-            BetaVector((1, 4, 7), n=8, ell=2)
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BetaVector((-1, 4, 8))
+
+    @pytest.mark.parametrize("boundaries", [(), (8,)])
+    def test_rejects_fewer_than_two_boundaries(self, boundaries):
+        with pytest.raises(ValueError, match="at least two boundaries"):
+            BetaVector(boundaries)
+
+    def test_rejects_last_below_one(self):
+        with pytest.raises(ValueError, match="last boundary"):
+            BetaVector((0, 0))
 
 
 class TestIntervalIndex:
@@ -42,13 +62,13 @@ class TestIntervalIndex:
         assert got == [0, 1, 1, 1, 3, 3, 3, 3]
 
     def test_right_endpoint_maps_to_its_interval(self):
-        beta = BetaVector((2, 5, 9), n=9, ell=2)
+        beta = BetaVector((2, 5, 9))
         assert interval_index(beta, 2) == 0
         assert interval_index(beta, 5) == 1
         assert interval_index(beta, 9) == 2
 
     def test_empty_interval_never_hit(self):
-        beta = BetaVector((1, 4, 4, 8), n=8, ell=3)
+        beta = EXAMPLE_BETA
         assert 2 not in {interval_index(beta, i) for i in range(1, 9)}
 
     def test_out_of_range(self):
@@ -77,6 +97,18 @@ class TestDefaultBeta:
         expect = tuple(math.floor(j * n / (2 * math.e * ell)) for j in range(1, ell)) + (n,)
         assert beta.boundaries == (math.floor(n / (2 * math.e * ell)),) + expect
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 399, 2000])
+    def test_closed_form_floors(self, n):
+        # no boundary is clamped: j e^{-s/j} is nondecreasing in j and below
+        # 2 e ell, so the floors are nondecreasing and below n
+        for ell in [1, 2, 3, 5, 8, 13, 39]:
+            for k in {ell, ell + 1, 8 * ell - 1, 8 * ell, 8 * ell + 1, 10 * ell, 40 * ell}:
+                s = secretary_phase_length(ell, k)
+                inner = [math.floor(j * n * math.exp(-s / j) / (2 * math.e * ell))
+                         for j in range(1, ell)]
+                b0 = math.floor(n * math.exp(-s) / (2 * math.e * ell))
+                assert default_beta(n, ell, k).boundaries == (b0, *inner, n)
+
     def test_negative_phase_clamped(self):
         assert secretary_phase_length(2, 4) == 0.0
         beta = default_beta(100, 2, 4)
@@ -93,7 +125,7 @@ class TestRunSecretary:
         assert out.accepted_values == [9.0, 4.0, 7.0, 6.0, 10.0]
 
     def test_single_interval_accepts_nothing(self):
-        beta = BetaVector((8, 8, 8, 8), n=8, ell=3)
+        beta = BetaVector((8, 8, 8, 8))
         out = run_secretary(EXAMPLE_TRACE, beta, k=4)
         assert out.accepted == []
 
@@ -148,7 +180,7 @@ def _full_history_run(values, beta, capacity):
 def _random_beta(rng, n, ell):
     """Random nondecreasing boundaries over 1..n, empty intervals included."""
     inner = np.sort(rng.integers(0, n + 1, size=ell)).tolist()
-    return BetaVector(tuple(inner) + (n,), n, ell)
+    return BetaVector((*inner, n))
 
 
 class TestTopEllWalk:
@@ -244,7 +276,8 @@ class TestVectorizedEngine:
         gen = np.random.default_rng(n * 100 + ell * 10 + k)
         values = (gen.integers(0, max(4, n // 16), size=n).astype(float) if ties
                   else gen.exponential(size=n))
-        beta = BetaVector(bounds, n=n, ell=ell)
+        beta = BetaVector(bounds)
+        assert (beta.n, beta.ell) == (n, ell)
         master_seed = int(gen.integers(10_000))
         monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
         stats = secretary_trials(values, beta, k, trials, master_seed)
