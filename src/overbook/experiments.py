@@ -4,8 +4,11 @@ Every engine runs its trials through `_run_batches`, in fixed-size seeded
 batches (see `seeding`), keeping per-trial memory bounded while the estimate
 stays bit-reproducible for a given master seed. The scalar selectors in
 `prophet`, `secretary`, and `mechanisms` define the semantics; these engines
-replicate them with array ops so desk-scale trial counts finish in seconds. Trace-equivalence
-between both formulations is covered by the test suite.
+replicate them with array ops so desk-scale trial counts finish in seconds.
+The threshold engines (prophet and mechanism welfare) replay the leading rows
+of every batch through the scalar rule `prophet.accept_first` and report the
+rows where their kernel disagrees as `trace_mismatches`; the test suite holds
+every engine to the scalar selectors.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import mechanisms
 from .distributions import (
     ProductInstance,
     ValueDistribution,
@@ -26,9 +28,13 @@ from .distributions import (
     virtual_value_array,
 )
 from .oracle import top_block
-from .prophet import TWO_THIRDS
+from .prophet import TWO_THIRDS, accept_first
 from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
+
+
+class ZeroBenchmarkError(ValueError):
+    """Every trial's benchmark is 0, so the ratio of means is undefined."""
 
 
 class _Moments:
@@ -39,15 +45,30 @@ class _Moments:
     Chan, Golub & LeVeque (1979). Unlike raw power sums, centered co-moments
     do not cancel when the values are large next to their spread. Means and
     ratios are formed from the column sums, accumulated batch by batch.
+
+    Column i is held scaled by 2^-e_i, where e_i is the binary exponent of
+    its largest |value| in the first batch, so that no co-moment over- or
+    underflows at any scale of values. The factor is a power of two, so
+    every result is bit for bit the unscaled one wherever nothing over- or
+    underflows unscaled.
     """
 
     def __init__(self, width: int):
         self.count = 0
-        self.sums = [0.0] * width
+        self._exp = [0] * width
+        self._sums = [0.0] * width
         self._mean = np.zeros(width)
         self._comoment = np.zeros((width, width))
 
+    @property
+    def sums(self) -> list[float]:
+        """The column sums, unscaled."""
+        return [math.ldexp(s, e) for s, e in zip(self._sums, self._exp)]
+
     def add(self, *cols: np.ndarray) -> None:
+        if not self.count:
+            self._exp = [math.frexp(float(np.abs(c).max()))[1] for c in cols]
+        cols = [np.ldexp(np.asarray(c, dtype=float), -e) for c, e in zip(cols, self._exp)]
         size = len(cols[0])
         sums = [float(c.sum()) for c in cols]
         mean = np.array(sums) / size
@@ -57,7 +78,7 @@ class _Moments:
         delta = mean - self._mean
         self._comoment += comoment + np.outer(delta, delta) * (self.count * size / total)
         self._mean += delta * (size / total)
-        self.sums = [s + b for s, b in zip(self.sums, sums)]
+        self._sums = [s + b for s, b in zip(self._sums, sums)]
         self.count = total
 
     def _cov(self, i: int, j: int) -> float:
@@ -67,18 +88,25 @@ class _Moments:
         mean = self.sums[i] / self.count
         if self.count < 2:
             return mean, 0.0
-        return mean, math.sqrt(self._cov(i, i) / self.count)
+        return mean, math.ldexp(math.sqrt(self._cov(i, i) / self.count), self._exp[i])
 
     def ratio_stderr(self, i: int = 0, j: int = 1) -> tuple[float, float]:
         """Ratio of means R = sum(a)/sum(b) of columns a = i and b = j, with
-        the delta-method stderr sd(a - R*b) / (sqrt(T) * mean(b))."""
+        the delta-method stderr sd(a - R*b) / (sqrt(T) * mean(b)). Raises
+        `ZeroBenchmarkError` when sum(b) is 0."""
         t = self.count
-        ratio = self.sums[i] / self.sums[j]
+        if self._sums[j] == 0.0:
+            raise ZeroBenchmarkError(f"every one of the {t} trials has a benchmark of 0")
+        # the ratio and its stderr in scaled columns are the true ones times 2^-shift
+        shift = self._exp[i] - self._exp[j]
+        ratio = self._sums[i] / self._sums[j]
         if t < 2:
-            return ratio, 0.0
-        var_resid = max(0.0, self._cov(i, i) - 2 * ratio * self._cov(i, j)
-                        + ratio**2 * self._cov(j, j))
-        return ratio, math.sqrt(var_resid / t) / (self.sums[j] / t)
+            return math.ldexp(ratio, shift), 0.0
+        # a NaN variance stays NaN, and fails the verdict
+        var_resid = max(self._cov(i, i) - 2 * ratio * self._cov(i, j)
+                        + ratio**2 * self._cov(j, j), 0.0)
+        stderr = math.sqrt(var_resid / t) / (self._sums[j] / t)
+        return math.ldexp(ratio, shift), math.ldexp(stderr, shift)
 
 
 def _run_batches(step, width: int, trials: int, master_seed: int) -> _Moments:
@@ -162,34 +190,51 @@ def _threshold_top(
     return sel, bench, count > k
 
 
+#: Leading rows of every threshold-engine batch that are replayed through the
+#: scalar rule, `prophet.accept_first`, to check the batch kernel.
+_REPLAY_ROWS = 64
+
+
+def _replay(values: np.ndarray, thr, sel: np.ndarray, k: int, first_ge: bool) -> np.ndarray:
+    """Per-row 0/1 column: 1 for a leading row whose top accepted values
+    under `accept_first(row, thr, k, first_ge)`, padded with 0.0, are not
+    exactly the kernel's block `sel` as a multiset."""
+    ell = sel.shape[1]
+    rows = min(_REPLAY_ROWS, len(values))
+    thresholds = np.broadcast_to(thr, len(values))[:rows].tolist()
+    mismatch = np.zeros(len(values))
+    for r, (row, t, want) in enumerate(zip(values[:rows].tolist(), thresholds,
+                                           np.sort(sel[:rows], axis=1).tolist())):
+        top = sorted(row[i] for i in accept_first(row, t, k, first_ge))[-ell:]
+        # values are nonnegative, so the 0.0 padding sorts first
+        mismatch[r] = [0.0] * (ell - len(top)) + top != want
+    return mismatch
+
+
 def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
                       master_seed: int, threshold: Optional[float] = None,
-                      tau: Optional[int] = None, first_ge: bool = False,
-                      replay: bool = False) -> TrialStats:
+                      tau: Optional[int] = None, first_ge: bool = False) -> TrialStats:
     """Per-row top-ell values of the threshold selector and of the benchmark,
-    and whether k binds. The threshold is `threshold`, or else per row the
-    tau-th highest of a fresh sample vector (`ProductInstance.sample_rank`),
-    drawn before the values. The values are `ProductInstance.sample_rows`:
-    reduced rows at a fixed threshold and on a single run of identical
-    components, full rows only at per-row thresholds on an instance of
-    several runs. `replay` adds the `_welfare_replay` column.
+    whether k binds, and whether the kernel disagrees with the scalar rule.
+    The threshold is `threshold`, or else per row the tau-th highest of a
+    fresh sample vector (`ProductInstance.sample_rank`), drawn before the
+    values. The values are `ProductInstance.sample_rows`: reduced rows at a
+    fixed threshold and on a single run of identical components, full rows
+    only at per-row thresholds on an instance of several runs.
 
     Extras: `binding_frac`, the share of rows where more than k values clear
-    the threshold, and with `replay` `trace_mismatches`, the replayed rows
-    whose scalar mechanism welfare differs."""
+    the threshold, and `trace_mismatches`, the leading rows of every batch
+    whose top-ell accepted values under the scalar rule (`_replay`) are not
+    the kernel's."""
     def step(rng, size):
         thr = instance.sample_rank(rng, size, tau) if threshold is None else threshold
         values = instance.sample_rows(rng, size, thr, ell)
         alg, bench, binds = _threshold_top(values, thr, k, ell, first_ge)
-        alg, bench = alg.sum(axis=1), bench.sum(axis=1)
-        if replay:
-            return alg, bench, binds, _welfare_replay(values, thr, alg, ell, k)
-        return alg, bench, binds
+        return (alg.sum(axis=1), bench.sum(axis=1), binds,
+                _replay(values, thr, alg, k, first_ge))
 
-    acc = _run_batches(step, 4 if replay else 3, trials, master_seed)
-    extras = {"binding_frac": acc.sums[2] / acc.count}
-    if replay:
-        extras["trace_mismatches"] = int(acc.sums[3])
+    acc = _run_batches(step, 4, trials, master_seed)
+    extras = {"binding_frac": acc.sums[2] / acc.count, "trace_mismatches": int(acc.sums[3])}
     return TrialStats(*acc.ratio_stderr(), acc.count, extras)
 
 
@@ -412,24 +457,6 @@ def secretary_trials(
 # ---- mechanisms ----
 
 
-#: Leading rows of every welfare batch that are replayed through the scalar
-#: mechanism, `mechanisms.run_two_phase`, to check the batch kernel.
-_REPLAY_ROWS = 64
-
-
-def _welfare_replay(values: np.ndarray, threshold, welfare: np.ndarray,
-                    ell: int, k: int) -> np.ndarray:
-    """Per-row 0/1 column: 1 for a replayed leading row whose scalar welfare
-    differs from `welfare` by more than 1e-9."""
-    mismatch = np.zeros(len(values))
-    thresholds = np.broadcast_to(threshold, len(values))
-    for row in range(min(_REPLAY_ROWS, len(values))):
-        config = mechanisms.MechanismConfig(ell, k, float(thresholds[row]))
-        outcome = mechanisms.run_two_phase(values[row], config)
-        mismatch[row] = abs(outcome.welfare - welfare[row]) > 1e-9
-    return mismatch
-
-
 def mechanism_welfare_trials(
     instance: ProductInstance,
     ell: int,
@@ -438,18 +465,18 @@ def mechanism_welfare_trials(
     master_seed: int,
     tau: Optional[int] = None,
 ) -> TrialStats:
-    """Welfare ratio of the two-phase mechanism, plus a check of the batch
-    kernel against the scalar mechanism on the leading rows of every batch.
+    """Welfare ratio of the two-phase mechanism.
 
     With no `tau` the ticket threshold is the max-distribution quantile
     (source alg_max, fixed across trials); with one it is the tau-th highest
     entry of a fresh sample vector per trial (source alg_tau-sample, drawn by
-    `ProductInstance.sample_rank`). The top ell of the first k ticket holders
-    win, so the welfare is the threshold selector's top-ell value.
+    `ProductInstance.sample_rank`). The mechanism issues tickets by
+    `accept_first` and the top ell ticket holders win, so the winners are the
+    top ell values that `_threshold_trials` replays, and the welfare is the
+    threshold selector's top-ell value.
     """
     threshold = max_quantile(instance, TWO_THIRDS ** (k - 1)) if tau is None else None
-    return _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau,
-                             replay=True)
+    return _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau)
 
 
 def mechanism_revenue_trials(

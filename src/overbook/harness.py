@@ -312,14 +312,22 @@ class _Outcome:
     ok: bool = True
 
 
+def _replayed(algorithm: str, stats: experiments.TrialStats, bound: float,
+              **extras) -> _Outcome:
+    """The outcome of a threshold engine, `extras` first: it also requires
+    that no replayed row of the engine's kernel disagreed with the scalar
+    rule."""
+    return _Outcome(algorithm, stats.ratio, stats.ratio_stderr, bound,
+                    {**extras, **stats.extras}, ok=stats.extras["trace_mismatches"] == 0)
+
+
 def _run_prophet_tau(spec: ExperimentSpec) -> _Outcome:
     instance = _resolve_instance(spec)
     _require_atomless(instance, spec.kind)
     tau = _tau(spec)
     stats = experiments.alg_tau_trials(
         instance, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
-    return _Outcome("alg_tau", stats.ratio, stats.ratio_stderr,
-                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau, **stats.extras})
+    return _replayed("alg_tau", stats, tau_selector_bound(spec.ell, spec.k, tau), tau=tau)
 
 
 def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
@@ -336,9 +344,8 @@ def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
         # finite value reaches when a component is unbounded
         raise InvalidSpecError(
             f"k: {algorithm} has no finite threshold at k = {spec.k}: {err}") from err
-    return _Outcome(algorithm, stats.ratio, stats.ratio_stderr,
-                    max_selector_bound(spec.k, atoms_variant=not instance.all_atomless),
-                    stats.extras)
+    return _replayed(algorithm, stats,
+                     max_selector_bound(spec.k, atoms_variant=not instance.all_atomless))
 
 
 def _run_secretary(spec: ExperimentSpec) -> _Outcome:
@@ -394,8 +401,7 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
     _require_atomless(instance, engine)
     stats = experiments.mechanism_welfare_trials(
         instance, spec.ell, spec.k, spec.trials, spec.master_seed, tau=tau)
-    return _Outcome(f"two_phase[{source}]", stats.ratio, stats.ratio_stderr, bound,
-                    {**extras, **stats.extras}, ok=stats.extras["trace_mismatches"] == 0)
+    return _replayed(f"two_phase[{source}]", stats, bound, **extras)
 
 
 def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
@@ -447,7 +453,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     spec.validate()
     start = time.perf_counter()
     kind = _RUNNERS[spec.kind]
-    out = kind.run(spec)
+    try:
+        out = kind.run(spec)
+    except experiments.ZeroBenchmarkError as err:
+        # more trials draw a nonzero benchmark with positive probability
+        raise InvalidSpecError(f"trials: {err}, so the ratio is undefined") from err
     vacuous = out.bound <= 0.0
     if kind.upper_bound:
         passed = out.estimate <= out.bound
@@ -464,8 +474,12 @@ def run_experiments(specs: list[ExperimentSpec], jobs: int = 1) -> list[Experime
 
     Results are ordered like the input specs and are identical for any
     worker count: each experiment's randomness depends only on its own
-    master seed and the fixed batch schedule.
+    master seed and the fixed batch schedule. Every spec is validated before
+    the first one runs; the refusals that need a spec's resolved instance or
+    values are left to its runner.
     """
+    for spec in specs:
+        spec.validate()
     if jobs <= 1 or len(specs) <= 1:
         return [run_experiment(s) for s in specs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

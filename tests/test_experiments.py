@@ -168,28 +168,56 @@ def _without_capacity(real):
     return kernel
 
 
-def test_welfare_trace_check_catches_a_wrong_kernel(monkeypatch):
-    # tau = 10 of n = 20 puts about ten values above the threshold, so k = 2 binds
-    inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 20)
-    monkeypatch.setattr(experiments, "BATCH_SIZE", 300)
-    args = dict(tau=10)
-    assert mechanism_welfare_trials(inst, 1, 2, 900, 5, **args).extras["trace_mismatches"] == 0
+def _ignoring_first_ge(real):
+    """A wrong kernel: it runs the strict rule where the atoms rule is asked for."""
+    def kernel(values, thr, k, m, first_ge=False):
+        return real(values, thr, k, m)
+    return kernel
 
-    monkeypatch.setattr(experiments, "_threshold_top",
-                        _without_capacity(experiments._threshold_top))
-    stats = mechanism_welfare_trials(inst, 1, 2, 900, 5, **args)
-    assert 0 < stats.extras["trace_mismatches"] <= 3 * experiments._REPLAY_ROWS
-    spec = ExperimentSpec("mechanism-welfare", 20, 1, 2, 900, 5, tau=10,
-                          distribution={"iid": {"kind": "uniform-interval",
-                                                "params": {"lo": 0.0, "hi": 1.0}}},
-                          source="alg_tau-sample")
+
+_UNIFORM = {"kind": "uniform-interval", "params": {"lo": 0.0, "hi": 1.0}}
+#: max_quantile_inf puts the atoms rule's threshold at the top atom 2.0
+_TOP_ATOM = {"kind": "finite-support", "params": {"atoms": [[0.0, 0.5], [1.0, 0.25],
+                                                            [2.0, 0.25]]}}
+
+
+@pytest.mark.parametrize("kind,source,dist,ell,k,fault", [
+    ("prophet-tau", None, _UNIFORM, 2, 4, _without_capacity),
+    ("prophet-max", None, _UNIFORM, 2, 2, _without_capacity),
+    ("mechanism-welfare", "alg_max", _UNIFORM, 2, 2, _without_capacity),
+    ("mechanism-welfare", "alg_tau-sample", _UNIFORM, 2, 4, _without_capacity),
+    ("prophet-max", None, _TOP_ATOM, 1, 4, _ignoring_first_ge),
+], ids=["prophet-tau-no-cut", "prophet-max-no-cut", "welfare-alg_max-no-cut",
+        "welfare-alg_tau-sample-no-cut", "prophet-max-atoms-no-first-ge"])
+def test_trace_check_catches_a_wrong_kernel(kind, source, dist, ell, k, fault, monkeypatch):
+    # one replayed batch per _REPLAY_ROWS rows, so every row is replayed: k
+    # binds on about 1% of the rows at the max-distribution threshold
+    monkeypatch.setattr(experiments, "BATCH_SIZE", experiments._REPLAY_ROWS)
+    spec = ExperimentSpec(kind, 30, ell, k, 4_000, 5, distribution={"iid": dist},
+                          source=source)
+    report = run_experiment(spec)
+    assert report.extras["trace_mismatches"] == 0 and report.passed
+
+    monkeypatch.setattr(experiments, "_threshold_top", fault(experiments._threshold_top))
     report = run_experiment(spec)
     assert report.extras["trace_mismatches"] > 0 and not report.passed
 
 
+@pytest.mark.parametrize("source", ["alg_max", "alg_tau-sample"])
+def test_welfare_trace_check_is_exact_at_large_values(source):
+    # the replay used to compare welfare sums with an absolute 1e-9
+    # tolerance: values near 1e8 summed in another order gave 11 (alg_max)
+    # and 13 (alg_tau-sample) mismatches, and a FAIL
+    spec = ExperimentSpec("mechanism-welfare", 100, 3, 12, 20_000, 1, source=source,
+                          distribution={"iid": {"kind": "uniform-interval",
+                                                "params": {"lo": 0.0, "hi": 1e8}}})
+    report = run_experiment(spec)
+    assert report.extras["trace_mismatches"] == 0 and report.passed
+
+
 def test_welfare_replay_reads_sparse_rows_as_full_rows(monkeypatch):
     # several runs at the fixed alg_max threshold: reduced rows from
-    # `_sparse_rows`, which the scalar mechanism replays as whole rows
+    # `_sparse_rows`, which the scalar rule replays as whole rows
     unif, expo = ValueDistribution.uniform(0.0, 1.0), ValueDistribution.exponential(2.0)
     inst = ProductInstance([unif] * 5 + [expo] * 4 + [ValueDistribution.uniform(0.2, 1.5)] * 3)
     monkeypatch.setattr(experiments, "BATCH_SIZE", 500)

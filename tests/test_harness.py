@@ -426,8 +426,9 @@ class TestRunExperiment:
         assert 0.0 < frac < 1.0
 
     @pytest.mark.parametrize("kind,fields,keys", [
-        ("prophet-tau", {"distribution": {"iid": UNIFORM}}, ["tau", "binding_frac"]),
-        ("prophet-max", {"distribution": {"iid": UNIFORM}}, ["binding_frac"]),
+        ("prophet-tau", {"distribution": {"iid": UNIFORM}},
+         ["tau", "binding_frac", "trace_mismatches"]),
+        ("prophet-max", {"distribution": {"iid": UNIFORM}}, ["binding_frac", "trace_mismatches"]),
         ("secretary", {"values": {"kind": "geometric", "ratio": 2.0}},
          ["beta", "prob_capacity_differs", "prob_capacity_differs_stderr",
           "prob_ell_missed", "prob_ell_missed_stderr", "capacity_event_bound"]),
@@ -466,6 +467,73 @@ class TestRunExperiment:
         assert r1.stderr == r2.stderr
 
 
+class TestValueScale:
+    """Estimates and verdicts do not depend on the scale of the values."""
+
+    @staticmethod
+    def _spec(kind, scale, source=None):
+        if kind == "secretary":
+            values = [scale * 1.5 ** -i for i in range(40)]
+            return ExperimentSpec(kind, 40, 2, 16, 2_000, 3,
+                                  values={"kind": "list", "values": values})
+        uniform = {"kind": "uniform-interval", "params": {"lo": 0.0, "hi": scale}}
+        return ExperimentSpec(kind, 30, 2, 6, 2_000, 3, distribution={"iid": uniform},
+                              source=source)
+
+    @pytest.mark.parametrize("kind,source", [
+        ("prophet-max", None), ("prophet-tau", None), ("mechanism-revenue", None),
+        ("mechanism-welfare", "alg_max"), ("mechanism-welfare", "alg_tau-sample"),
+        ("secretary", None),
+    ])
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    def test_power_of_two_scale_is_bit_exact(self, kind, source, scale, monkeypatch):
+        # the streaming co-moments used to overflow at 2^600 (stderr 0.0 or
+        # NaN, and revenue FAILed) and underflow at 2^-600 (stderr 0.0)
+        monkeypatch.setattr(experiments, "BATCH_SIZE", 700)
+        want, got = (run_experiment(self._spec(kind, c, source)) for c in (1.0, scale))
+        assert want.stderr > 0.0
+        assert got.ratio_estimate.hex() == want.ratio_estimate.hex()
+        assert got.stderr.hex() == want.stderr.hex()
+        assert got.passed is want.passed
+
+
+@pytest.mark.parametrize("kind,dist", [
+    ("prophet-max", {"kind": "finite-support", "params": {"atoms": [[0.0, 0.9], [1.0, 0.1]]}}),
+    ("mechanism-revenue", UNIFORM),
+])
+def test_refuses_a_benchmark_of_zero_in_every_trial(kind, dist):
+    # one trial of two values: every value is 0 with probability 0.81, and
+    # both uniform values lie below the monopoly price 0.5 with probability
+    # 0.25, which makes the optimal revenue 0. Both used to end in a raw
+    # ZeroDivisionError
+    outcomes = set()
+    for seed in range(40):
+        spec = ExperimentSpec(kind, 2, 1, 2, 1, seed, distribution={"iid": dist})
+        try:
+            report = run_experiment(spec)
+        except InvalidSpecError as err:
+            assert re.match("^trials:", str(err))
+            outcomes.add("refused")
+        else:
+            assert math.isfinite(report.ratio_estimate)
+            outcomes.add("ran")
+    assert outcomes == {"ran", "refused"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_spec_is_validated_before_the_first_runs(jobs, monkeypatch):
+    # the first spec used to run in full before the second was refused, and
+    # `overbook run` then wrote no CSV
+    calls = []
+    monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: calls.append(a))
+    specs = [ExperimentSpec("prophet-max", 10, 1, 4, 100, 1, distribution={"iid": UNIFORM}),
+             ExperimentSpec("prophet-max", 10, 1, 4, 100, 1, tau=3,
+                            distribution={"iid": UNIFORM})]
+    with pytest.raises(InvalidSpecError, match="^tau:"):
+        run_experiments(specs, jobs=jobs)
+    assert calls == []
+
+
 class TestPassRules:
     """The verdict rules, pinned at their edges with stubbed engines and oracles."""
 
@@ -486,7 +554,8 @@ class TestPassRules:
         edge = bound - 3.0 * stderr
         assert edge + 3.0 * stderr == bound
         estimate = np.nextafter(edge, 0.0) if step else edge
-        stats = TrialStats(estimate, stderr, trials=10, extras={"binding_frac": 0.0})
+        stats = TrialStats(estimate, stderr, trials=10,
+                           extras={"binding_frac": 0.0, "trace_mismatches": 0})
         monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="prophet-max", n=100, ell=1, k=12, trials=10,
                               master_seed=0, distribution={"iid": UNIFORM})
