@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import prophet
 from .distributions import (
     ProductInstance,
     ValueDistribution,
@@ -28,7 +29,7 @@ from .distributions import (
     virtual_value_array,
 )
 from .oracle import top_block
-from .prophet import TWO_THIRDS, accept_first
+from .prophet import accept_first
 from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
 
@@ -123,12 +124,11 @@ def _run_batches(step, width: int, trials: int, master_seed: int) -> _Moments:
 
 @dataclass
 class TrialStats:
-    """What every engine returns: its ratio estimate and stderr, the trial
-    count, and its diagnostics keyed as in the report's `extras`."""
+    """What every engine returns: its ratio estimate and stderr, and its
+    diagnostics keyed as in the report's `extras`."""
 
     ratio: float
     ratio_stderr: float
-    trials: int
     extras: dict
 
 
@@ -235,7 +235,7 @@ def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
 
     acc = _run_batches(step, 4, trials, master_seed)
     extras = {"binding_frac": acc.sums[2] / acc.count, "trace_mismatches": int(acc.sums[3])}
-    return TrialStats(*acc.ratio_stderr(), acc.count, extras)
+    return TrialStats(*acc.ratio_stderr(), extras)
 
 
 # ---- prophet: single-sample threshold ----
@@ -273,8 +273,8 @@ def alg_max_trials(
     master_seed: int,
 ) -> TrialStats:
     """Ratio for the atomless max-distribution selector (accept first k
-    values strictly above the (2/3)^(k-1) quantile of the max)."""
-    threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
+    values strictly above the `prophet.max_level(k)` quantile of the max)."""
+    threshold = max_quantile(instance, prophet.max_level(k))
     return _threshold_trials(instance, ell, k, trials, master_seed, threshold)
 
 
@@ -287,7 +287,7 @@ def alg_max_atoms_trials(
 ) -> TrialStats:
     """Ratio for the mass-point variant: accept the first value >= T, then
     the first k-1 later values strictly above T."""
-    threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
+    threshold = max_quantile_inf(instance, prophet.max_level(k, first_ge=True))
     return _threshold_trials(instance, ell, k, trials, master_seed, threshold, first_ge=True)
 
 
@@ -451,7 +451,7 @@ def secretary_trials(
         _binomial(moments.sums[1], count)
     extras["prob_ell_missed"], extras["prob_ell_missed_stderr"] = \
         _binomial(moments.sums[2], count)
-    return TrialStats(mean / bench, se / bench, count, extras)
+    return TrialStats(mean / bench, se / bench, extras)
 
 
 # ---- mechanisms ----
@@ -475,7 +475,7 @@ def mechanism_welfare_trials(
     top ell values that `_threshold_trials` replays, and the welfare is the
     threshold selector's top-ell value.
     """
-    threshold = max_quantile(instance, TWO_THIRDS ** (k - 1)) if tau is None else None
+    threshold = max_quantile(instance, prophet.max_level(k)) if tau is None else None
     return _threshold_trials(instance, ell, k, trials, master_seed, threshold, tau)
 
 
@@ -519,4 +519,4 @@ def mechanism_revenue_trials(
     extras["optimal_mean"], extras["optimal_stderr"] = acc.mean_stderr(1)
     extras["identity_gap"], extras["identity_gap_stderr"] = acc.mean_stderr(2)
     extras["binding_frac"] = acc.sums[3] / acc.count
-    return TrialStats(*acc.ratio_stderr(0, 1), acc.count, extras)
+    return TrialStats(*acc.ratio_stderr(0, 1), extras)

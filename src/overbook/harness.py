@@ -280,13 +280,6 @@ def _require_atomless(instance: ProductInstance, engine: str) -> None:
             "skips the tie-break priorities that atoms make necessary")
 
 
-def _require_k_above_one(k: int, engine: str) -> None:
-    if k < 2:
-        raise InvalidSpecError(
-            f"k: {engine} needs k >= 2; at k = 1 the scalar alg_max and "
-            "alg_max_atoms raise DegenerateThresholdError")
-
-
 def _tau(spec: ExperimentSpec) -> int:
     """The spec's sample rank, or the default rank ceil((ell + k) / 2), which
     must lie in [1, n] too."""
@@ -297,8 +290,9 @@ def _tau(spec: ExperimentSpec) -> int:
 
 
 # ---- runners, one per kind ----
-# Oracles and default_beta are harness globals and engines are called as
-# `experiments.<name>_trials`, so a swapped module attribute reaches every kind.
+# Oracles and default_beta are harness globals, engines are called as
+# `experiments.<name>_trials`, and every max-distribution threshold reads
+# `prophet.max_level`, so a swapped module attribute reaches every kind.
 
 
 @dataclass
@@ -331,19 +325,12 @@ def _run_prophet_tau(spec: ExperimentSpec) -> _Outcome:
 
 
 def _run_prophet_max(spec: ExperimentSpec) -> _Outcome:
-    _require_k_above_one(spec.k, spec.kind)
     instance = _resolve_instance(spec)
     if instance.all_atomless:
         algorithm, engine = "alg_max", experiments.alg_max_trials
     else:
         algorithm, engine = "alg_max_atoms", experiments.alg_max_atoms_trials
-    try:
-        stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
-    except DegenerateThresholdError as err:
-        # at k = 2 the atoms rule reads the max-CDF's 1-quantile, which no
-        # finite value reaches when a component is unbounded
-        raise InvalidSpecError(
-            f"k: {algorithm} has no finite threshold at k = {spec.k}: {err}") from err
+    stats = engine(instance, spec.ell, spec.k, spec.trials, spec.master_seed)
     return _replayed(algorithm, stats,
                      max_selector_bound(spec.k, atoms_variant=not instance.all_atomless))
 
@@ -386,7 +373,6 @@ def _run_mechanism_welfare(spec: ExperimentSpec) -> _Outcome:
     source = spec.source or SOURCE_ALG_MAX
     engine = f"{spec.kind} source {source}"
     if source == SOURCE_ALG_MAX:
-        _require_k_above_one(spec.k, engine)
         if spec.tau is not None:
             raise InvalidSpecError(f"tau: {engine} does not read it")
         tau, bound, extras = None, max_selector_bound(spec.k), {}
@@ -458,6 +444,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     except experiments.ZeroBenchmarkError as err:
         # more trials draw a nonzero benchmark with positive probability
         raise InvalidSpecError(f"trials: {err}, so the ratio is undefined") from err
+    except DegenerateThresholdError as err:
+        # k = 1, or k = 2 for the atoms rule, whose max-CDF 1-quantile no
+        # finite value reaches when a component is unbounded
+        raise InvalidSpecError(f"k: {spec.kind} has no threshold at k = {spec.k}: {err}") from err
     vacuous = out.bound <= 0.0
     if kind.upper_bound:
         passed = out.estimate <= out.bound

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import prophet
 from .distributions import (
     ProductInstance,
     UndefinedVirtualValueError,
@@ -23,7 +24,7 @@ from .distributions import (
     monopoly_price,
     virtual_value,
 )
-from .prophet import TWO_THIRDS, accept_first, default_tau
+from .prophet import accept_first, default_tau
 
 SOURCE_ALG_TAU = "alg_tau-sample"
 SOURCE_ALG_MAX = "alg_max"
@@ -125,7 +126,7 @@ def revenue_threshold(
         tau = default_tau(ell, k) if tau is None else tau
         return max(floor, float(instance.sample_rank(rng, 1, tau)[0]))
     if source == SOURCE_ALG_MAX:
-        return max(floor, max_quantile(instance, TWO_THIRDS ** (k - 1)))
+        return max(floor, max_quantile(instance, prophet.max_level(k)))
     raise ValueError(f"unknown threshold source: {source!r}")
 
 

@@ -122,6 +122,16 @@ def alg_tau(
     return SelectionOutcome.from_accepted(vals, indices, threshold, ell)
 
 
+def max_level(k: int, first_ge: bool = False) -> float:
+    """The max-CDF level of every max-distribution threshold, scalar or
+    batch: (2/3)^(k-1), or (2/3)^(k-2) for the atoms rule (`first_ge`).
+    Raises DegenerateThresholdError for k < 2, where the strict rule's
+    level 1 pins its threshold at the supremum."""
+    if k < 2:
+        raise DegenerateThresholdError(f"the max-distribution threshold needs k >= 2, got {k}")
+    return TWO_THIRDS ** (k - 2 if first_ge else k - 1)
+
+
 def alg_max(
     instance: ProductInstance,
     values: Sequence[float],
@@ -130,15 +140,12 @@ def alg_max(
 ) -> SelectionOutcome:
     """Max-distribution selector for atomless instances.
 
-    Threshold T solves Pr[max <= T] = (2/3)^(k-1); the first k values
-    strictly above T are accepted. Requires k >= 2: at k = 1 the target
-    quantile is 1, pinning T at the essential supremum.
+    Threshold T solves Pr[max <= T] = `max_level(k)`; the first k values
+    strictly above T are accepted.
     """
-    if k < 2:
-        raise DegenerateThresholdError("k = 1 pins the threshold at the supremum")
     if not instance.all_atomless:
         raise UseAtomsVariantError("instance has atoms; use alg_max_atoms")
-    threshold = max_quantile(instance, TWO_THIRDS ** (k - 1))
+    threshold = max_quantile(instance, max_level(k))
     indices = accept_first(values, threshold, k)
     return SelectionOutcome.from_accepted(values, indices, threshold, ell)
 
@@ -151,11 +158,10 @@ def alg_max_atoms(
 ) -> SelectionOutcome:
     """Mass-point variant of the max-distribution selector.
 
-    Threshold T = inf{t : Pr[max <= t] >= (2/3)^(k-2)}; accepts the first
-    value >= T, thereafter the first k-1 values strictly above T.
+    Threshold T = inf{t : Pr[max <= t] >= `max_level(k, first_ge=True)`};
+    accepts the first value >= T, thereafter the first k-1 values strictly
+    above T.
     """
-    if k < 2:
-        raise DegenerateThresholdError("k must be >= 2")
-    threshold = max_quantile_inf(instance, TWO_THIRDS ** (k - 2))
+    threshold = max_quantile_inf(instance, max_level(k, first_ge=True))
     indices = accept_first(values, threshold, k, first_ge=True)
     return SelectionOutcome.from_accepted(values, indices, threshold, ell)

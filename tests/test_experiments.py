@@ -280,7 +280,7 @@ def test_revenue_engine_with_n_at_most_ell(n, monkeypatch):
     monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
     stats = mechanism_revenue_trials(prior, n, ell, k, tau, trials, seed)
     means, _, floored = _revenue_replay(prior, n, ell, k, tau, trials, seed, batch)
-    assert stats.trials == trials and floored > 0
+    assert floored > 0
     _assert_revenue_matches(stats, means)
 
 
@@ -401,7 +401,7 @@ def test_binding_frac_counts_rows_where_k_binds(monkeypatch):
         rows = inst.sample_rows(trial_rng(seed, b_idx), b_size, thr, 1)
         binding += np.count_nonzero(np.count_nonzero(rows > thr, axis=1) > k)
     assert 0 < binding < trials
-    assert stats.extras["binding_frac"] == binding / trials and stats.trials == trials
+    assert stats.extras["binding_frac"] == binding / trials
 
 
 def test_moments_extra_column_leaves_others_bit_identical():

@@ -161,6 +161,13 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError, match="^k:"):
             run_experiment(spec)
 
+    def test_rejects_k1_for_atoms_threshold(self):
+        # the atoms rule's level (2/3)^(k-2) is above 1 at k = 1
+        spec = ExperimentSpec(kind="prophet-max", n=10, ell=1, k=1, trials=1000, master_seed=1,
+                              distribution={"iid": ATOMS})
+        with pytest.raises(InvalidSpecError, match="^k: prophet-max has no threshold at k = 1"):
+            run_experiment(spec)
+
     def test_rejects_k2_for_atoms_threshold_on_unbounded_support(self):
         # the (2/3)^0 = 1 quantile: a bisection that stopped early put it where
         # exp(1)'s CDF rounds to 1.0, and the spec reported 0.0 and PASSed
@@ -339,7 +346,9 @@ class TestRunExperiment:
         spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=2000,
                               master_seed=1, distribution={"iid": prior})
         report = run_experiment(spec)
-        assert report.passed and 0.5 < report.ratio_estimate <= 1.0
+        # the true ratio is within ~0.001 of 1 and the stderr is ~0.0075, so
+        # the estimate may exceed 1 by its noise
+        assert report.passed and 0.5 < report.ratio_estimate <= 1.0 + 4 * report.stderr
 
     def test_secretary_small_k_vacuous(self):
         spec = ExperimentSpec(kind="secretary", n=50, ell=2, k=4,
@@ -554,7 +563,7 @@ class TestPassRules:
         edge = bound - 3.0 * stderr
         assert edge + 3.0 * stderr == bound
         estimate = np.nextafter(edge, 0.0) if step else edge
-        stats = TrialStats(estimate, stderr, trials=10,
+        stats = TrialStats(estimate, stderr,
                            extras={"binding_frac": 0.0, "trace_mismatches": 0})
         monkeypatch.setattr(experiments, "alg_max_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="prophet-max", n=100, ell=1, k=12, trials=10,
@@ -565,7 +574,7 @@ class TestPassRules:
 
     @pytest.mark.parametrize("gap,passed", [(0.02, True), (0.04, False), (-0.04, False)])
     def test_revenue_identity_gap_beyond_three_sigma_fails(self, monkeypatch, gap, passed):
-        stats = TrialStats(ratio=1.0, ratio_stderr=0.01, trials=10,
+        stats = TrialStats(ratio=1.0, ratio_stderr=0.01,
                            extras={"identity_gap": gap, "identity_gap_stderr": 0.01})
         monkeypatch.setattr(experiments, "mechanism_revenue_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,

@@ -5,6 +5,7 @@ import pytest
 
 from overbook import mechanisms
 from overbook.distributions import (
+    DegenerateThresholdError,
     ProductInstance,
     UndefinedVirtualValueError,
     ValueDistribution,
@@ -113,6 +114,15 @@ class TestThresholds:
         t = revenue_threshold(ValueDistribution.uniform(0, 1), SOURCE_ALG_MAX,
                               n=2, k=2)
         assert t == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
+
+    @pytest.mark.parametrize("prior", [ValueDistribution.uniform(0, 1),
+                                       ValueDistribution.exponential(1.0)],
+                             ids=["uniform", "exponential"])
+    def test_revenue_alg_max_refuses_k1(self, prior):
+        # the level (2/3)^0 = 1: U[0, 1] returned its supremum 1.0, where the
+        # strict rule sells nothing, and exp(1) raised
+        with pytest.raises(DegenerateThresholdError):
+            revenue_threshold(prior, SOURCE_ALG_MAX, n=2, k=1)
 
     def test_revenue_floor_binds_for_low_samples(self):
         # exponential rate 10 makes the tau-th sample tiny; floor is 1/10... no:

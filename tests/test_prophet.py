@@ -3,10 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from overbook.distributions import ProductInstance, ValueDistribution
-from overbook.experiments import alg_max_trials, alg_tau_trials
+from overbook import experiments, prophet
+from overbook.distributions import (
+    DegenerateThresholdError,
+    ProductInstance,
+    ValueDistribution,
+    max_quantile,
+    max_quantile_inf,
+)
+from overbook.experiments import (
+    alg_max_atoms_trials,
+    alg_max_trials,
+    alg_tau_trials,
+    mechanism_welfare_trials,
+)
+from overbook.mechanisms import SOURCE_ALG_MAX, revenue_threshold
 from overbook.oracle import top_ell
 from overbook.prophet import (
+    TWO_THIRDS,
     SelectionOutcome,
     UseAtomsVariantError,
     accept_first,
@@ -14,6 +28,7 @@ from overbook.prophet import (
     alg_max_atoms,
     alg_tau,
     default_tau,
+    max_level,
 )
 
 
@@ -165,6 +180,50 @@ class TestAlgTau:
         assert d < crit
 
 
+class TestMaxLevel:
+    """`max_level`, the one home of the max-distribution threshold's level."""
+
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_levels(self, k):
+        assert max_level(k) == TWO_THIRDS ** (k - 1)
+        assert max_level(k, first_ge=True) == TWO_THIRDS ** (k - 2)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    @pytest.mark.parametrize("first_ge", [False, True])
+    def test_refuses_k_below_two(self, k, first_ge):
+        with pytest.raises(DegenerateThresholdError, match="k >= 2"):
+            max_level(k, first_ge)
+
+    def test_every_site_reads_the_patched_level(self, monkeypatch):
+        # one patch reaches both scalar selectors, the three engines (the
+        # welfare engine through its alg_max source) and the revenue
+        # threshold: none of them restates the level
+        calls = []
+
+        def level(k, first_ge=False):
+            calls.append((k, first_ge))
+            return 0.3
+
+        monkeypatch.setattr(prophet, "max_level", level)
+        unif = ProductInstance.iid(ValueDistribution.uniform(0, 1), 4)
+        atoms = ProductInstance.iid(
+            ValueDistribution.finite([(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)]), 4)
+        # the true levels put these thresholds at 0.816... and 2.0
+        thr, thr_atoms = max_quantile(unif, 0.3), max_quantile_inf(atoms, 0.3)
+        assert thr == pytest.approx(0.3 ** 0.25) and thr_atoms == 1.0
+        assert alg_max(unif, [0.5] * 4, 3, 1).threshold_used == thr
+        assert alg_max_atoms(atoms, [1.0] * 4, 3, 1).threshold_used == thr_atoms
+        args = (1, 3, 2_000, 5)
+        want = experiments._threshold_trials(unif, *args, threshold=thr)
+        assert alg_max_trials(unif, *args) == want
+        assert mechanism_welfare_trials(unif, *args) == want
+        assert alg_max_atoms_trials(atoms, *args) == experiments._threshold_trials(
+            atoms, *args, threshold=thr_atoms, first_ge=True)
+        prior = ValueDistribution.uniform(0, 1)
+        assert revenue_threshold(prior, SOURCE_ALG_MAX, n=4, k=3) == thr
+        assert calls == [(3, False), (3, True), (3, False), (3, False), (3, True), (3, False)]
+
+
 class TestAlgMax:
     def test_threshold_two_uniforms(self):
         inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)
@@ -174,7 +233,7 @@ class TestAlgMax:
 
     def test_k1_rejected(self):
         inst = ProductInstance.iid(ValueDistribution.uniform(0, 1), 2)
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateThresholdError):
             alg_max(inst, [0.5, 0.5], k=1, ell=1)
 
     def test_atoms_rejected(self):

@@ -302,7 +302,6 @@ class TestVectorizedEngine:
             starts = [ell * 2 ** i for i in range(int(math.log2(n / ell)) + 1)]
             assert len(starts) >= 6 and bounds[0] > 0 and differ > 0
             assert not ties or any(vals_desc[s - 1] == vals_desc[s] for s in starts if s < n)
-        assert stats.trials == trials
         assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
         assert stats.extras["prob_capacity_differs"] == pytest.approx(differ / trials, abs=1e-12)
         assert stats.extras["prob_ell_missed"] == pytest.approx(missed / trials, abs=1e-12)
