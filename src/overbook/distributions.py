@@ -285,6 +285,22 @@ def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarr
     return np.concatenate(found)
 
 
+def _low_uniforms(rng: np.random.Generator, size: np.ndarray,
+                  depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `depth` smallest of size[r] independent uniforms on [0, 1), in
+    increasing order, for each row r, from one (rows, depth) block of the
+    stream, and a mask of the slots j < size[r] that exist.
+
+    By the Renyi representation (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. V) the j-th largest of N uniforms is the product of
+    W_i^(1 / (N - i + 1)) over i <= j, for W_i = 1 - u_i uniform on (0, 1],
+    so the j-th smallest is -expm1(sum_{i <= j} log(W_i) / (N - i + 1)).
+    """
+    left = size[:, None] - np.arange(depth)
+    logs = np.log(1.0 - rng.random((len(size), depth))) / np.maximum(left, 1)
+    return -np.expm1(np.cumsum(logs, axis=1)), left > 0
+
+
 class ProductInstance:
     """Ordered collection of n independent ValueDistributions."""
 
@@ -352,17 +368,28 @@ class ProductInstance:
         # copied out, so the partitioned (trials, n) buffer is freed at once
         return np.partition(samples, n - tau, axis=1)[:, n - tau].copy()
 
-    def sample_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
-        """Rows that hold what a threshold rule and its top-m benchmark read.
+    def sample_rows(self, rng: np.random.Generator, trials: int, thr, m: int,
+                    k: int) -> np.ndarray:
+        """Rows that hold what a threshold rule with capacity k and its top-m
+        benchmark read.
 
-        `thr` is a scalar or one threshold per row. A reduced row r holds the
-        C_r values of row r that are >= thr, in arrival order; zero padding
-        up to the largest C; then a block of the top min(m, n) values below
-        thr, in decreasing order, with 0.0 where there are fewer (`_sparse_rows`
-        leaves the block 0.0 when C_r >= min(m, n)). Values are nonnegative,
-        so the first value >= thr, the values > thr in arrival order and the
-        top m of a reduced row are those of the full row: all that the strict
-        rule, the atoms rule and the benchmark read.
+        `thr` is a scalar or one threshold per row, and C_r counts the values
+        of row r that are >= thr. A reduced row holds, first, values >= thr:
+        all C_r in arrival order; or, on a single run of identical components
+        where C_r <= k, only the first of them and then the top min(m, n) of
+        the other C_r - 1, in decreasing order. Then zero padding up to the
+        widest row, then a block of the top min(m, n) values below thr, in
+        decreasing order, with 0.0 where there are fewer; only the rows with
+        C_r < min(m, n) read the block, and it is 0.0 in every other row.
+
+        Values are nonnegative, so the first value >= thr, the values > thr
+        in arrival order and the top m of a row that holds all C_r are those
+        of the full row. A row with C_r <= k cannot bind, as neither rule
+        accepts more than C_r values: the strict rule accepts every value
+        > thr, the atoms rule also the first value >= thr, and the top m of
+        what either accepts lie among the first value and the top m of the
+        rest. That is all that the strict rule, the atoms rule and the
+        benchmark read.
 
         Every value is drawn by inversion, X = isf(V) for V uniform on
         (0, 1]: X >= thr exactly when V <= p = sf(thr), so a value >= thr is
@@ -370,48 +397,73 @@ class ProductInstance:
         runs depends only on the runs of identical components:
 
         - A single run (what `iid` builds), of any kind, at a scalar or
-          per-row thr: C_r ~ Binomial(n, p), and the values >= thr are
-          isf(p V). The block holds the top min(m, n) of the n - C_r values
-          below thr: descending uniform order statistics on (p, 1] (the
-          Renyi representation; Devroye, Non-Uniform Random Variate
-          Generation, 1986, ch. V). The j-th has 1 - U_(j) = -expm1(sum_{i
-          <= j} log(V_i) / (n - C_r - i + 1)), mapped through `isf` and
-          clamped below thr. The stream holds the counts, then the sum(C)
-          uniforms of the values >= thr, then a (trials, min(m, n)) block of
-          uniforms for the values below it.
+          per-row thr: see `_renyi_rows`.
         - Several runs at a scalar thr: see `_sparse_rows`.
         - Several runs at per-row thresholds: `sample_matrix(rng, trials)`,
           the full rows, which are also the reference the tests hold every
           reduced row to.
         """
         if len(self._runs) == 1:
-            return self._renyi_rows(rng, trials, thr, m)
+            return self._renyi_rows(rng, trials, thr, m, k)
         if np.ndim(thr) == 1:
             return self.sample_matrix(rng, trials)
         return self._sparse_rows(rng, trials, float(thr), m)
 
-    def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int) -> np.ndarray:
+    def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int,
+                    k: int) -> np.ndarray:
         """Reduced rows of a single run of identical components; see
-        `sample_rows`."""
+        `sample_rows`.
+
+        C_r ~ Binomial(n, p). The values drawn in arrival order are isf(p V).
+        The top of the other C_r - 1 values >= thr are isf(p U_(j)), and the
+        top of the n - C_r values below thr are isf(p + (1 - p) U_(j)), for
+        the ascending uniform order statistics U_(j) of `_low_uniforms` (the
+        Renyi representation), those below thr clamped below it. The stream
+        holds the counts; then one uniform per value in arrival order, row
+        by row: all C_r where C_r > k, the first where 0 < C_r <= k; then a
+        (rows with 2 <= C_r <= k, min(m, n)) block for the top of the rest;
+        then a (rows with C_r < min(m, n), min(m, n)) block for the values
+        below thr. Where thr is a scalar and exactly one atom lies at or
+        above it, every value >= thr is that atom, and only the counts and
+        the block below thr are drawn.
+        """
         dist = self.components[0]
         n, depth = self.n, min(m, self.n)
         per_row = np.ndim(thr) == 1
         p = dist.sf(thr)
         count = rng.binomial(n, p, trials)
-        width = int(count.max())
+        top_only = count <= k
+        stored = np.where(top_only, np.minimum(count, depth + 1), count)
+        width = int(stored.max())
         rows = np.zeros((trials, width + depth))
-        v = rng.random(int(count.sum()))
-        np.subtract(1.0, v, out=v)
-        v *= np.repeat(p, count) if per_row else p
-        rows[np.arange(width + depth) < count[:, None]] = dist.isf(v)
-        del v
-        left = (n - count)[:, None] - np.arange(depth)  # values below thr not yet drawn
-        logs = np.log(1.0 - rng.random((trials, depth))) / np.maximum(left, 1)
-        if per_row:
-            p, thr = p[:, None], thr[:, None]
-        below = dist.isf(p - (1.0 - p) * np.expm1(np.cumsum(logs, axis=1)))
-        # an atom at thr is >= thr, so the clamp is the float just below it
-        rows[:, width:] = np.where(left > 0, np.minimum(below, np.nextafter(thr, -np.inf)), 0.0)
+        slot = np.arange(width + depth)
+        if not per_row and not dist.atomless and sum(a >= thr for a, _ in dist.atoms) == 1:
+            # every value >= thr is the top atom
+            rows[slot < stored[:, None]] = dist.support[1]
+        else:
+            arrival = np.where(top_only, np.minimum(count, 1), count)
+            v = rng.random(int(arrival.sum()))
+            np.subtract(1.0, v, out=v)
+            v *= np.repeat(p, arrival) if per_row else p
+            rows[slot < arrival[:, None]] = dist.isf(v)
+            del v
+            rest = np.flatnonzero(top_only & (count > 1))
+            if len(rest):
+                low, exists = _low_uniforms(rng, count[rest] - 1, depth)
+                low *= p[rest, None] if per_row else p
+                # V = 0 (a zero uniform, or underflow) maps to the supremum of the
+                # support, inf for an exponential
+                np.maximum(low, np.finfo(float).smallest_subnormal, out=low)
+                rows[rest, 1:depth + 1] = np.where(exists, dist.isf(low), 0.0)
+        short = np.flatnonzero(count < depth)
+        if len(short):
+            low, exists = _low_uniforms(rng, n - count[short], depth)
+            if per_row:
+                p, thr = p[short, None], thr[short, None]
+            below = dist.isf(p + (1.0 - p) * low)
+            # an atom at thr is >= thr, so the clamp is the float just below it
+            rows[short, width:] = np.where(exists, np.minimum(below, np.nextafter(thr, -np.inf)),
+                                           0.0)
         return rows
 
     def _sparse_rows(self, rng: np.random.Generator, trials: int, thr: float,

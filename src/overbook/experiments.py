@@ -220,7 +220,9 @@ def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
     fresh sample vector (`ProductInstance.sample_rank`), drawn before the
     values. The values are `ProductInstance.sample_rows`: reduced rows at a
     fixed threshold and on a single run of identical components, full rows
-    only at per-row thresholds on an instance of several runs.
+    only at per-row thresholds on an instance of several runs. On a single
+    run, a row where at most k values reach the threshold cannot bind, and
+    holds only its first such value and the top ell of the rest.
 
     Extras: `binding_frac`, the share of rows where more than k values clear
     the threshold, and `trace_mismatches`, the leading rows of every batch
@@ -228,7 +230,7 @@ def _threshold_trials(instance: ProductInstance, ell: int, k: int, trials: int,
     the kernel's."""
     def step(rng, size):
         thr = instance.sample_rank(rng, size, tau) if threshold is None else threshold
-        values = instance.sample_rows(rng, size, thr, ell)
+        values = instance.sample_rows(rng, size, thr, ell, k)
         alg, bench, binds = _threshold_top(values, thr, k, ell, first_ge)
         return (alg.sum(axis=1), bench.sum(axis=1), binds,
                 _replay(values, thr, alg, k, first_ge))

@@ -13,26 +13,31 @@ import numpy as np
 #: Trials per vectorized batch. Part of the reproducibility contract: batch
 #: index b seeds the stream for trials [b * BATCH_SIZE, (b+1) * BATCH_SIZE).
 #: So is how a batch consumes its stream. A sample-threshold engine first
-#: draws its thresholds with `ProductInstance.sample_rank`: one beta draw per
-#: row for a single run of identical components, of any kind, a full sample
-#: matrix otherwise. Then a threshold engine draws the values with
+#: draws its thresholds with `ProductInstance.sample_rank`: one beta draw
+#: per row for a single run of identical components, of any kind, a full
+#: sample matrix otherwise. Then a threshold engine draws the values with
 #: `ProductInstance.sample_rows`, each by inversion through its component's
 #: `isf`. For a single run, at a fixed or per-row threshold, those are
 #: reduced rows: one binomial count per row of the values at or above the
-#: threshold, then one uniform per counted value, row by row, then a
-#: (trials, min(ell, n)) block of uniforms for the values below it. For
-#: several runs at a fixed threshold they are reduced rows too: the standard
-#: exponentials behind each run's geometric gaps, run after run, for each run
-#: that reaches the threshold with a probability strictly between 0 and 1,
-#: then one uniform per value at or above the threshold, in row and arrival
-#: order, then one (rows, n) block of uniforms for the rows with fewer than
-#: min(ell, n) such values. For several runs at per-row thresholds
-#: `ProductInstance.sample_matrix` draws column i as the i-th block, as n
-#: successive per-component `sample_n(rng, trials)` calls would. The revenue
-#: engine draws its i.i.d. values with one C-order
-#: `sample_n(rng, (trials, n))` call. The secretary engine draws one
-#: `rng.random((rows, n))` block per row chunk, chunk after chunk, and column
-#: g of a row is the arrival time of global rank g (0 = largest value).
+#: threshold; then one uniform per value kept in arrival order, row by row
+#: (every counted value of a row with more than k, the first of any other);
+#: then a (rows with 2 to k counted values, min(ell, n)) block of uniforms
+#: for the top of the rest; then a (rows with fewer than min(ell, n) counted
+#: values, min(ell, n)) block for the values below the threshold. At a fixed
+#: threshold with exactly one atom at or above it, the two draws for the
+#: counted values are skipped. For several runs at a fixed threshold they
+#: are reduced rows too: the standard exponentials behind each run's
+#: geometric gaps, run after run, for each run that reaches the threshold
+#: with a probability strictly between 0 and 1, then one uniform per value
+#: at or above the threshold, in row and arrival order, then one (rows, n)
+#: block of uniforms for the rows with fewer than min(ell, n) such values.
+#: For several runs at per-row thresholds `ProductInstance.sample_matrix`
+#: draws column i as the i-th block, as n successive per-component
+#: `sample_n(rng, trials)` calls would. The revenue engine draws its i.i.d.
+#: values with one C-order `sample_n(rng, (trials, n))` call. The secretary
+#: engine draws one `rng.random((rows, n))` block per row chunk, chunk after
+#: chunk, and column g of a row is the arrival time of global rank g (0 =
+#: largest value).
 BATCH_SIZE = 20_000
 
 

@@ -416,40 +416,84 @@ def _binomial_tail(n, p, tau):
     return math.fsum(math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(tau, n + 1))
 
 
+class _ConstantUniforms:
+    """A Generator whose `random` returns one constant; every other draw is
+    real."""
+
+    def __init__(self, u, seed):
+        self.u, self.rng = u, np.random.default_rng(seed)
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class _RecordingRng:
+    """A Generator that records the size of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 class TestSampleRows:
     """`sample_rows` gives a single run of identical components, of any kind,
     reduced rows from the Renyi representation: the values at or above the
-    threshold in arrival order, zero padding, then the top m values below
-    it. An instance of several runs gets reduced rows at a scalar threshold
-    (`TestSparseRows`) and a full `sample_matrix` at per-row thresholds."""
+    threshold, all of them in arrival order where more than k reach it, else
+    the first and the top m of the rest; zero padding; then the top m values
+    below it, for the rows with fewer than m at or above it. An instance of
+    several runs gets reduced rows at a scalar threshold (`TestSparseRows`)
+    and a full `sample_matrix` at per-row thresholds."""
 
-    @pytest.mark.parametrize("dist,n,thr", [
-        (ValueDistribution.uniform(0.0, 1.0), 100, 0.95),
-        (ValueDistribution.exponential(1.0), 400, "per-row"),
-        (ValueDistribution.uniform(2.0, 5.0), 20, "per-row"),
-        (ValueDistribution.exponential(3.0), 30, 0.0),
+    @pytest.mark.parametrize("dist,n,thr,mixed_k", [
+        (ValueDistribution.uniform(0.0, 1.0), 100, 0.95, 5),
+        (ValueDistribution.exponential(1.0), 400, "per-row", 100),
+        (ValueDistribution.uniform(2.0, 5.0), 20, "per-row", 5),
+        (ValueDistribution.exponential(3.0), 30, 0.0, None),
     ], ids=["unif-scalar", "exp-per-row", "shifted-unif-per-row", "exp-thr-at-lo"])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_reduced_row_structure(self, dist, n, thr, m):
+    def test_reduced_row_structure(self, dist, n, thr, mixed_k, m):
+        # k = 0: every row keeps arrival order; k = n: no row can bind;
+        # mixed_k: some rows can and some cannot (every row reaches a
+        # threshold at the bottom of the support, so that case has none)
         inst, trials = ProductInstance.iid(dist, n), 3_000
-        rng = np.random.default_rng(31)
         if thr == "per-row":
-            thr = inst.sample_rank(rng, trials, max(1, n // 4))
-        rows = inst.sample_rows(rng, trials, thr, m)
+            thr = inst.sample_rank(np.random.default_rng(30), trials, max(1, n // 4))
         t = np.broadcast_to(thr, trials)[:, None]
-        above = rows > t
-        count = np.count_nonzero(above, axis=1)
-        assert rows.shape == (trials, count.max() + m)
-        # exactly the leading `count` entries of each row clear the threshold
-        assert np.array_equal(above, np.arange(rows.shape[1]) < count[:, None])
-        assert np.all(rows[~above] <= np.broadcast_to(t, rows.shape)[~above])
-        below = rows[:, -m:]
-        assert np.all(np.diff(below, axis=1) <= 0)
-        # a row with c values above holds min(m, n - c) values below
-        assert np.array_equal(np.count_nonzero(below > 0, axis=1), np.minimum(m, n - count))
-        # zero padding between a row's values above and its values below
-        lead = rows[:, :-m]
-        assert np.all(lead[~above[:, :-m]] == 0.0)
+        for k in (0, n, mixed_k):
+            if k is None:
+                continue
+            rows = inst.sample_rows(np.random.default_rng(31), trials, thr, m, k)
+            above = rows > t
+            count = np.count_nonzero(above, axis=1)
+            assert rows.shape == (trials, count.max() + m)
+            # exactly the leading `count` entries of each row clear the threshold
+            assert np.array_equal(above, np.arange(rows.shape[1]) < count[:, None])
+            assert np.all(rows[~above] <= np.broadcast_to(t, rows.shape)[~above])
+            # a row that cannot bind holds its first value and the top m of
+            # the rest, in decreasing order
+            top = count <= k
+            assert np.all(count[top] <= m + 1)
+            lead = rows[top, 1:m + 1]
+            assert np.all((np.diff(lead, axis=1) <= 0) | (lead[:, 1:] == 0.0))
+            if k == mixed_k:
+                assert np.any(top) and not np.all(top)
+            below = rows[:, -m:]
+            assert np.all(np.diff(below, axis=1) <= 0)
+            # a row with c < m values above holds min(m, n - c) values below,
+            # and every other row holds none
+            assert np.array_equal(np.count_nonzero(below > 0, axis=1),
+                                  np.where(count < m, np.minimum(m, n - count), 0))
+            # zero padding between a row's values above and its values below
+            assert np.all(rows[:, :-m][~above[:, :-m]] == 0.0)
 
     @pytest.mark.parametrize("dist,n,ell", [
         (ValueDistribution.uniform(0.0, 1.0), 100, 1),
@@ -472,9 +516,11 @@ class TestSampleRows:
             thr = float(dist.isf(1.0 / n))
         else:
             thr = inst.sample_rank(rng, trials, 2)
-        rows = inst.sample_rows(rng, trials, thr, ell)
+        # k = ell: rows that can bind and rows that cannot
+        rows = inst.sample_rows(rng, trials, thr, ell, ell)
         count = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
         assert np.count_nonzero(count < ell) > trials // 10
+        assert np.any(count > ell) and np.any((count > 0) & (count <= ell))
         bench = np.sort(rows, axis=1)[:, -ell:].sum(axis=1)
         if dist.kind == "uniform-interval":
             want = math.fsum((n - j) / (n + 1) for j in range(ell))
@@ -485,32 +531,39 @@ class TestSampleRows:
     @pytest.mark.parametrize("thr", ["at-atom", "between-atoms", "at-lowest-atom", "per-row"])
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_run_layout_on_atoms(self, thr, m):
-        # no atom is 0.0, so every filled slot of the block is positive
+        # no atom is 0.0, so every filled slot of the block is positive; at
+        # k = 0 every row keeps arrival order, at k = n = 6 none can bind
         dist = ValueDistribution.finite([(0.5, 0.5), (1.0, 0.3), (2.0, 0.2)])
         inst, trials, n = ProductInstance.iid(dist, 6), 4_000, 6
-        rng = np.random.default_rng(33)
         case, thr = thr, {"at-atom": 1.0, "between-atoms": 1.5, "at-lowest-atom": 0.5}.get(thr)
         if case == "per-row":
-            thr = inst.sample_rank(rng, trials, 2)
-        rows = inst.sample_rows(rng, trials, thr, m)
+            thr = inst.sample_rank(np.random.default_rng(32), trials, 2)
         t = np.broadcast_to(thr, trials)[:, None]
-        lead, block = rows[:, :-m], rows[:, -m:]
-        ge = lead >= t
-        count = np.count_nonzero(ge, axis=1)
-        assert rows.shape == (trials, count.max() + m)
-        # the values >= thr lead each row, atoms all, then zero padding
-        assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
-        assert np.all(lead[~ge] == 0.0) and np.all(np.isin(lead[ge], [0.5, 1.0, 2.0]))
-        # the block holds the top min(m, n - count) values below thr, all
-        # atoms strictly below it, in decreasing order, then 0.0
-        filled = np.arange(m) < np.minimum(m, n - count)[:, None]
-        assert np.all(block[~filled] == 0.0)
-        assert np.all(np.isin(block[filled], [0.5, 1.0]))
-        assert np.all((block < t)[filled]) and np.all(np.diff(block, axis=1) <= 0)
-        if case == "at-lowest-atom":
-            assert np.all(count == n)
-        else:
-            assert np.any(count < m) and np.any((count > 0) & (count < n))
+        for k in (0, n):
+            rows = inst.sample_rows(np.random.default_rng(33), trials, thr, m, k)
+            lead, block = rows[:, :-m], rows[:, -m:]
+            ge = lead >= t
+            count = np.count_nonzero(ge, axis=1)
+            assert rows.shape == (trials, count.max() + m)
+            # the values >= thr lead each row, atoms all, then zero padding
+            assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
+            assert np.all(lead[~ge] == 0.0) and np.all(np.isin(lead[ge], [0.5, 1.0, 2.0]))
+            if k:
+                # the first value, then the top m of the rest in decreasing order
+                assert np.all(count <= m + 1)
+                rest = lead[:, 1:]
+                assert np.all((np.diff(rest, axis=1) <= 0) | (rest[:, 1:] == 0.0))
+            # the rows with fewer than m values >= thr hold the top
+            # min(m, n - count) below it, atoms all strictly below thr, in
+            # decreasing order, then 0.0; every other row's block is 0.0
+            filled = (np.arange(m) < np.minimum(m, n - count)[:, None]) & (count < m)[:, None]
+            assert np.all(block[~filled] == 0.0)
+            assert np.all(np.isin(block[filled], [0.5, 1.0]))
+            assert np.all((block < t)[filled]) and np.all(np.diff(block, axis=1) <= 0)
+            if case == "at-lowest-atom":
+                assert np.all(count == (min(n, m + 1) if k else n))
+            else:
+                assert np.any(count < m) and np.any((count > 0) & (count < n))
 
     @pytest.mark.parametrize("dist,n,m,k,tau", [
         (_ATOMS_012, 30, 2, 3, 4),
@@ -522,13 +575,63 @@ class TestSampleRows:
         # reduced rows of a run of atoms read as full `sample_matrix` rows
         inst, trials = ProductInstance.iid(dist, n), 5_000
         thr = inst.sample_rank(np.random.default_rng(43), trials, tau)
-        got = _row_statistics(inst.sample_rows(np.random.default_rng(44), trials, thr, m),
+        got = _row_statistics(inst.sample_rows(np.random.default_rng(44), trials, thr, m, k),
                               thr, m, k)
         want = _row_statistics(inst.sample_matrix(np.random.default_rng(45), trials), thr, m, k)
         assert np.any(want["binds"]) and np.any(got["binds"])
         critical = _ks_critical_1pct(trials, trials)
         for key in got:
             assert _ks_statistic(got[key], want[key]) < critical, key
+
+    @pytest.mark.parametrize("thr", [2.0, "per-row"])
+    def test_stream_draws_only_what_rows_read(self, thr):
+        # the counts; one uniform per value in arrival order (every value of a
+        # row of more than k, the first of any other); a (rows, m) block for
+        # the top of the rest of the rows that cannot bind; a (rows, m) block
+        # below thr for the rows with fewer than m values >= thr, and none
+        # for any other row
+        dist, n, m, k, trials = ValueDistribution.exponential(1.0), 40, 3, 6, 2_000
+        inst = ProductInstance.iid(dist, n)
+        if thr == "per-row":
+            thr = inst.sample_rank(np.random.default_rng(3), trials, 6)
+        rng = _RecordingRng(61)
+        rows = inst.sample_rows(rng, trials, thr, m, k)
+        count = np.random.default_rng(61).binomial(n, dist.sf(thr), trials)
+        top_only = count <= k
+        assert np.any(~top_only) and np.any(top_only & (count > 1)) and np.any(count < m)
+        arrival = np.where(top_only, np.minimum(count, 1), count)
+        assert rng.sizes == [int(arrival.sum()), (np.count_nonzero(top_only & (count > 1)), m),
+                             (np.count_nonzero(count < m), m)]
+        above = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
+        assert np.array_equal(above, np.where(top_only, np.minimum(count, m + 1), count))
+
+    @pytest.mark.parametrize("dist,thr", [(_ATOMS_012, 2.0), (_ATOMS_012, 1.5),
+                                          (ValueDistribution.degenerate(1.5), 1.0)],
+                             ids=["at-top-atom", "below-top-atom", "point-mass"])
+    def test_one_atom_at_or_above_thr_draws_no_uniform(self, dist, thr):
+        # every value >= thr is the top atom: the stream holds the counts and
+        # the block below thr, for the rows with fewer than m values >= thr
+        n, m, k, trials = 30, 2, 6, 2_000
+        rng = _RecordingRng(62)
+        rows = ProductInstance.iid(dist, n).sample_rows(rng, trials, thr, m, k)
+        count = np.random.default_rng(62).binomial(n, dist.sf(thr), trials)
+        short = np.count_nonzero(count < m)
+        assert rng.sizes == ([(short, m)] if short else [])
+        lead = rows[:, :-m]
+        ge = lead >= thr
+        assert np.all(lead[ge] == dist.support[1])
+        assert np.array_equal(np.count_nonzero(ge, axis=1),
+                              np.where(count > k, count, np.minimum(count, m + 1)))
+        if dist.kind == "finite-support":
+            assert short and np.any(count > k) and np.any((count > 1) & (count <= k))
+
+    def test_zero_uniforms_keep_values_finite(self):
+        # a zero uniform puts the top of the rest at V = 0, where isf is the
+        # supremum of the support, inf for an exponential; V is held at the
+        # smallest positive float instead
+        inst = ProductInstance.iid(ValueDistribution.exponential(1.0), 40)
+        rows = inst.sample_rows(_ConstantUniforms(0.0, 63), 1_000, 2.0, 3, 40)
+        assert np.all(np.isfinite(rows)) and np.any(rows > 700.0)
 
     @pytest.mark.parametrize("instance", [
         ProductInstance([ValueDistribution.exponential(1.0) for _ in range(30)]),
@@ -539,7 +642,7 @@ class TestSampleRows:
         # (TestSparseRows), and so does a single run at any threshold
         thr = np.linspace(0.5, 1.5, 700)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        got = instance.sample_rows(rng_a, 700, thr, 2)
+        got = instance.sample_rows(rng_a, 700, thr, 2, 1)
         assert np.array_equal(got, instance.sample_matrix(rng_b, 700))
         assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
@@ -583,30 +686,39 @@ _SPARSE_CASES = {
     "runs-straddling-thr": (ProductInstance([ValueDistribution.uniform(0.0, 4.0)] * 3
                                             + [ValueDistribution.exponential(1.0)] * 2),
                             3.0, 2, 1, "binds sparse"),
+    # a single run where no row can bind, with an atom at thr that only the
+    # atoms rule's first acceptance takes
+    "atom-at-thr-top-only": (ProductInstance.iid(_ATOMS_012, 8), 1.0, 2, 8, "sparse"),
+    # exactly one atom at or above thr, with rows of more than k values >= thr
+    # and rows of at most k (nothing is > thr, so the atoms rule never binds)
+    "one-atom-mixed": (ProductInstance.iid(_ATOMS_012, 30), 2.0, 2, 6, "sparse"),
 }
 
 
 def _row_statistics(rows, thr, m, k):
     """What a threshold rule reads, per row: the count of positive values
-    >= thr (zero padding is >= a threshold of 0), the first value >= thr
-    (0.0 if none), the strict and the atoms rule's top-m sums, the
-    benchmark's, and whether the atoms rule's capacity binds."""
+    >= thr (zero padding is >= a threshold of 0), capped at m + 1, since a
+    reduced row that cannot bind holds at most m + 1 of them, and whether it
+    exceeds k; the first value >= thr (0.0 if none), the strict and the atoms
+    rule's top-m sums, the benchmark's, and whether the atoms rule's
+    capacity binds."""
     ge = rows >= (thr[:, None] if np.ndim(thr) else thr)
+    count = np.count_nonzero(ge & (rows > 0), axis=1)
     first = np.where(ge.any(axis=1), rows[np.arange(len(rows)), ge.argmax(axis=1)], 0.0)
     strict, bench, _ = _threshold_top(rows, thr, k, m)
     atoms, _, binds = _threshold_top(rows, thr, k, m, first_ge=True)
-    return {"count": np.count_nonzero(ge & (rows > 0), axis=1), "first": first,
+    return {"count": np.minimum(count, m + 1), "over_k": count > k, "first": first,
             "strict": strict.sum(axis=1), "atoms": atoms.sum(axis=1),
             "bench": bench.sum(axis=1), "binds": binds}
 
 
 class TestSparseRows:
     """At a scalar threshold every instance gets reduced rows: its values
-    >= thr in arrival order, zero padding, then a block of the top min(m, n)
-    values below thr. An instance of several runs (`_sparse_rows`) fills the
-    block only for the rows with fewer than that many values >= thr; a
-    single run (`_renyi_rows`) fills it for every row with values below thr.
-    Full `sample_matrix` rows are the reference for their law."""
+    >= thr in arrival order (on a single run, where at most k reach thr, the
+    first and the top min(m, n) of the rest), zero padding, then a block of
+    the top min(m, n) values below thr, filled only for the rows with fewer
+    than that many values >= thr. Full `sample_matrix` rows are the
+    reference for their law."""
 
     TRIALS = 5_000
 
@@ -617,7 +729,7 @@ class TestSparseRows:
     @pytest.mark.parametrize("case", list(_SPARSE_CASES))
     def test_layout(self, case):
         inst, thr, m, k, regime = _SPARSE_CASES[case]
-        rows = inst.sample_rows(np.random.default_rng(51), self.TRIALS, thr, m)
+        rows = inst.sample_rows(np.random.default_rng(51), self.TRIALS, thr, m, k)
         depth = min(m, inst.n)
         lead, block = rows[:, :-depth], rows[:, -depth:]
         ge = lead >= thr
@@ -627,18 +739,21 @@ class TestSparseRows:
         assert np.array_equal(ge, np.arange(lead.shape[1]) < count[:, None])
         assert np.all(lead[~ge] == 0.0)
         # the block is decreasing and below thr, 0.0 where there are fewer
-        # values
+        # values, and the rows with at least `depth` values >= thr leave it
+        # empty
         assert np.all(np.diff(block, axis=1) <= 0)
         assert np.all((block < thr) | (block == 0.0))
-        if len(inst.distinct()) > 1:
-            # the rows with at least `depth` values >= thr leave it empty
-            assert np.all(block[count >= depth] == 0.0)
-        else:
-            # a single run fills it with atoms below thr while values remain
+        assert np.all(block[count >= depth] == 0.0)
+        if len(inst.distinct()) == 1:
+            # a single run holds at most depth + 1 values >= thr where none
+            # can bind, and fills the block with atoms below thr while values
+            # remain
+            assert np.all(count[count <= k] <= depth + 1)
             below = [a for a, _ in inst.components[0].atoms if a < thr]
-            filled = np.arange(depth) < np.minimum(depth, inst.n - count)[:, None]
+            filled = ((np.arange(depth) < np.minimum(depth, inst.n - count)[:, None])
+                      & (count < depth)[:, None])
             assert np.all(np.isin(block[filled], below)) and np.all(block[~filled] == 0.0)
-            assert np.any(block[filled] > 0.0) == (len(below) > 1)
+            assert np.any(block[filled] > 0.0) == (len(below) > 1 and np.any(filled))
         assert np.any(count < depth) == ("sparse" in regime)
         if thr == 0.0:
             assert np.all(count == inst.n)
@@ -649,7 +764,7 @@ class TestSparseRows:
         inst, thr = _three_atom_components(25), 6.0
         owner = {v: i for i, c in enumerate(inst.components) for v, _ in c.atoms}
         assert len(owner) == 3 * inst.n
-        rows = inst.sample_rows(np.random.default_rng(52), 2_000, thr, 2)
+        rows = inst.sample_rows(np.random.default_rng(52), 2_000, thr, 2, 1)
         for row in rows[:, :-2]:
             comps = [owner[v] for v in row[row >= thr]]
             assert len(comps) > 0 and comps == sorted(set(comps))
@@ -657,8 +772,8 @@ class TestSparseRows:
     @pytest.mark.parametrize("case", list(_SPARSE_CASES))
     def test_law_matches_full_rows(self, case):
         inst, thr, m, k, regime = _SPARSE_CASES[case]
-        got = _row_statistics(inst.sample_rows(np.random.default_rng(41), self.TRIALS, thr, m),
-                              thr, m, k)
+        got = _row_statistics(inst.sample_rows(np.random.default_rng(41), self.TRIALS, thr, m,
+                                               k), thr, m, k)
         full = inst.sample_matrix(np.random.default_rng(42), self.TRIALS)
         want = _row_statistics(full, thr, m, k)
         assert np.any(np.count_nonzero(full >= thr, axis=1) < m) == ("sparse" in regime)
@@ -672,19 +787,12 @@ class TestSparseRows:
         # uniforms at the end of their range map a value below thr to
         # isf(sf(thr)), the lowest atom >= thr (thr itself in the i.i.d. case,
         # which the atoms rule would read as its first acceptance); the block
-        # must hold the float below thr instead
-        class EdgeUniforms:
-            def __init__(self):
-                self.rng = np.random.default_rng(54)
-
-            def random(self, size=None):
-                return np.full(size, u if u < 1.0 else np.nextafter(1.0, 0.0))
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-        inst, thr, m, _, _ = _SPARSE_CASES[case]
-        rows = inst.sample_rows(EdgeUniforms(), 2_000, thr, m)
+        # must hold the float below thr instead. With m = n every row holds
+        # fewer than m values >= thr, so every row draws the block
+        inst, thr, _, k, _ = _SPARSE_CASES[case]
+        m = inst.n
+        rng = _ConstantUniforms(u if u < 1.0 else np.nextafter(1.0, 0.0), 54)
+        rows = inst.sample_rows(rng, 2_000, thr, m, k)
         block = rows[:, -m:]
         assert np.any(block == np.nextafter(thr, -np.inf)) and np.all(block < thr)
 
@@ -695,7 +803,7 @@ class TestSparseRows:
         inst = ProductInstance([ValueDistribution.degenerate(3.0),
                                 ValueDistribution.degenerate(1.0),
                                 ValueDistribution.uniform(0.0, 2.0)])
-        rows = inst.sample_rows(np.random.default_rng(53), 1_000, 2.0, 2)
+        rows = inst.sample_rows(np.random.default_rng(53), 1_000, 2.0, 2, 1)
         assert rows.shape == (1_000, 3) and np.all(rows[:, 0] == 3.0)
         block = rows[:, 1:]
         assert np.all(np.diff(block, axis=1) <= 0) and np.all(block < 2.0)

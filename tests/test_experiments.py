@@ -310,15 +310,15 @@ def test_alg_tau_on_non_iid_instance_keeps_partition_form(monkeypatch):
 def _kernel_sums(instance, seed, trials, thr, k, ell, full=False):
     """Per-row selector and benchmark sums of the kernel on `sample_rows`, or
     with `full` on `sample_matrix` rows, and the per-row count above the
-    threshold. A string `thr` "tau=t" draws each row's threshold as the t-th
-    highest of a fresh sample."""
+    threshold, capped at ell + 1. A string `thr` "tau=t" draws each row's
+    threshold as the t-th highest of a fresh sample."""
     rng = np.random.default_rng(seed)
     if isinstance(thr, str):
         thr = instance.sample_rank(rng, trials, int(thr.split("=")[1]))
     if full:
         rows = instance.sample_matrix(rng, trials)
     else:
-        rows = instance.sample_rows(rng, trials, thr, ell)
+        rows = instance.sample_rows(rng, trials, thr, ell, k)
     alg, bench, _ = _threshold_top(rows, thr, k, ell)
     count = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
     return alg.sum(axis=1), bench.sum(axis=1), count
@@ -329,24 +329,37 @@ _EXP = ValueDistribution.exponential(1.0)
 
 
 @pytest.mark.parametrize("dist,n,ell,k,thr,regime", [
-    (_UNIF, 100, 1, 12, float(_UNIF.isf(1 - TWO_THIRDS ** (11 / 100))), ""),
-    (_UNIF, 50, 1, 1, 0.9, "binds sparse"),
-    (_UNIF, 20, 2, 3, "tau=10", "binds"),
-    (_EXP, 400, 2, 200, "tau=101", ""),
-    (_EXP, 40, 3, 5, float(_EXP.isf(3 / 40)), "binds sparse"),
-    (_EXP, 30, 2, 2, "tau=3", "binds sparse"),
-], ids=["unif-alg_max", "unif-k1", "unif-tau10", "exp-n400-tau101", "exp-ell3", "exp-tau3"])
+    (_UNIF, 100, 1, 12, float(_UNIF.isf(1 - TWO_THIRDS ** (11 / 100))), "binds top"),
+    (_UNIF, 50, 1, 1, 0.9, "binds top sparse"),
+    (_UNIF, 20, 2, 3, "tau=10", "binds top"),
+    (_EXP, 400, 2, 200, "tau=101", "top"),
+    (_EXP, 40, 3, 5, float(_EXP.isf(3 / 40)), "binds top sparse"),
+    (_EXP, 30, 2, 2, "tau=3", "binds top sparse"),
+    (_EXP, 40, 3, 40, float(_EXP.isf(6 / 40)), "top sparse"),
+    (_UNIF, 30, 2, 30, "tau=5", "top"),
+    (_EXP, 50, 2, 10, "tau=10", "binds top"),
+], ids=["unif-alg_max", "unif-k1", "unif-tau10", "exp-n400-tau101", "exp-ell3", "exp-tau3",
+        "exp-ell3-all-top", "unif-tau5-all-top", "exp-tau10-mixed"])
 def test_reduced_rows_match_full_rows_in_law(dist, n, ell, k, thr, regime):
-    # "binds": some rows have more than k values above the threshold;
-    # "sparse": some have fewer than ell, so the benchmark reads values below it
+    # "binds": some rows have more than k values above the threshold; "top":
+    # some have at most k, so a reduced row holds only its first value above
+    # it and the top ell of the rest; "sparse": some have fewer than ell, so
+    # the benchmark reads values below it. A reduced row that cannot bind
+    # holds at most ell + 1 values above the threshold, so the count is
+    # compared capped at ell + 1, and as the flag count > k: all that the
+    # rules read of it
     trials, inst = 5_000, ProductInstance.iid(dist, n)
     got_alg, got_bench, got_count = _kernel_sums(inst, 41, trials, thr, k, ell)
     want_alg, want_bench, want_count = _kernel_sums(inst, 42, trials, thr, k, ell, full=True)
     for count in (got_count, want_count):
-        assert np.any(count > k) or "binds" not in regime
+        assert np.any(count > k) == ("binds" in regime)
+        assert np.any(count <= k) == ("top" in regime)
         assert np.any(count < ell) or "sparse" not in regime
+    if "binds" not in regime:
+        assert got_count.max() <= ell + 1
     critical = _ks_critical_1pct(trials, trials)
-    assert _ks_statistic(got_count, want_count) < critical
+    assert _ks_statistic(np.minimum(got_count, ell + 1), np.minimum(want_count, ell + 1)) < critical
+    assert _ks_statistic(got_count > k, want_count > k) < critical
     assert _ks_statistic(got_alg, want_alg) < critical
     assert _ks_statistic(got_bench, want_bench) < critical
 
@@ -398,7 +411,7 @@ def test_binding_frac_counts_rows_where_k_binds(monkeypatch):
     thr = max_quantile(inst, TWO_THIRDS ** (k - 1))
     binding = 0
     for b_idx, b_size in batch_indices(trials, batch):
-        rows = inst.sample_rows(trial_rng(seed, b_idx), b_size, thr, 1)
+        rows = inst.sample_rows(trial_rng(seed, b_idx), b_size, thr, 1, k)
         binding += np.count_nonzero(np.count_nonzero(rows > thr, axis=1) > k)
     assert 0 < binding < trials
     assert stats.extras["binding_frac"] == binding / trials

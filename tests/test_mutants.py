@@ -12,7 +12,7 @@ DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE Computer,
 import numpy as np
 import pytest
 
-from overbook import experiments, harness, prophet
+from overbook import experiments, harness, prophet, secretary
 from overbook.harness import ExperimentSpec, run_experiments
 from overbook.secretary import BetaVector
 
@@ -43,6 +43,12 @@ def _beta_over_e_ell(real):
     """Boundaries floor(j n e^(-s/j) / (e ell)), not / (2 e ell): at 2n the
     true rule's inner boundaries are exactly these."""
     return lambda n, ell, k: BetaVector((*real(2 * n, ell, k).boundaries[:-1], n))
+
+
+def _phase_k_minus_4ell(real):
+    """The phase exponent (k - 4 ell) / (2 + 2 ln ell), not (k - 8 ell) / ...:
+    `default_beta` reads it, the harness bound keeps its own import."""
+    return lambda ell, k: real(ell, k + 4 * ell)
 
 
 def _tau_one_higher(real):
@@ -80,6 +86,10 @@ MUTANTS = [
     pytest.param(harness, "default_beta", _beta_over_e_ell, id="default_beta-over-e-ell",
                  marks=_uncaught("the secretary bound is 0.44 at ell = 1, k = 10; the mutant "
                                  "moves the ratio from 0.94 to 0.87")),
+    pytest.param(secretary, "secretary_phase_length", _phase_k_minus_4ell,
+                 id="phase_length-k-minus-4-ell",
+                 marks=_uncaught("the secretary bound is 0.44 at ell = 1, k = 10; the mutant "
+                                 "moves the ratio from 0.94 to 0.99")),
     pytest.param(harness, "default_tau", _tau_one_higher, id="default_tau-one-higher",
                  marks=_uncaught("the tau-selector bound is vacuous below k = 47 at ell = 1 "
                                  "(k = 72 at ell = 2), and it is read at the shifted tau")),
