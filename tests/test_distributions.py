@@ -576,8 +576,9 @@ class TestSampleRows:
         inst, trials = ProductInstance.iid(dist, n), 5_000
         thr = inst.sample_rank(np.random.default_rng(43), trials, tau)
         got = _row_statistics(inst.sample_rows(np.random.default_rng(44), trials, thr, m, k),
-                              thr, m, k)
-        want = _row_statistics(inst.sample_matrix(np.random.default_rng(45), trials), thr, m, k)
+                              thr, m, k, one_run=True)
+        want = _row_statistics(inst.sample_matrix(np.random.default_rng(45), trials), thr, m, k,
+                               one_run=True)
         assert np.any(want["binds"]) and np.any(got["binds"])
         critical = _ks_critical_1pct(trials, trials)
         for key in got:
@@ -695,21 +696,22 @@ _SPARSE_CASES = {
 }
 
 
-def _row_statistics(rows, thr, m, k):
+def _row_statistics(rows, thr, m, k, one_run):
     """What a threshold rule reads, per row: the count of positive values
-    >= thr (zero padding is >= a threshold of 0), capped at m + 1, since a
-    reduced row that cannot bind holds at most m + 1 of them, and whether it
-    exceeds k; the first value >= thr (0.0 if none), the strict and the atoms
-    rule's top-m sums, the benchmark's, and whether the atoms rule's
-    capacity binds."""
+    >= thr (zero padding is >= a threshold of 0), the first value >= thr
+    (0.0 if none), the strict and the atoms rule's top-m sums, the
+    benchmark's, and whether the atoms rule's capacity binds. A reduced row
+    of a single run (`one_run`) with at most k values >= thr holds only
+    m + 1 of them, so there a count of at most k is capped at m + 1."""
     ge = rows >= (thr[:, None] if np.ndim(thr) else thr)
     count = np.count_nonzero(ge & (rows > 0), axis=1)
+    if one_run:
+        count = np.where(count > k, count, np.minimum(count, m + 1))
     first = np.where(ge.any(axis=1), rows[np.arange(len(rows)), ge.argmax(axis=1)], 0.0)
     strict, bench, _ = _threshold_top(rows, thr, k, m)
     atoms, _, binds = _threshold_top(rows, thr, k, m, first_ge=True)
-    return {"count": np.minimum(count, m + 1), "over_k": count > k, "first": first,
-            "strict": strict.sum(axis=1), "atoms": atoms.sum(axis=1),
-            "bench": bench.sum(axis=1), "binds": binds}
+    return {"count": count, "first": first, "strict": strict.sum(axis=1),
+            "atoms": atoms.sum(axis=1), "bench": bench.sum(axis=1), "binds": binds}
 
 
 class TestSparseRows:
@@ -772,10 +774,11 @@ class TestSparseRows:
     @pytest.mark.parametrize("case", list(_SPARSE_CASES))
     def test_law_matches_full_rows(self, case):
         inst, thr, m, k, regime = _SPARSE_CASES[case]
+        one_run = len(inst.distinct()) == 1
         got = _row_statistics(inst.sample_rows(np.random.default_rng(41), self.TRIALS, thr, m,
-                                               k), thr, m, k)
+                                               k), thr, m, k, one_run)
         full = inst.sample_matrix(np.random.default_rng(42), self.TRIALS)
-        want = _row_statistics(full, thr, m, k)
+        want = _row_statistics(full, thr, m, k, one_run)
         assert np.any(np.count_nonzero(full >= thr, axis=1) < m) == ("sparse" in regime)
         assert np.any(got["binds"]) == np.any(want["binds"]) == ("binds" in regime)
         critical = _ks_critical_1pct(self.TRIALS, self.TRIALS)
