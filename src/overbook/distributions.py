@@ -304,7 +304,7 @@ def _low_uniforms(rng: np.random.Generator, size: np.ndarray,
 class ProductInstance:
     """Ordered collection of n independent ValueDistributions."""
 
-    __slots__ = ("components", "_runs", "_stack")
+    __slots__ = ("components", "_runs", "_stack", "_sf_at")
 
     def __init__(self, components: Sequence[ValueDistribution]):
         if len(components) == 0:
@@ -315,6 +315,7 @@ class ProductInstance:
                   if i == 0 or c is not self.components[i - 1]]
         self._runs = tuple(zip(starts, starts[1:] + [len(self.components)]))
         self._stack = None
+        self._sf_at = None
 
     @classmethod
     def iid(cls, dist: ValueDistribution, n: int) -> "ProductInstance":
@@ -473,7 +474,7 @@ class ProductInstance:
 
         The cells >= thr of each run form a Bernoulli(p) process over its
         (rows, run length) cells, in row-major order, p = sf(thr) of the
-        run's component, drawn from geometric gaps (`_bernoulli_cells`), run
+        run's component (kept for the last thr), drawn from geometric gaps (`_bernoulli_cells`), run
         after run; a run with p = 0 draws nothing. One sort on the key
         row * n + position puts them in arrival order. Then one uniform u per
         cell, in that order, draws its value isf(p (1 - u)).
@@ -485,7 +486,9 @@ class ProductInstance:
         row's block is 0.0: its top m are all >= thr.
         """
         n, depth = self.n, min(m, self.n)
-        p = np.array([float(c.sf(thr)) for c in self.distinct()])
+        if self._sf_at is None or self._sf_at[0] != thr:
+            self._sf_at = (thr, np.array([float(c.sf(thr)) for c in self.distinct()]))
+        p = self._sf_at[1]
         keys = []
         for h, (lo, hi) in enumerate(self._runs):
             if p[h] > 0.0:

@@ -305,9 +305,124 @@ def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
     return a
 
 
-#: Uniform cells (rows x n) that the secretary engine holds per row chunk. It
-#: bounds the engine's working memory; it does not change any result.
-_RANK_CHUNK_CELLS = 1 << 18
+#: Cells (slots x rows) of the decision block that the secretary engine holds
+#: per row chunk. It bounds the kernel's working memory; it does not change
+#: any result.
+_DECISION_CHUNK_CELLS = 1 << 16
+
+
+def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
+                    ell: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The candidates of `rows` uniformly random arrival orders of n ranks
+    (0 = largest value), one step of the walk at a time: step i is a
+    (3, rows) integer array (int16 below n = 2^15, else int32) whose column
+    r holds row r's i-th candidate in rank order, or n once the row has
+    fewer; then the count of candidates of every row. A candidate is held
+    as its arrival position, its rank, and how many better ranks arrive
+    before it. Rank g is a candidate when fewer than ell do.
+
+    The ranks are walked best first. A row keeps D, the number of free
+    positions below each of E, the min(ell, n) earliest positions taken so
+    far, in increasing order; so F = D[-1] free positions lie below max(E),
+    and a rank is a candidate iff it lands on one of them. Until ell ranks
+    are placed, the missing entries of D are the free count n - g, so every
+    rank is a candidate. A rank lands on a uniform free position out of
+    N = n - g, so the number of non-candidates before the next candidate is
+    negative hypergeometric: with uniform keys on the N free positions, it
+    is the number of the N - F others whose key is below the smallest of
+    the F, Binomial(N - F, V) for V = 1 - U^(1/F) ~ Beta(1, F) (Devroye,
+    Non-Uniform Random Variate Generation, 1986). The non-candidates land
+    above max(E) and leave D alone. The candidate lands on the idx-th free
+    position below max(E), idx uniform on [0, F): the c = #{D <= idx}
+    entries of E below it are exactly the better ranks that arrive before
+    it, so it lands at idx + c. It enters D at c with the count idx, each
+    later entry shifts up with one free position fewer below it, and the
+    last drops out. A row ends when F = 0.
+
+    Stream: each step draws, for the rows still walking and in row order, a
+    block of standard exponentials (-log U), then the binomial skips, then
+    the idx, so the stream depends on `rows` alone.
+    """
+    m = min(ell, n)
+    # n + 1 values fit: the positions, the ranks, the counts and the padding n
+    dtype = np.int16 if n < 2**15 else np.int32
+    free = np.full((rows, m), n, dtype=np.int32)  # D
+    active = np.arange(rows)
+    nxt = np.zeros(rows, dtype=np.int64)  # the next rank to walk, per row
+    count = np.zeros(rows, dtype=np.int64)
+    steps = []
+    while len(active):
+        f = free[:, -1].astype(np.int64)
+        v = -np.expm1(-rng.standard_exponential(len(active)) / f)
+        rank = nxt + rng.binomial(n - nxt - f, v)
+        idx = rng.integers(0, f, dtype=np.int32)
+        lower = free <= idx[:, None]  # the entries of E below the candidate
+        below = lower.view(np.uint8).sum(axis=1, dtype=np.int32)
+        step = np.full((3, rows), n, dtype=dtype)
+        step[:, active] = idx + below, rank, below
+        steps.append(step)
+        np.copyto(free[:, 1:], free[:, :-1] - 1, where=~lower[:, :-1])
+        free[np.arange(len(active)), below] = idx
+        nxt = rank + 1
+        keep = free[:, -1] > 0
+        if not keep.all():
+            count[active[~keep]] = len(steps)
+            active, free, nxt = active[keep], free[keep], nxt[keep]
+    return steps, count
+
+
+def _secretary_decide(pos: np.ndarray, rank: np.ndarray, before: np.ndarray,
+                      vals_desc: np.ndarray, beta: BetaVector,
+                      k: int) -> tuple[np.ndarray, ...]:
+    """Per row of a candidate block, three (width, rows) arrays whose slot i
+    holds a row's i-th candidate as `_candidate_walk` describes it: the
+    bounded run's top-ell value, and 0/1 flags for a run that the capacity
+    cut changed and an unbounded run that missed rank ell.
+
+    With bounds = (0,) + beta.boundaries, an arrival at position p lies in
+    interval j when bounds[j] <= p < bounds[j+1]. The unbounded run accepts
+    it iff fewer than j earlier arrivals are at least as large: with
+    distinct values, the `before` better ranks. In a tie group an earlier
+    arrival of an equal value counts as better, as in the scalar selector,
+    so a candidate also counts the group's later candidates that arrive
+    before it. If a later non-candidate of the group arrives before it, the
+    first such one follows ell arrivals that the count already holds, so
+    the count reaches ell >= j either way. The bounded run keeps the k
+    earliest acceptances, and its top ell values are those of its first
+    ell kept ranks.
+    """
+    n, ell = len(vals_desc), beta.ell
+    real = rank < n
+    vals = np.append(vals_desc, 0.0)[rank]
+    seen = before.copy()
+    # per rank: its tie group, and whether that group holds another rank;
+    # the padding rank n is a group of its own
+    group = np.cumsum(np.r_[True, vals_desc[1:] != vals_desc[:-1], True])
+    tied = np.bincount(group)[group] > 1
+    slot, row = np.nonzero(tied[rank])
+    grp = group[rank[slot, row]]
+    for d in range(1, len(pos)):
+        mate = slot + d
+        ok = mate < len(pos)
+        ok[ok] = group[rank[mate[ok], row[ok]]] == grp[ok]
+        if not ok.any():
+            break
+        slot, row, grp, mate = slot[ok], row[ok], grp[ok], mate[ok]
+        seen[slot, row] += pos[mate, row] < pos[slot, row]
+    # the interval of every position, n for the padding included
+    interval = np.searchsorted(beta.boundaries[:-1], np.arange(n + 1), side="right")
+    interval = interval.astype(pos.dtype)
+    a_u = real & (seen < interval[pos])
+    ell_value = vals_desc[ell - 1] if ell <= n else np.nan  # tie group of rank ell
+    missed = ~(a_u & (vals == ell_value)).any(axis=0)
+    # capacity cut: binding rows keep their k earliest acceptances
+    over = np.count_nonzero(a_u, axis=0) > k
+    if over.any():
+        x_over = np.where(a_u[:, over], pos[:, over], n)
+        a_u[:, over] &= x_over <= np.partition(x_over, k - 1, axis=0)[k - 1]
+    # the top ell kept values: those of the first ell kept ranks
+    top = a_u & (_accumulate(np.add, a_u.astype(np.int32)) <= ell)
+    return np.where(top, vals, 0.0).sum(axis=0), over, missed
 
 
 def secretary_trials(
@@ -320,130 +435,39 @@ def secretary_trials(
     """Simulate the interval selector over uniformly random arrival orders.
 
     Decisions depend only on relative ranks, and no permutation is built.
-    Each row chunk draws u = rng.random((rows, n)) and reads u[:, g] as the
-    arrival time of global rank g (0 = largest value): rank g arrives at
-    position #{h : u_h < u_g}, the order that argsort(u) realizes. Drawn in
-    order, the chunks consume the same stream as one (batch, n) draw, so
-    the estimates do not depend on the chunk size.
-
-    Acceptance. With bounds = (0,) + beta.boundaries, rank g arrives in
-    interval j when its position lies in bounds[j] .. bounds[j+1] - 1, that
-    is, when u_g lies between the arrival times at those positions; in-place
-    partitions of u find them. The unbounded run accepts g iff j >= 1 and
-    u_g <= C_j(end(g)), the j-th smallest arrival time among ranks
-    0..end(g), where end(g) is the last rank of g's tie group: an earlier
-    arrival of an equal value counts as better, as in the scalar selector.
-    The bounded run keeps the k earliest acceptances, and its top ell
-    values are those of its first ell kept ranks. Extras:
+    Rank g (0 = largest value) can be accepted in interval j only if fewer
+    than j <= ell arrivals before it are at least as large, so only if
+    fewer than ell better ranks arrive before it: a candidate.
+    `_candidate_walk` draws just the candidates, about ell (1 + ln(n / ell))
+    per row, best rank first, with their positions and those counts. Its law
+    is exact: placing the ranks one by one, each on a uniform free position,
+    gives a uniform arrival order, and the walk draws each run of
+    non-candidates at once from its exact (negative hypergeometric) law and
+    the next candidate uniformly among the free positions it can take. No
+    test reads where a non-candidate lands, only that it lands after the
+    ell earliest better arrivals. `_secretary_decide` then tests every
+    candidate against its interval, in row chunks of at most
+    `_DECISION_CHUNK_CELLS` cells; the stream does not depend on the
+    chunks. Extras:
     `prob_capacity_differs`, Pr[the bounded and unbounded runs differ], and
     `prob_ell_missed`, Pr[the unbounded run misses the ell-th largest],
     each with its binomial stderr.
-
-    Candidate filter. Cut the ranks into blocks [s_b, s_{b+1}) with
-    s = 0, ell, 2 ell, 4 ell, ..., and let theta_b be the ell-th smallest
-    arrival time among ranks 0..s_b - 1. Every prefix of ranks that holds a
-    rank g of block b also holds ranks 0..s_b - 1, and more ranks never
-    raise an order statistic. So g can be accepted, or be among the
-    j <= ell earliest arrivals of any prefix, only if u_g <= theta_b: the
-    filter is exact. It leaves about ell (1 + log2(n / ell)) candidates per
-    row.
-
-    Narrow block. The candidates fill the slots of a block x in rank order,
-    one column per row, padded with +inf. Over x,
-
-        C_1 = minimum.accumulate(x),
-        C_j[i] = min_{q <= i} max(C_{j-1}[q-1], x_q),
-
-    with +inf for the empty prefix, and at every candidate C_j equals C_j
-    over all ranks. Ties need no lookup of end(g): a tie group's candidates
-    take its arrival times in increasing order, so that within the group an
-    earlier arrival has the better rank, and the same arrivals are accepted.
     """
     vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
     n = len(vals_desc)
-    ell = beta.ell
     if beta.n != n:
         raise ValueError("beta.n must match the number of values")
-    bench = float(vals_desc[:ell].sum())
-    ell_value = vals_desc[ell - 1] if ell <= n else np.nan  # tie group of rank ell
-    # per rank: its tie group, and whether that group holds another rank
-    group = np.cumsum(np.r_[True, vals_desc[1:] != vals_desc[:-1]])
-    tied = np.bincount(group)[group] > 1
-    bounds = (0,) + beta.boundaries
-    live = [j for j in range(ell + 1) if bounds[j] < bounds[j + 1]]
-    blocks = [0, min(ell, n)]
-    while blocks[-1] < n:
-        blocks.append(min(2 * blocks[-1], n))
-    rows = max(1, min(BATCH_SIZE, trials, _RANK_CHUNK_CELLS // n))
-    cand = np.ones((rows, n), dtype=bool)  # ranks 0..ell-1 stay candidates
-    low = np.empty((rows, ell + blocks[-2] // 2))
+    bench = float(vals_desc[:beta.ell].sum())
 
     def step(rng, size):
-        # per row: the bounded run's top-ell value, and 0/1 flags for a run
-        # the capacity cut changed and an unbounded run that missed rank ell
-        ell_vals, differ, missed = np.empty(size), np.empty(size), np.empty(size)
+        steps, count = _candidate_walk(rng, size, n, beta.ell)
+        out = np.empty((3, size))
+        rows = max(1, _DECISION_CHUNK_CELLS // len(steps))
         for lo in range(0, size, rows):
-            c = min(rows, size - lo)
-            u = rng.random((c, n))
-            mask = cand[:c]
-            # the candidate filter: work[:, :ell] holds the ell earliest
-            # arrivals among the ranks before the block, theta_b at ell - 1
-            work = low[:c]
-            work[:, :blocks[1]] = u[:, :blocks[1]]
-            filled = blocks[1]
-            for s, e in zip(blocks[1:-1], blocks[2:]):
-                work[:, :filled].partition(ell - 1, axis=1)
-                np.less_equal(u[:, s:e], work[:, ell - 1:ell], out=mask[:, s:e])
-                if e < n:
-                    work[:, ell:ell + e - s] = u[:, s:e]
-                    filled = ell + e - s
-            # the narrow block: arrival times x and values, 0.0 in padding
-            flat = np.flatnonzero(mask)
-            row, rank = np.divmod(flat, n)
-            counts = np.bincount(row, minlength=c)
-            width = int(counts.max())
-            slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-            cell = slot * c + row
-            x = np.full((width, c), np.inf)
-            vals = np.zeros((width, c))
-            x.flat[cell] = u.flat[flat]
-            vals.flat[cell] = vals_desc[rank]
-            # a tie group's candidates take its arrival times in increasing order
-            t = np.flatnonzero(tied[rank])
-            by_time = np.lexsort((x.flat[cell[t]], group[rank[t]], row[t]))
-            x.flat[cell[t]] = x.flat[cell[t]][by_time]
-            # the arrival times at the interval starts inside (0, n): partitions
-            # of u in place, the latest start first
-            end = n
-            for j in reversed(live[1:]):
-                u[:, :end].partition(bounds[j], axis=1)
-                end = bounds[j]
-            limit = np.full((width, c), -np.inf)  # C_j of the arrival's interval
-            c_j, c_next = np.empty((width + 1, c)), np.empty((width + 1, c))
-            c_j[0] = c_next[0] = np.inf  # slot i + 1 holds C_j[i]
-            c_j[1:] = x
-            _accumulate(np.minimum, c_j[1:])
-            for j in range(1, live[-1] + 1):
-                if j in live:
-                    # the arrivals from the start of interval j on; those of
-                    # a later interval are overwritten
-                    np.copyto(limit, c_j[1:], where=x >= u[:, bounds[j]] if bounds[j] else True)
-                if j < live[-1]:
-                    np.maximum(c_j[:-1], x, out=c_next[1:])
-                    _accumulate(np.minimum, c_next[1:])
-                    c_j, c_next = c_next, c_j
-            a_u = (x <= limit) & (np.arange(width)[:, None] < counts)
-            missed[lo:lo + c] = ~(a_u & (vals == ell_value)).any(axis=0)
-            # capacity cut: binding rows keep their k earliest acceptances
-            over = np.count_nonzero(a_u, axis=0) > k
-            differ[lo:lo + c] = over
-            if over.any():
-                x_over = np.where(a_u[:, over], x[:, over], np.inf)
-                a_u[:, over] &= x_over <= np.partition(x_over, k - 1, axis=0)[k - 1]
-            # the top ell kept values: those of the first ell kept ranks
-            top = a_u & (_accumulate(np.add, a_u.astype(np.int32)) <= ell)
-            ell_vals[lo:lo + c] = np.where(top, vals, 0.0).sum(axis=0)
-        return ell_vals, differ, missed
+            hi = min(size, lo + rows)
+            block = np.stack([s[:, lo:hi] for s in steps[:count[lo:hi].max()]], axis=1)
+            out[:, lo:hi] = _secretary_decide(*block, vals_desc, beta, k)
+        return out
 
     moments = _run_batches(step, 3, trials, master_seed)
     count = moments.count

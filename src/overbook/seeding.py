@@ -35,9 +35,11 @@ import numpy as np
 #: draws column i as the i-th block, as n successive per-component
 #: `sample_n(rng, trials)` calls would. The revenue engine draws its i.i.d.
 #: values with one C-order `sample_n(rng, (trials, n))` call. The secretary
-#: engine draws one `rng.random((rows, n))` block per row chunk, chunk after
-#: chunk, and column g of a row is the arrival time of global rank g (0 =
-#: largest value).
+#: engine walks the ranks of all the batch's rows together, best first
+#: (`experiments._candidate_walk`): each step draws, for the rows still
+#: walking, in row order, one block of standard exponentials, then one
+#: block of binomial skips, then one block of uniform integers, the index
+#: of the next candidate's position among the free ones it can take.
 BATCH_SIZE = 20_000
 
 

@@ -812,6 +812,23 @@ class TestSparseRows:
         assert np.all(np.diff(block, axis=1) <= 0) and np.all(block < 2.0)
         assert np.all(np.count_nonzero(block == 1.0, axis=1) == 1)
 
+    def test_survival_levels_are_kept_for_the_threshold(self, monkeypatch):
+        # sf(thr) of each distinct component is computed once for a thr:
+        # later batches at that thr call no sf, a new thr computes it again,
+        # and the rows are those of a fresh instance
+        calls, real_sf = [], ValueDistribution.sf
+        monkeypatch.setattr(ValueDistribution, "sf",
+                            lambda self, x: calls.append(x) or real_sf(self, x))
+        inst = _three_atom_components(25)
+        distinct = len(inst.distinct())
+        for thr, new in [(8.5, True), (8.5, False), (3.0, True), (3.0, False), (8.5, True)]:
+            done = len(calls)
+            rows = inst.sample_rows(np.random.default_rng(54), 200, thr, 3, 4)
+            assert len(calls) - done == (distinct if new else 0)
+            fresh = _three_atom_components(25)
+            assert np.array_equal(rows, fresh.sample_rows(np.random.default_rng(54), 200,
+                                                          thr, 3, 4))
+
 
 @settings(max_examples=200, deadline=None)
 @given(

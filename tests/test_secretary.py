@@ -1,5 +1,7 @@
+import itertools
 import math
 from bisect import bisect_left, insort
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from overbook.secretary import (
     run_secretary_unbounded,
     secretary_phase_length,
 )
-from overbook.seeding import trial_rng
 
 EXAMPLE_TRACE = [2.0, 9.0, 3.0, 5.0, 4.0, 7.0, 6.0, 10.0]
 EXAMPLE_BETA = BetaVector((1, 4, 4, 8))
@@ -222,89 +223,168 @@ class TestTopEllWalk:
                         == _full_history_run(order, beta, math.inf).accepted)
 
 
+def _candidate_block(orders, n, ell):
+    """The candidate block that `_walk_block` lays out, by brute force, for
+    arrival orders given as the rank at each position (0 = largest value):
+    rank g is a candidate iff fewer than ell better ranks arrive before it,
+    and `before` counts them."""
+    rows = []
+    for order in orders:
+        pos = np.empty(n, dtype=int)
+        pos[np.asarray(order)] = np.arange(n)
+        before = [int(np.count_nonzero(pos[:g] < pos[g])) for g in range(n)]
+        rows.append([(pos[g], g, before[g]) for g in range(n) if before[g] < ell])
+    block = np.full((3, max(map(len, rows)), len(rows)), n, dtype=np.int32)
+    for r, cands in enumerate(rows):
+        block[:, :len(cands), r] = np.array(cands).T
+    return block
+
+
+def _scalar_row(vals_desc, order, beta, k):
+    """What `_secretary_decide` returns for one arrival order, through the
+    scalar selectors: the bounded run's top-ell value, summed largest first
+    as the kernel sums it, and whether the capacity cut changed the run and
+    the unbounded run missed rank ell."""
+    ell, n = beta.ell, len(vals_desc)
+    arrival = vals_desc[np.asarray(order)]
+    bounded = run_secretary(arrival, beta, k)
+    unbounded = run_secretary_unbounded(arrival, beta)
+    top = sum(sorted(bounded.accepted_values, reverse=True)[:ell])
+    missed = ell > n or vals_desc[ell - 1] not in unbounded.accepted_values
+    return top, len(unbounded.accepted) > k, missed
+
+
+def _enumerated(values, beta, k):
+    """The engine's three estimands, exactly, over all n! arrival orders:
+    the ratio of the bounded run's mean top-ell value to the top-ell total,
+    Pr[capacity differs] and Pr[rank ell missed]."""
+    vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
+    rows = [_scalar_row(vals_desc, order, beta, k)
+            for order in itertools.permutations(range(len(vals_desc)))]
+    top, differ, missed = np.array(rows, dtype=float).mean(axis=0)
+    return top / vals_desc[:beta.ell].sum(), differ, missed
+
+
 class TestVectorizedEngine:
-    def test_matches_scalar_on_replayed_permutations(self, monkeypatch):
-        # regenerate the engine's own permutations and replay each through
-        # the scalar selector
+    def _replay(self, values, beta, k, orders):
+        """The kernel on the brute-force candidate blocks of `orders`, row
+        by row against the scalar selectors; returns the blocks."""
+        n = beta.n
+        vals_desc = np.sort(values)[::-1]
+        block = _candidate_block(orders, n, beta.ell)
+        got = experiments._secretary_decide(*block, vals_desc, beta, k)
+        for r, order in enumerate(orders):
+            assert (got[0][r], bool(got[1][r]), bool(got[2][r])) \
+                == _scalar_row(vals_desc, order, beta, k)
+        return block
+
+    def test_matches_scalar_on_replayed_permutations(self):
         n, ell, k = 20, 2, 16
         values = np.array([2.0 ** -r for r in range(n)])
         beta = default_beta(n, ell, k)
-        master_seed, batch = 424, 8
-        monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
-        stats = secretary_trials(values, beta, k, trials=batch, master_seed=master_seed)
-        rng = trial_rng(master_seed, 0)
-        ranks = np.argsort(rng.random((batch, n)), axis=1)
-        vals_desc = np.sort(values)[::-1]
-        alg_sum = bench_sum = 0.0
-        differ = missed = 0
-        for t in range(batch):
-            arrival = vals_desc[ranks[t]]
-            bd = run_secretary(arrival, beta, k)
-            ub = run_secretary_unbounded(arrival, beta)
-            alg_sum += bd.ell_value
-            bench_sum += top_ell(arrival, ell).value
-            differ += int(len(ub.accepted) > k)
-            missed += int(vals_desc[ell - 1] not in ub.accepted_values)
-        assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
-        assert stats.extras["prob_capacity_differs"] == pytest.approx(differ / batch, abs=1e-12)
-        assert stats.extras["prob_ell_missed"] == pytest.approx(missed / batch, abs=1e-12)
+        rng = np.random.default_rng(424)
+        self._replay(values, beta, k, [rng.permutation(n) for _ in range(40)])
 
-    # (n, ell, k, boundaries, duplicate values, trials, batch, rows per chunk)
+    # (n, ell, k, boundaries, duplicate values, arrival orders)
     REPLAY_CONFIGS = [
-        (12, 1, 1, (3, 12), False, 37, 16, 3),        # nonempty interval 0, binding k
-        (15, 2, 2, (4, 4, 15), True, 37, 16, 3),      # empty interval 1, ties
-        (20, 3, 10, (0, 5, 5, 20), False, 41, 20, 7), # empty interval 0 and 2
-        (9, 4, 4, (2, 3, 5, 7, 9), True, 29, 10, 4),  # ties, binding k
-        (30, 5, 7, (6, 6, 10, 15, 15, 30), True, 50, 25, 6),
-        (4, 5, 5, (1, 1, 2, 3, 4, 4), False, 23, 8, 3),  # ell > n
-        (5, 5, 6, (0, 1, 2, 3, 4, 5), True, 23, 8, 3),   # ell == n, ties
-        (1, 1, 1, (0, 1), False, 5, 2, 1),
-        (40, 2, 30, (5, 12, 40), True, 45, 30, None),    # default chunk, non-binding k
-        # the engine's candidate filter over eight rank blocks: tie groups
-        # straddle the block starts 96 and 192, interval 0 is nonempty, k binds
-        (300, 3, 4, (10, 10, 40, 300), True, 45, 20, 7),
-        (512, 2, 6, (30, 80, 512), False, 30, 16, 5),    # nine blocks, binding k
+        (12, 1, 1, (3, 12), False, 37),        # nonempty interval 0, binding k
+        (15, 2, 2, (4, 4, 15), True, 37),      # empty interval 1, ties
+        (20, 3, 10, (0, 5, 5, 20), False, 41), # empty interval 0 and 2
+        (9, 4, 4, (2, 3, 5, 7, 9), True, 29),  # ties, binding k
+        (30, 5, 7, (6, 6, 10, 15, 15, 30), True, 50),
+        (4, 5, 5, (1, 1, 2, 3, 4, 4), False, 23),  # ell > n
+        (5, 5, 6, (0, 1, 2, 3, 4, 5), True, 23),   # ell == n, ties
+        (1, 1, 1, (0, 1), False, 5),
+        (40, 2, 30, (5, 12, 40), True, 45),        # non-binding k
+        # long rows: a tie group's later candidate often arrives first, an
+        # interval starts at or after ell, k binds
+        (300, 3, 4, (10, 10, 40, 300), True, 45),
+        (512, 2, 6, (30, 80, 512), False, 30),     # binding k
     ]
 
     @pytest.mark.parametrize("cfg", REPLAY_CONFIGS)
-    def test_replay_matches_scalar(self, cfg, monkeypatch):
-        # every batch's permutations replayed through the scalar selectors,
-        # with the engine cut into row chunks that do not divide the batch
-        n, ell, k, bounds, ties, trials, batch, rows = cfg
-        if rows is not None:
-            monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", rows * n)
+    def test_replay_matches_scalar(self, cfg):
+        # the kernel on every order's brute-force candidate block, row by row
+        # against the scalar selectors
+        n, ell, k, bounds, ties, orders = cfg
         gen = np.random.default_rng(n * 100 + ell * 10 + k)
         values = (gen.integers(0, max(4, n // 16), size=n).astype(float) if ties
                   else gen.exponential(size=n))
         beta = BetaVector(bounds)
         assert (beta.n, beta.ell) == (n, ell)
-        master_seed = int(gen.integers(10_000))
-        monkeypatch.setattr(experiments, "BATCH_SIZE", batch)
-        stats = secretary_trials(values, beta, k, trials, master_seed)
-        vals_desc = np.sort(values)[::-1]
-        alg_sum = bench_sum = 0.0
-        differ = missed = 0
-        for b_idx, start in enumerate(range(0, trials, batch)):
-            b_size = min(batch, trials - start)
-            ranks = np.argsort(trial_rng(master_seed, b_idx).random((b_size, n)), axis=1)
-            for t in range(b_size):
-                arrival = vals_desc[ranks[t]]
-                bd = run_secretary(arrival, beta, k)
-                ub = run_secretary_unbounded(arrival, beta)
-                alg_sum += bd.ell_value
-                bench_sum += top_ell(arrival, ell).value
-                differ += int(len(ub.accepted) > k)
-                missed += int(ell > n or vals_desc[ell - 1] not in ub.accepted_values)
+        orders = [gen.permutation(n) for _ in range(orders)]
+        pos, rank, _ = self._replay(values, beta, k, orders)
         if n >= 256:
-            # the candidate filter's edges: six or more rank blocks that start
-            # at ell 2^i, a tie group across one of those starts, a nonempty
-            # interval 0 and a binding k
-            starts = [ell * 2 ** i for i in range(int(math.log2(n / ell)) + 1)]
-            assert len(starts) >= 6 and bounds[0] > 0 and differ > 0
-            assert not ties or any(vals_desc[s - 1] == vals_desc[s] for s in starts if s < n)
-        assert stats.ratio == pytest.approx(alg_sum / bench_sum, abs=1e-12)
-        assert stats.extras["prob_capacity_differs"] == pytest.approx(differ / trials, abs=1e-12)
-        assert stats.extras["prob_ell_missed"] == pytest.approx(missed / trials, abs=1e-12)
+            # the edges: a nonempty interval 0, a binding k, and in the tied
+            # case a candidate that a later-ranked equal value arrives before
+            vals_desc = np.sort(values)[::-1]
+            assert bounds[0] > 0
+            assert any(_scalar_row(vals_desc, o, beta, k)[1] for o in orders)
+            real = rank < n
+            later_first = ((vals_desc[np.minimum(rank[1:], n - 1)]
+                            == vals_desc[np.minimum(rank[:-1], n - 1)])
+                           & (pos[1:] < pos[:-1]) & real[1:])
+            assert later_first.any() == ties
+
+    def test_walk_lays_out_candidate_blocks(self):
+        # every row of the walk is the candidate block of an arrival order:
+        # increasing ranks, distinct positions, ranks 0..min(ell, n) - 1 all
+        # present, `before` the earlier slots that arrive first, and below
+        # ell; the int16 block holds n = 2^15 - 1, and n = 2^15 takes int32
+        for n, ell, dtype in [(9, 3, np.int16), (40, 2, np.int16), (5, 7, np.int16),
+                              (2**15 - 1, 4, np.int16), (2**15, 4, np.int32)]:
+            pos, rank, before = _walk_block(np.random.default_rng(n), 300, n, ell)
+            assert pos.dtype == rank.dtype == before.dtype == dtype
+            for r in range(300):
+                real = rank[:, r] < n
+                assert real.sum() == np.argmin(np.r_[real, False])  # padding at the end
+                p, g, b = pos[real, r], rank[real, r], before[real, r]
+                assert (np.diff(g) > 0).all() and len(set(p)) == len(p) and p.max() < n
+                assert list(g[:min(ell, n)]) == list(range(min(ell, n)))
+                assert [int(np.count_nonzero(p[:i] < p[i])) for i in range(len(p))] == list(b)
+                assert (b < ell).all()
+
+    # (values, boundaries, k): ties, empty intervals, an interval that starts
+    # at or after ell, binding k, ell >= n
+    LAW_CONFIGS = [
+        ((3.0, 2.0, 2.0, 1.0, 0.0, 0.0), (1, 3, 6), 2),
+        ((5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2), (0, 2, 2, 7), 3),
+        ((2.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0), (1, 1, 4, 7), 2),
+        ((4.0, 3.0, 2.0, 1.0), (1, 1, 2, 3, 4, 4), 5),
+        ((3.0, 2.0, 1.0, 1.0, 0.5, 0.1), (2, 6), 1),
+        ((1.0, 1.0, 1.0, 1.0, 1.0), (1, 2, 3, 5), 3),
+        ((6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0), (3, 5, 7), 2),
+    ]
+
+    @pytest.mark.parametrize("values, bounds, k", LAW_CONFIGS)
+    def test_law_matches_enumeration(self, values, bounds, k):
+        # all n! arrival orders through the scalar selectors against the
+        # engine, within 4 stderr (the enumeration has none)
+        beta = BetaVector(bounds)
+        want = _enumerated(values, beta, k)
+        stats = experiments.secretary_trials(np.array(values), beta, k, 60_000, 2801)
+        got = [(stats.ratio, stats.ratio_stderr)]
+        got += [(stats.extras[key], stats.extras[key + "_stderr"])
+                for key in ("prob_capacity_differs", "prob_ell_missed")]
+        for (estimate, stderr), exact in zip(got, want):
+            assert abs(estimate - exact) <= 4 * stderr + 1e-12
+
+    def test_candidate_lists_match_enumeration(self):
+        # chi-square of the walk's (rank, position) lists against their exact
+        # law over the 5! arrival orders at ell = 2
+        n, ell, rows = 5, 2, 60_000
+        block = _candidate_block(list(itertools.permutations(range(n))), n, ell)
+        exact = Counter(_lists(block[0], block[1], n))
+        pos, rank, _ = _walk_block(np.random.default_rng(2802), rows, n, ell)
+        seen = Counter(_lists(pos, rank, n))
+        assert set(seen) <= set(exact)
+        expected = np.array([exact[key] * rows / 120 for key in exact])
+        observed = np.array([seen[key] for key in exact])
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        df = len(exact) - 1
+        # Wilson-Hilferty: (stat / df)^(1/3) is about normal
+        z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert len(exact) > 20 and z < 4.0
 
     def test_chunking_leaves_results_unchanged(self, monkeypatch):
         n, ell, k = 200, 3, 24
@@ -312,9 +392,11 @@ class TestVectorizedEngine:
         beta = default_beta(n, ell, k)
         monkeypatch.setattr(experiments, "BATCH_SIZE", 1_000)
         whole = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
-        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
+        chunks = _count_chunks(monkeypatch)
+        monkeypatch.setattr(experiments, "_DECISION_CHUNK_CELLS", 333 * 7)
         chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=78)
         assert chunked == whole
+        assert len(chunks) > 3 * 3 and len(set(chunks)) > 1  # uneven chunks
 
     def test_chunking_leaves_results_unchanged_at_n2000(self, monkeypatch):
         # the benchmark's regime: 925 of the 2000 values underflow to tied zeros
@@ -323,11 +405,13 @@ class TestVectorizedEngine:
         assert np.count_nonzero(values == 0) == 925
         beta = default_beta(n, ell, k)
         monkeypatch.setattr(experiments, "BATCH_SIZE", 1_000)
-        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 1 << 20)
+        chunks = _count_chunks(monkeypatch)
+        monkeypatch.setattr(experiments, "_DECISION_CHUNK_CELLS", 1 << 22)
         whole = secretary_trials(values, beta, k, trials=2_500, master_seed=79)
-        monkeypatch.setattr(experiments, "_RANK_CHUNK_CELLS", 333 * n)
+        assert len(chunks) == 3
+        monkeypatch.setattr(experiments, "_DECISION_CHUNK_CELLS", 333 * n // 100)
         chunked = secretary_trials(values, beta, k, trials=2_500, master_seed=79)
-        assert chunked == whole
+        assert chunked == whole and len(chunks) > 3 + 3 * 3
 
     def test_empirical_bounds_smaller_scale(self):
         # shrunken version of the guarantee chain: ratio and the two event
@@ -343,3 +427,30 @@ class TestVectorizedEngine:
             + 3 * stats.extras["prob_capacity_differs_stderr"]
         assert stats.extras["prob_ell_missed"] <= ell * math.exp(-s) \
             + 3 * stats.extras["prob_ell_missed_stderr"]
+
+
+def _walk_block(rng, rows, n, ell):
+    """`_candidate_walk`'s steps as one (3, width, rows) block, checking its
+    counts."""
+    steps, count = experiments._candidate_walk(rng, rows, n, ell)
+    block = np.stack(steps, axis=1)
+    assert (count == np.count_nonzero(block[1] < n, axis=0)).all()
+    return block
+
+
+def _lists(pos, rank, n):
+    """Each row's candidates as a tuple of (rank, position) pairs."""
+    return [tuple((int(g), int(p)) for g, p in zip(rank[:, r], pos[:, r]) if g < n)
+            for r in range(pos.shape[1])]
+
+
+def _count_chunks(monkeypatch):
+    """Record the row count of every `_secretary_decide` call."""
+    chunks, real = [], experiments._secretary_decide
+
+    def recorded(pos, *args):
+        chunks.append(pos.shape[1])
+        return real(pos, *args)
+
+    monkeypatch.setattr(experiments, "_secretary_decide", recorded)
+    return chunks
