@@ -374,10 +374,11 @@ def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
 def _secretary_decide(pos: np.ndarray, rank: np.ndarray, before: np.ndarray,
                       vals_desc: np.ndarray, beta: BetaVector,
                       k: int) -> tuple[np.ndarray, ...]:
-    """Per row of a candidate block, three (width, rows) arrays whose slot i
-    holds a row's i-th candidate as `_candidate_walk` describes it: the
-    bounded run's top-ell value, and 0/1 flags for a run that the capacity
-    cut changed and an unbounded run that missed rank ell.
+    """The outcome of every row of a candidate block: the bounded run's
+    top-ell value, and 0/1 flags for a run that the capacity cut changed and
+    an unbounded run that missed rank ell. The block is three (width, rows)
+    arrays, pos, rank and before, whose slot i holds a row's i-th candidate
+    as `_candidate_walk` describes it, padded with n.
 
     With bounds = (0,) + beta.boundaries, an arrival at position p lies in
     interval j when bounds[j] <= p < bounds[j+1]. The unbounded run accepts
