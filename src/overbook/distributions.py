@@ -413,7 +413,7 @@ class ProductInstance:
     def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int,
                     k: int) -> np.ndarray:
         """Reduced rows of a single run of identical components; see
-        `sample_rows`.
+        `sample_rows`. A scalar thr is broadcast to one threshold per row.
 
         C_r ~ Binomial(n, p). The values drawn in arrival order are isf(p V).
         The top of the other C_r - 1 values >= thr are isf(p U_(j)), and the
@@ -430,28 +430,30 @@ class ProductInstance:
         """
         dist = self.components[0]
         n, depth = self.n, min(m, self.n)
-        per_row = np.ndim(thr) == 1
-        p = dist.sf(thr)
+        one_atom = (np.ndim(thr) == 0 and not dist.atomless
+                    and sum(a >= thr for a, _ in dist.atoms) == 1)
+        p = np.broadcast_to(dist.sf(thr), trials)
+        thr = np.broadcast_to(thr, trials)
         count = rng.binomial(n, p, trials)
         top_only = count <= k
         stored = np.where(top_only, np.minimum(count, depth + 1), count)
         width = int(stored.max())
         rows = np.zeros((trials, width + depth))
         slot = np.arange(width + depth)
-        if not per_row and not dist.atomless and sum(a >= thr for a, _ in dist.atoms) == 1:
+        if one_atom:
             # every value >= thr is the top atom
             rows[slot < stored[:, None]] = dist.support[1]
         else:
             arrival = np.where(top_only, np.minimum(count, 1), count)
             v = rng.random(int(arrival.sum()))
             np.subtract(1.0, v, out=v)
-            v *= np.repeat(p, arrival) if per_row else p
+            v *= np.repeat(p, arrival)
             rows[slot < arrival[:, None]] = dist.isf(v)
             del v
             rest = np.flatnonzero(top_only & (count > 1))
             if len(rest):
                 low, exists = _low_uniforms(rng, count[rest] - 1, depth)
-                low *= p[rest, None] if per_row else p
+                low *= p[rest, None]
                 # V = 0 (a zero uniform, or underflow) maps to the supremum of the
                 # support, inf for an exponential
                 np.maximum(low, np.finfo(float).smallest_subnormal, out=low)
@@ -459,8 +461,7 @@ class ProductInstance:
         short = np.flatnonzero(count < depth)
         if len(short):
             low, exists = _low_uniforms(rng, n - count[short], depth)
-            if per_row:
-                p, thr = p[short, None], thr[short, None]
+            p, thr = p[short, None], thr[short, None]
             below = dist.isf(p + (1.0 - p) * low)
             # an atom at thr is >= thr, so the clamp is the float just below it
             rows[short, width:] = np.where(exists, np.minimum(below, np.nextafter(thr, -np.inf)),
@@ -474,10 +475,11 @@ class ProductInstance:
 
         The cells >= thr of each run form a Bernoulli(p) process over its
         (rows, run length) cells, in row-major order, p = sf(thr) of the
-        run's component (kept for the last thr), drawn from geometric gaps (`_bernoulli_cells`), run
-        after run; a run with p = 0 draws nothing. One sort on the key
-        row * n + position puts them in arrival order. Then one uniform u per
-        cell, in that order, draws its value isf(p (1 - u)).
+        run's component (kept for the last thr), drawn from geometric gaps
+        (`_bernoulli_cells`), run after run; a run with p = 0 draws nothing.
+        One sort on the key row * n + position puts them in arrival order.
+        Then one uniform u per cell, in that order, draws its value
+        isf(p (1 - u)).
 
         The values below thr. Only the rows with C_r < min(m, n) read them.
         Those rows draw one (rows, n) block of uniforms, each cell
@@ -486,9 +488,11 @@ class ProductInstance:
         row's block is 0.0: its top m are all >= thr.
         """
         n, depth = self.n, min(m, self.n)
-        if self._sf_at is None or self._sf_at[0] != thr:
-            self._sf_at = (thr, np.array([float(c.sf(thr)) for c in self.distinct()]))
-        p = self._sf_at[1]
+        # one read of the memo: another thread may swap in another thr's entry
+        memo = self._sf_at
+        if memo is None or memo[0] != thr:
+            memo = self._sf_at = (thr, np.array([float(c.sf(thr)) for c in self.distinct()]))
+        p = memo[1]
         keys = []
         for h, (lo, hi) in enumerate(self._runs):
             if p[h] > 0.0:

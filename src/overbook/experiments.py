@@ -5,10 +5,12 @@ batches (see `seeding`), keeping per-trial memory bounded while the estimate
 stays bit-reproducible for a given master seed. The scalar selectors in
 `prophet`, `secretary`, and `mechanisms` define the semantics; these engines
 replicate them with array ops so desk-scale trial counts finish in seconds.
-The threshold engines (prophet and mechanism welfare) replay the leading rows
-of every batch through the scalar rule `prophet.accept_first` and report the
-rows where their kernel disagrees as `trace_mismatches`; the test suite holds
-every engine to the scalar selectors.
+The threshold engines (prophet, mechanism welfare and revenue) share one
+kernel, `_threshold_top`, with one threshold per row; they replay the leading
+rows of every batch through the scalar rule `prophet.accept_first` and report
+the rows where the kernel disagrees as `trace_mismatches`. Every mean, ratio
+and stderr comes from one streaming estimator, `_Moments`. Nothing here is
+imported from `oracle`, whose exact oracles check these engines.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .distributions import (
     monopoly_price,
     virtual_value_array,
 )
-from .oracle import top_block
 from .prophet import accept_first
 from .secretary import BetaVector
 from .seeding import BATCH_SIZE, batch_indices, trial_rng
@@ -132,15 +133,16 @@ class TrialStats:
     extras: dict
 
 
-def _binomial(successes: float, count: int) -> tuple[float, float]:
-    p = successes / count
-    return p, math.sqrt(max(0.0, p * (1 - p)) / count)
-
-
-def _first_k(mask: np.ndarray, k: int) -> np.ndarray:
-    """The first k True entries of each row of `mask`: the capacity cut of
-    every "accept the first k" rule."""
-    return mask & (np.cumsum(mask, axis=1) <= k)
+def top_block(matrix: np.ndarray, m: int) -> np.ndarray:
+    """The m largest entries of each row of a (rows, n) matrix, in no set
+    order; the matrix itself when m >= n."""
+    n = matrix.shape[1]
+    if m == 1:
+        return matrix.max(axis=1, keepdims=True)
+    if m >= n:
+        return matrix
+    # copied out, so the partitioned (rows, n) buffer is freed at once
+    return np.partition(matrix, n - m, axis=1)[:, n - m:].copy()
 
 
 def _threshold_top(
@@ -155,10 +157,11 @@ def _threshold_top(
 
     The selector accepts the first k values of each row strictly above
     `thr`; with `first_ge` (the atoms variant) it accepts the first value
-    >= thr, then values strictly above it. `thr` is a scalar or holds one
-    threshold per row. The benchmark block is `top_block(values, m)`; the
-    selector's block holds its m largest accepted values, with 0.0 in the
-    slots it cannot fill. Neither block is sorted.
+    >= thr, then values strictly above it. `thr` holds one threshold per
+    row; a scalar is broadcast to every row. The benchmark block is
+    `top_block(values, m)`; the selector's block holds its m largest
+    accepted values, with 0.0 in the slots it cannot fill. Neither block is
+    sorted.
 
     Where the unbounded run accepts at most k values, the accepted values
     above thr are the row's largest, so the selector's block is the
@@ -167,8 +170,8 @@ def _threshold_top(
     capacity binds run the cut over the whole row.
     """
     rows = len(values)
-    per_row = np.ndim(thr) == 1
-    t = thr[:, None] if per_row else thr
+    thr = np.broadcast_to(thr, rows)
+    t = thr[:, None]
     bench = top_block(values, m)
     above = bench > t
     sel = np.where(above, bench, 0.0)
@@ -179,14 +182,16 @@ def _threshold_top(
         first_at_thr = values[np.arange(rows), first] == thr
         count += first_at_thr
         add = np.nonzero(first_at_thr & (np.count_nonzero(above, axis=1) < m))[0]
-        sel[add, (~above[add]).argmax(axis=1)] = thr[add] if per_row else thr
+        sel[add, (~above[add]).argmax(axis=1)] = thr[add]
     bind = np.nonzero(count > k)[0]
     if len(bind):
         cut = accepted[bind]
         if first_ge:
             at_thr = np.nonzero(first_at_thr[bind])[0]
             cut[at_thr, first[bind[at_thr]]] = True
-        sel[bind] = top_block(np.where(_first_k(cut, k), values[bind], 0.0), m)
+        # the first k accepted values of each binding row
+        cut &= np.cumsum(cut, axis=1) <= k
+        sel[bind] = top_block(np.where(cut, values[bind], 0.0), m)
     return sel, bench, count > k
 
 
@@ -449,10 +454,9 @@ def secretary_trials(
     ell earliest better arrivals. `_secretary_decide` then tests every
     candidate against its interval, in row chunks of at most
     `_DECISION_CHUNK_CELLS` cells; the stream does not depend on the
-    chunks. Extras:
-    `prob_capacity_differs`, Pr[the bounded and unbounded runs differ], and
-    `prob_ell_missed`, Pr[the unbounded run misses the ell-th largest],
-    each with its binomial stderr.
+    chunks. Extras: `prob_capacity_differs`, Pr[the bounded and unbounded
+    runs differ], and `prob_ell_missed`, Pr[the unbounded run misses the
+    ell-th largest], each the mean of a 0/1 column with its stderr.
     """
     vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
     n = len(vals_desc)
@@ -471,13 +475,11 @@ def secretary_trials(
         return out
 
     moments = _run_batches(step, 3, trials, master_seed)
-    count = moments.count
     mean, se = moments.mean_stderr(0)
     extras = {}
     extras["prob_capacity_differs"], extras["prob_capacity_differs_stderr"] = \
-        _binomial(moments.sums[1], count)
-    extras["prob_ell_missed"], extras["prob_ell_missed_stderr"] = \
-        _binomial(moments.sums[2], count)
+        moments.mean_stderr(1)
+    extras["prob_ell_missed"], extras["prob_ell_missed_stderr"] = moments.mean_stderr(2)
     return TrialStats(mean / bench, se / bench, extras)
 
 
@@ -519,7 +521,9 @@ def mechanism_revenue_trials(
     threshold per trial, against the optimal-revenue benchmark (expected
     top-ell positive virtual surplus). Extras: the means and stderrs of the
     revenue, the optimal revenue and the Myerson payment-identity gap
-    (revenue minus winner virtual surplus), and `binding_frac`.
+    (revenue minus winner virtual surplus), `binding_frac`, and
+    `trace_mismatches`, the leading rows of every batch whose ell + 1 ticket
+    values under the scalar rule (`_replay`) are not the kernel's.
     """
     phat = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)
@@ -538,12 +542,14 @@ def mechanism_revenue_trials(
         revenue = np.count_nonzero(won, axis=1) * price
         surplus = (virtual_value_array(prior, won) * (won > 0)).sum(axis=1)
         optimal = np.maximum(virtual_value_array(prior, top[:, :ell]), 0.0).sum(axis=1)
-        return revenue, optimal, revenue - surplus, binds
+        return (revenue, optimal, revenue - surplus, binds,
+                _replay(values, thr, sel, k, False))
 
-    acc = _run_batches(step, 4, trials, master_seed)
+    acc = _run_batches(step, 5, trials, master_seed)
     extras = {}
     extras["revenue_mean"], extras["revenue_stderr"] = acc.mean_stderr(0)
     extras["optimal_mean"], extras["optimal_stderr"] = acc.mean_stderr(1)
     extras["identity_gap"], extras["identity_gap_stderr"] = acc.mean_stderr(2)
     extras["binding_frac"] = acc.sums[3] / acc.count
+    extras["trace_mismatches"] = int(acc.sums[4])
     return TrialStats(*acc.ratio_stderr(0, 1), extras)

@@ -6,7 +6,7 @@ maps each kind to the runner that estimates its ratio and bound, the optional
 spec fields it reads, and whether its bound is an upper bound. Upper-bound
 kinds pass when estimate <= bound exactly; every other kind passes when its
 bound is vacuous or estimate + 3*stderr >= bound, and its runner's extra
-check (a trace replay, the payment identity) holds.
+checks (a trace replay, and for revenue the payment identity) hold.
 """
 
 from __future__ import annotations
@@ -403,9 +403,10 @@ def _run_mechanism_revenue(spec: ExperimentSpec) -> _Outcome:
         prior, spec.n, spec.ell, spec.k, tau, spec.trials, spec.master_seed)
     # Myerson payment identity: revenue equals winner virtual surplus
     gap, gap_se = stats.extras["identity_gap"], stats.extras["identity_gap_stderr"]
-    return _Outcome(f"two_phase[{SOURCE_ALG_TAU}]", stats.ratio, stats.ratio_stderr,
-                    tau_selector_bound(spec.ell, spec.k, tau), {"tau": tau, **stats.extras},
-                    ok=abs(gap) <= 3.0 * max(gap_se, 1e-12))
+    out = _replayed(f"two_phase[{SOURCE_ALG_TAU}]", stats,
+                    tau_selector_bound(spec.ell, spec.k, tau), tau=tau)
+    out.ok = out.ok and abs(gap) <= 3.0 * max(gap_se, 1e-12)
+    return out
 
 
 class _Kind(NamedTuple):

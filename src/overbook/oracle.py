@@ -48,18 +48,6 @@ def top_ell(values: Sequence[float], ell: int) -> TopEllResult:
     return TopEllResult(chosen, float(vals[list(chosen)].sum()))
 
 
-def top_block(matrix: np.ndarray, m: int) -> np.ndarray:
-    """The m largest entries of each row of a (rows, n) matrix, in no set
-    order; the matrix itself when m >= n."""
-    n = matrix.shape[1]
-    if m == 1:
-        return matrix.max(axis=1, keepdims=True)
-    if m >= n:
-        return matrix
-    # copied out, so the partitioned (rows, n) buffer is freed at once
-    return np.partition(matrix, n - m, axis=1)[:, n - m:].copy()
-
-
 def _atom_lists(instance: ProductInstance) -> list[list[tuple[float, float]]]:
     lists = []
     for i, comp in enumerate(instance.components):

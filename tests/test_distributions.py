@@ -829,6 +829,30 @@ class TestSparseRows:
             assert np.array_equal(rows, fresh.sample_rows(np.random.default_rng(54), 200,
                                                           thr, 3, 4))
 
+    def test_survival_levels_are_read_once_per_call(self):
+        # an instance is shared across threads, so another thread may swap in
+        # its own thr's entry between two reads of the memo: a call that reads
+        # it twice can check one thr's entry and then use another's
+        class Shared(ProductInstance):
+            @property
+            def _sf_at(self):
+                memo, self.reads = self.memo, self.reads + 1
+                if self.reads == 2:  # the other thread writes here
+                    self.memo = self.other
+                return memo
+
+            @_sf_at.setter
+            def _sf_at(self, memo):
+                self.memo = memo
+
+        fresh = _three_atom_components(25)
+        rows = fresh.sample_rows(np.random.default_rng(55), 200, 8.5, 3, 4)
+        inst = Shared(fresh.components)
+        inst.reads, inst.memo = 0, fresh._sf_at
+        fresh.sample_rows(np.random.default_rng(55), 200, 3.0, 3, 4)
+        inst.other = fresh._sf_at
+        assert np.array_equal(inst.sample_rows(np.random.default_rng(55), 200, 8.5, 3, 4), rows)
+
 
 @settings(max_examples=200, deadline=None)
 @given(

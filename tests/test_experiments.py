@@ -2,12 +2,13 @@
 
 `_threshold_top` reads the selector's top-ell block off the benchmark's
 top-ell block and runs the capacity cut only on rows where it binds. These
-tests hold it to the full path (cut every row, mask, take the top ell) and
-to the scalar selectors and mechanism. The revenue engine is replayed row by
-row through the scalar revenue mechanism. The streaming estimator `_Moments` is
-held to a two-pass numpy computation, and the sample-threshold engine to its
-full-matrix form on an instance that is not i.i.d. Every engine is held to the
-batch schedule of `_run_batches`.
+tests hold it, and its top-m helper `top_block`, to references that share no
+code with it (every row through `prophet.accept_first`, the top ell by
+`np.sort`), and to the scalar selectors and mechanism. The revenue engine is
+replayed row by row through the scalar revenue mechanism. The streaming
+estimator `_Moments` is held to a two-pass numpy computation, and the
+sample-threshold engine to its full-matrix form on an instance that is not
+i.i.d. Every engine is held to the batch schedule of `_run_batches`.
 """
 
 import itertools
@@ -28,17 +29,17 @@ from overbook.distributions import (
     virtual_value,
 )
 from overbook.experiments import (
-    _first_k,
     _Moments,
     _threshold_top,
     alg_tau_trials,
     mechanism_revenue_trials,
     mechanism_welfare_trials,
+    top_block,
 )
 from overbook.harness import ExperimentSpec, run_experiment
 from overbook.mechanisms import MechanismConfig, myerson_virtual_surplus, run_two_phase
-from overbook.oracle import top_block, top_ell
-from overbook.prophet import TWO_THIRDS, alg_max, alg_max_atoms, alg_tau
+from overbook.oracle import top_ell
+from overbook.prophet import TWO_THIRDS, accept_first, alg_max, alg_max_atoms, alg_tau
 from overbook.secretary import default_beta
 from overbook.seeding import batch_indices, trial_rng
 from test_distributions import _ks_critical_1pct, _ks_statistic, _three_atom_components
@@ -47,18 +48,13 @@ ROWS, N = 400, 12
 
 
 def _full_path(values, thr, k, first_ge):
-    """Every row through the capacity cut: the accepted values, 0.0 elsewhere."""
-    t = thr[:, None] if np.ndim(thr) else thr
-    if not first_ge:
-        return np.where(_first_k(values > t, k), values, 0.0)
-    ge = values >= t
-    has_first = ge.any(axis=1)
-    first = ge.argmax(axis=1)
-    later = ge & (values > t) & (np.arange(values.shape[1])[None, :] > first[:, None])
-    chosen_vals = np.where(_first_k(later, k - 1), values, 0.0)
-    rows = np.nonzero(has_first)[0]
-    chosen_vals[rows, first[rows]] = values[rows, first[rows]]
-    return chosen_vals
+    """Every row through the scalar rule `accept_first`: the accepted values,
+    0.0 elsewhere."""
+    chosen = np.zeros_like(values)
+    for r, t in enumerate(np.broadcast_to(thr, len(values)).tolist()):
+        accepted = accept_first(values[r].tolist(), t, k, first_ge)
+        chosen[r, accepted] = values[r, accepted]
+    return chosen
 
 
 def _top_sums(values, thr, k, ell, first_ge=False):
@@ -110,13 +106,27 @@ def test_kernel_matches_full_path(ell, regime, per_row, first_ge):
     assert np.array_equal(np.sort(alg_block, axis=1), np.sort(chosen, axis=1)[:, -ell:])
     assert np.array_equal(np.sort(bench_block, axis=1), np.sort(values, axis=1)[:, -ell:])
     alg, bench = alg_block.sum(axis=1), bench_block.sum(axis=1)
-    ref_alg, ref_bench = top_block(chosen, ell).sum(axis=1), top_block(values, ell).sum(axis=1)
+    ref_alg, ref_bench = (np.sort(b, axis=1)[:, -ell:].sum(axis=1) for b in (chosen, values))
     if ell <= 2:
         assert np.array_equal(alg, ref_alg)
         assert np.array_equal(bench, ref_bench)
     else:
         np.testing.assert_allclose(alg, ref_alg, rtol=1e-12, atol=0)
         np.testing.assert_allclose(bench, ref_bench, rtol=1e-12, atol=0)
+
+
+def test_top_block_rowwise():
+    mat = np.array([[3.0, 1.0, 2.0], [0.0, 0.0, 9.0]])
+    assert np.array_equal(np.sort(top_block(mat, 2), axis=1), [[2.0, 3.0], [0.0, 9.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_top_block_matches_sort(n):
+    m = np.random.default_rng(n).exponential(size=(300, n))
+    m[::5, 0] = m[::5, -1]  # ties
+    for ell in sorted({1, 2, n - 1, n, n + 1} - {0}):
+        want = np.sort(m, axis=1)[:, -ell:]
+        assert np.array_equal(np.sort(top_block(m, ell), axis=1), want)
 
 
 def _binding_share(values, thr, k, first_ge=False):
@@ -187,8 +197,9 @@ _TOP_ATOM = {"kind": "finite-support", "params": {"atoms": [[0.0, 0.5], [1.0, 0.
     ("mechanism-welfare", "alg_max", _UNIFORM, 2, 2, _without_capacity),
     ("mechanism-welfare", "alg_tau-sample", _UNIFORM, 2, 4, _without_capacity),
     ("prophet-max", None, _TOP_ATOM, 1, 4, _ignoring_first_ge),
+    ("mechanism-revenue", None, _UNIFORM, 2, 4, _without_capacity),
 ], ids=["prophet-tau-no-cut", "prophet-max-no-cut", "welfare-alg_max-no-cut",
-        "welfare-alg_tau-sample-no-cut", "prophet-max-atoms-no-first-ge"])
+        "welfare-alg_tau-sample-no-cut", "prophet-max-atoms-no-first-ge", "revenue-no-cut"])
 def test_trace_check_catches_a_wrong_kernel(kind, source, dist, ell, k, fault, monkeypatch):
     # one replayed batch per _REPLAY_ROWS rows, so every row is replayed: k
     # binds on about 1% of the rows at the max-distribution threshold
@@ -269,6 +280,7 @@ def test_revenue_engine_matches_scalar_replay(prior, n, k, tau, monkeypatch):
     assert binding > 0 and floored > 0
     _assert_revenue_matches(stats, means)
     assert stats.extras["binding_frac"] == binding / trials
+    assert stats.extras["trace_mismatches"] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -282,6 +294,7 @@ def test_revenue_engine_with_n_at_most_ell(n, monkeypatch):
     means, _, floored = _revenue_replay(prior, n, ell, k, tau, trials, seed, batch)
     assert floored > 0
     _assert_revenue_matches(stats, means)
+    assert stats.extras["trace_mismatches"] == 0
 
 
 def _alg_tau_partition_form(instance, ell, k, tau, trials, master_seed, batch):

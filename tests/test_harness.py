@@ -449,7 +449,7 @@ class TestRunExperiment:
          ["tau", "binding_frac", "trace_mismatches"]),
         ("mechanism-revenue", {"distribution": {"iid": UNIFORM}},
          ["tau", "revenue_mean", "revenue_stderr", "optimal_mean", "optimal_stderr",
-          "identity_gap", "identity_gap_stderr", "binding_frac"]),
+          "identity_gap", "identity_gap_stderr", "binding_frac", "trace_mismatches"]),
     ])
     def test_extras_keys_per_kind(self, kind, fields, keys):
         # the JSON report's extras, key order included, for every kind
@@ -572,16 +572,24 @@ class TestPassRules:
         assert not report.vacuous
         assert report.passed is passed
 
-    @pytest.mark.parametrize("gap,passed", [(0.02, True), (0.04, False), (-0.04, False)])
-    def test_revenue_identity_gap_beyond_three_sigma_fails(self, monkeypatch, gap, passed):
+    def _revenue_report(self, monkeypatch, gap, mismatches):
         stats = TrialStats(ratio=1.0, ratio_stderr=0.01,
-                           extras={"identity_gap": gap, "identity_gap_stderr": 0.01})
+                           extras={"identity_gap": gap, "identity_gap_stderr": 0.01,
+                                   "trace_mismatches": mismatches})
         monkeypatch.setattr(experiments, "mechanism_revenue_trials", lambda *a: stats)
         spec = ExperimentSpec(kind="mechanism-revenue", n=20, ell=2, k=16, trials=10,
                               master_seed=0, distribution={"iid": UNIFORM})
         report = run_experiment(spec)
         assert report.ratio_estimate + 3 * report.stderr >= report.theoretical_bound
-        assert report.passed is passed
+        return report
+
+    @pytest.mark.parametrize("gap,passed", [(0.02, True), (0.04, False), (-0.04, False)])
+    def test_revenue_identity_gap_beyond_three_sigma_fails(self, monkeypatch, gap, passed):
+        assert self._revenue_report(monkeypatch, gap, 0).passed is passed
+
+    def test_revenue_trace_mismatch_fails(self, monkeypatch):
+        # the payment identity holds exactly, but one replayed row disagrees
+        assert not self._revenue_report(monkeypatch, 0.0, 1).passed
 
 
 class TestEmitReport:

@@ -58,6 +58,20 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("name", ["experiments", "distributions"])
+def test_engine_imports_nothing_from_oracle(name):
+    # an exact oracle shares no code with the engines it checks, so a helper
+    # that both need lives on the engine side
+    path = Path(overbook.__file__).parent / f"{name}.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [i for i in imported if "oracle" in i.split(".")] == []
+
+
 def test_every_traced_name_exists():
     # the benchmark's tracer patches these (owner, attribute) pairs by name, so
     # dropping or renaming one breaks a traced run, not the suite

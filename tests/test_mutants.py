@@ -1,13 +1,17 @@
 """Mutation table: does a verdict of the harness FAIL when a rule is wrong?
 
-Each row swaps one module attribute for a wrong version of it and runs one
-small fixed config, a spec of every kind, through `run_experiments`. A
-caught mutant makes at least one report FAIL. A mutant that no verdict
-catches yet is a strict xfail whose reason says why, so a new check that catches
-it shows up as an XPASS until its row moves to caught. (Mutation analysis:
-DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE Computer,
-1978.)
+Each row swaps one module attribute for a changed version of it and runs
+one small fixed config, a spec of every kind, through `run_experiments`; a
+change inside a function body is compiled from the function's own source
+(`_edited`). A caught mutant makes at least one report FAIL. A mutant that
+no verdict catches yet is a strict xfail whose reason says why, so a new
+check that catches it shows up as an XPASS until its row moves to caught.
+(Mutation analysis: DeMillo, Lipton & Sayward, "Hints on test data
+selection", IEEE Computer, 1978.)
 """
+
+import __future__
+import inspect
 
 import numpy as np
 import pytest
@@ -72,6 +76,21 @@ def _no_capacity_cut(real):
                                                             first_ge)
 
 
+def _edited(old, new):
+    """A function compiled from the real one's source with its one `old`
+    replaced by `new`, for a fault inside a function body."""
+    def mutate(real):
+        source = inspect.getsource(real)
+        if source.count(old) != 1:
+            # not an AssertionError, which an uncaught row would take as its xfail
+            raise LookupError(f"{real.__name__} holds {old!r} {source.count(old)} times")
+        scope = dict(vars(inspect.getmodule(real)))
+        exec(compile(source.replace(old, new), inspect.getsourcefile(real), "exec",
+                     __future__.annotations.compiler_flag, dont_inherit=True), scope)
+        return scope[real.__name__]
+    return mutate
+
+
 def _uncaught(reason):
     # only a PASS of every verdict is the expected failure, not an error
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
@@ -101,6 +120,19 @@ MUTANTS = [
                  id="virtual_value_array-is-the-value"),
     pytest.param(experiments, "_threshold_top", _no_capacity_cut,
                  id="threshold_top-without-capacity-cut"),
+    # winners pay the ell-th ticket value, their own lowest bid, not the (ell+1)-th
+    pytest.param(experiments, "mechanism_revenue_trials",
+                 _edited("tickets[:, ell])", "tickets[:, ell - 1])"),
+                 id="revenue-price-from-ell-th-ticket"),
+    # the accept branch of the max-probability DP without the extra miss
+    # factor: the corrected recurrence, since success after a position does
+    # not depend on whether that position is a record
+    pytest.param(harness, "secretary_max_prob_dp",
+                 _edited("p_max + miss_max * g[b - 1]", "p_max + g[b - 1]"),
+                 id="secretary_max_prob_dp-corrected",
+                 marks=_uncaught("the ceiling (1 + 1/n)(1 - e^-k) is 0.908 at n = 20, k = 2; "
+                                 "the committed DP gives 0.512, the corrected one 0.618, and "
+                                 "both pass it")),
 ]
 
 
