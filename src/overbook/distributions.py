@@ -11,8 +11,8 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,27 +85,34 @@ class ValueDistribution:
             atoms = sorted(params["atoms"])
             if not all(len(a) == 2 for a in atoms):
                 raise DistributionError("each atom must be a [value, probability] pair")
-        values = np.asarray([a[0] for a in atoms], dtype=float)
-        probs = np.asarray([a[1] for a in atoms], dtype=float)
-        if len(values) == 0:
+        # converted as numpy converts (None is NaN, a numeric string a number), then
+        # checked and summed as Python floats
+        self._values = np.asarray([a[0] for a in atoms], dtype=float)
+        self._probs = np.asarray([a[1] for a in atoms], dtype=float)
+        values, probs = self._values.tolist(), self._probs.tolist()
+        if not values:
             raise DistributionError("finite-support needs at least one atom")
-        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+        if not all(map(math.isfinite, values + probs)):
             raise DistributionError("atom values and probabilities must be finite")
-        if np.any(values < 0):
+        if min(values) < 0:
             raise DistributionError("atom values must be nonnegative")
-        if np.any(np.diff(values) <= 0):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise DistributionError("atom values must be strictly increasing")
-        if np.any(probs <= 0) or np.any(probs > 1):
+        if not all(0 < p <= 1 for p in probs):
             raise DistributionError("atom probabilities must lie in (0, 1]")
-        if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
+        # the partial sums are the CDF levels below, before they are normalized
+        cum = list(accumulate(probs))
+        if abs(cum[-1] - 1.0) > _ATOM_PROB_TOL:
             raise DistributionError("atom probabilities must sum to 1")
-        self._values, self._probs = values, probs
-        self._tail = _survival(probs)
+        # the survival levels Pr[X >= atom i], summed from the top atom down and
+        # normalized so that the lowest atom's level is exactly 1.0, then 0.0
+        # above the top atom
+        tail = list(accumulate(reversed(probs)))[::-1]
+        self._tail = np.array([t / tail[0] for t in tail] + [0.0])
         # the CDF's steps as Python floats, for `cdf`, normalized as Generator.choice
         # normalizes p: the top level is exactly 1.0 even when the probabilities sum to less
-        cum = np.cumsum(probs)
-        self._steps = (tuple(values.tolist()), tuple((cum / cum[-1]).tolist()))
-        self._lo, self._hi = float(values[0]), float(values[-1])
+        self._steps = (tuple(values), tuple(c / cum[-1] for c in cum))
+        self._lo, self._hi = values[0], values[-1]
 
     # ---- constructors ----
 
@@ -253,12 +260,39 @@ class ValueDistribution:
         return isinstance(other, ValueDistribution) and self.to_json() == other.to_json()
 
 
-def _survival(probs: np.ndarray) -> np.ndarray:
-    """The survival table of atoms with these probabilities: Pr[X >= atom i]
-    for each i, summed from the top atom down and normalized so that the
-    lowest atom's level is exactly 1.0, then a trailing 0.0 above the top."""
-    tail = np.cumsum(probs[::-1])[::-1]
-    return np.append(tail / tail[0], 0.0)
+def _binomial_levels(n: int, p: float) -> tuple[int, np.ndarray]:
+    """The Binomial(n, p) CDF as a table for inversion: the lowest count c0
+    whose level lies above 0 in floats, and the levels of c0, c0 + 1, ...
+    up to the first count at level 1.0, normalized so that this top level is
+    exactly 1.0. For U uniform on [0, 1), c0 + levels.searchsorted(U,
+    side="right") is a Binomial(n, p) draw (Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. III).
+
+    The pmf is summed over a window that Bernstein's inequality bounds:
+    below mean - 38.7 sd - 500 every level is below half the least subnormal,
+    above mean + 9.2 sd + 28 every level is within 2^-60 of 1. So the table
+    has O(sd) entries, sd = sqrt(n p (1 - p)), however large n is. The log
+    pmf is exact at the mode and extended by the cumulated log ratios of
+    successive counts.
+    """
+    if p in (0.0, 1.0):
+        # one count, at level 1.0; the log pmf would read 0 * log(0), a NaN
+        return (0 if p == 0.0 else n), np.ones(1)
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo = max(0, math.floor(mean - 38.7 * sd - 500.0))
+    hi = min(n, math.ceil(mean + 9.2 * sd + 28.0))
+    mode = math.floor((n + 1) * p)
+    at_mode = (math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
+               + mode * math.log(p) + (n - mode) * math.log1p(-p))
+    # log pmf(c + 1) - log pmf(c), for c = lo .. hi - 1, summed outward from the mode
+    c = np.arange(lo, hi)
+    step = np.log((n - c) / (c + 1.0)) + (math.log(p) - math.log1p(-p))
+    below = np.cumsum(step[:mode - lo][::-1])[::-1]
+    above = np.cumsum(step[mode - lo:])
+    levels = np.cumsum(np.exp(at_mode + np.concatenate([-below, [0.0], above])))
+    levels /= levels[-1]
+    first, top = levels.searchsorted(0.0, side="right"), levels.searchsorted(1.0)
+    return lo + int(first), levels[first:top + 1]
 
 
 def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarray:
@@ -398,7 +432,8 @@ class ProductInstance:
         runs depends only on the runs of identical components:
 
         - A single run (what `iid` builds), of any kind, at a scalar or
-          per-row thr: see `_renyi_rows`.
+          per-row thr: see `_renyi_rows`. At a scalar thr its counts C_r are
+          one uniform per row, looked up in a table of the binomial CDF.
         - Several runs at a scalar thr: see `_sparse_rows`.
         - Several runs at per-row thresholds: `sample_matrix(rng, trials)`,
           the full rows, which are also the reference the tests hold every
@@ -413,28 +448,38 @@ class ProductInstance:
     def _renyi_rows(self, rng: np.random.Generator, trials: int, thr, m: int,
                     k: int) -> np.ndarray:
         """Reduced rows of a single run of identical components; see
-        `sample_rows`. A scalar thr is broadcast to one threshold per row.
+        `sample_rows`. A scalar thr is broadcast to one threshold per row
+        once the counts are drawn.
 
-        C_r ~ Binomial(n, p). The values drawn in arrival order are isf(p V).
-        The top of the other C_r - 1 values >= thr are isf(p U_(j)), and the
-        top of the n - C_r values below thr are isf(p + (1 - p) U_(j)), for
-        the ascending uniform order statistics U_(j) of `_low_uniforms` (the
-        Renyi representation), those below thr clamped below it. The stream
-        holds the counts; then one uniform per value in arrival order, row
-        by row: all C_r where C_r > k, the first where 0 < C_r <= k; then a
-        (rows with 2 <= C_r <= k, min(m, n)) block for the top of the rest;
-        then a (rows with C_r < min(m, n), min(m, n)) block for the values
-        below thr. Where thr is a scalar and exactly one atom lies at or
-        above it, every value >= thr is that atom, and only the counts and
-        the block below thr are drawn.
+        C_r ~ Binomial(n, p). At a scalar thr, p is one number, and C_r is
+        drawn by inversion: one uniform per row, looked up in the table of
+        `_binomial_levels`, whose size grows with the sd of C_r, not with n.
+        At per-row thresholds C_r is one `rng.binomial` draw per row. The
+        values drawn in arrival order are isf(p V). The top of the other
+        C_r - 1 values >= thr are isf(p U_(j)), and the top of the n - C_r
+        values below thr are isf(p + (1 - p) U_(j)), for the ascending
+        uniform order statistics U_(j) of `_low_uniforms` (the Renyi
+        representation), those below thr clamped below it. The stream holds
+        the counts; then one uniform per value in arrival order, row by row:
+        all C_r where C_r > k, the first where 0 < C_r <= k; then a (rows
+        with 2 <= C_r <= k, min(m, n)) block for the top of the rest; then a
+        (rows with C_r < min(m, n), min(m, n)) block for the values below
+        thr. Where thr is a scalar and exactly one atom lies at or above it,
+        every value >= thr is that atom, and only the counts and the block
+        below thr are drawn.
         """
         dist = self.components[0]
         n, depth = self.n, min(m, self.n)
-        one_atom = (np.ndim(thr) == 0 and not dist.atomless
-                    and sum(a >= thr for a, _ in dist.atoms) == 1)
-        p = np.broadcast_to(dist.sf(thr), trials)
+        if np.ndim(thr) == 0:
+            one_atom = not dist.atomless and sum(a >= thr for a, _ in dist.atoms) == 1
+            p = float(dist.sf(thr))
+            low, levels = _binomial_levels(n, p)
+            count = low + levels.searchsorted(rng.random(trials), side="right")
+        else:
+            one_atom, p = False, dist.sf(thr)
+            count = rng.binomial(n, p, trials)
+        p = np.broadcast_to(p, trials)
         thr = np.broadcast_to(thr, trials)
-        count = rng.binomial(n, p, trials)
         top_only = count <= k
         stored = np.where(top_only, np.minimum(count, depth + 1), count)
         width = int(stored.max())
@@ -611,11 +656,20 @@ class ProductInstance:
 def max_quantile(instance: ProductInstance, q: float) -> float:
     """Generalized inverse of the max-CDF: inf{t : prod_i F_i(t) >= q}.
 
-    Bisection on the predicate F(t) >= q, whose `hi` stays feasible, until
-    `lo` and `hi` are adjacent floats; `hi` is returned. On an atomless
-    instance that is the root of F(t) = q to the last float. Where the
-    max-CDF steps over q, it is the atom itself, so downstream >=/>
-    comparisons against atom values are exact at any scale of values.
+    The answer is the least float t with F(t) >= q: F is nondecreasing, and
+    so is its float product. A binary search over the sorted atoms of the
+    finite components first finds the first atom where F reaches q. F is
+    constant between atoms but for its atomless factors, so where every
+    component has a finite support that atom is the answer, found in about
+    log2(#atoms) `max_cdf` calls. Otherwise the predicate F(t) >= q is
+    bisected inside the bracket from the atom below (or the bottom of the
+    support) to that atom (or the top of the support, doubled from
+    max(1, lo + 1) while F stays below q where it is unbounded), keeping
+    `hi` feasible, until `lo` and `hi` are adjacent floats; `hi` is
+    returned. On an atomless instance that is the root of F(t) = q to the
+    last float. Where the max-CDF steps over q, it is the atom itself, so
+    downstream >=/> comparisons against atom values are exact at any scale
+    of values.
 
     Raises DegenerateThresholdError when no finite t reaches q: q = 1 with
     unbounded support, or a bounded max-CDF that stays below q.
@@ -629,12 +683,20 @@ def max_quantile(instance: ProductInstance, q: float) -> float:
     lo = min(c.support[0] for c in heads)
     if instance.max_cdf(lo) >= q:
         return lo
-    if math.isinf(hi):
-        hi = max(1.0, lo + 1.0)
-        while instance.max_cdf(hi) < q:
-            hi *= 2.0
-    elif instance.max_cdf(hi) < q:
-        raise DegenerateThresholdError("max-CDF never reaches the target quantile")
+    atoms = sorted({a for c in heads if not c.atomless for a in c._steps[0]})
+    first = bisect_left(atoms, True, key=lambda a: instance.max_cdf(a) >= q)
+    if first < len(atoms):
+        if not any(c.atomless for c in heads):
+            return atoms[first]
+        lo, hi = atoms[first - 1] if first else lo, atoms[first]
+    else:
+        lo = atoms[-1] if atoms else lo
+        if math.isinf(hi):
+            hi = max(1.0, lo + 1.0)
+            while instance.max_cdf(hi) < q:
+                hi *= 2.0
+        elif instance.max_cdf(hi) < q:
+            raise DegenerateThresholdError("max-CDF never reaches the target quantile")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if instance.max_cdf(mid) >= q:
             hi = mid

@@ -75,7 +75,11 @@ class _Moments:
         sums = [float(c.sum()) for c in cols]
         mean = np.array(sums) / size
         dev = [c - mu for c, mu in zip(cols, mean)]
-        comoment = np.array([[float((di * dj).sum()) for dj in dev] for di in dev])
+        # one product per unordered pair, mirrored: di * dj is dj * di bit for bit
+        comoment = np.empty((len(dev), len(dev)))
+        for i, di in enumerate(dev):
+            for j in range(i, len(dev)):
+                comoment[i, j] = comoment[j, i] = (di * dev[j]).sum()
         total = self.count + size
         delta = mean - self._mean
         self._comoment += comoment + np.outer(delta, delta) * (self.count * size / total)

@@ -18,14 +18,16 @@ import numpy as np
 #: sample matrix otherwise. Then a threshold engine draws the values with
 #: `ProductInstance.sample_rows`, each by inversion through its component's
 #: `isf`. For a single run, at a fixed or per-row threshold, those are
-#: reduced rows: one binomial count per row of the values at or above the
-#: threshold; then one uniform per value kept in arrival order, row by row
+#: reduced rows: first the count of each row's values at or above the
+#: threshold, one uniform per row at a fixed threshold, looked up in a table
+#: of the binomial CDF, and one `rng.binomial` draw per row at per-row
+#: thresholds; then one uniform per value kept in arrival order, row by row
 #: (every counted value of a row with more than k, the first of any other);
 #: then a (rows with 2 to k counted values, min(ell, n)) block of uniforms
 #: for the top of the rest; then a (rows with fewer than min(ell, n) counted
 #: values, min(ell, n)) block for the values below the threshold. At a fixed
 #: threshold with exactly one atom at or above it, the two draws for the
-#: counted values are skipped. For several runs at a fixed threshold they
+#: counted values are skipped; the counts are still drawn. For several runs at a fixed threshold they
 #: are reduced rows too: the standard exponentials behind each run's
 #: geometric gaps, run after run, for each run that reaches the threshold
 #: with a probability strictly between 0 and 1, then one uniform per value

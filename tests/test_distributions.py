@@ -20,6 +20,7 @@ from overbook.distributions import (
     virtual_value,
     virtual_value_array,
 )
+from overbook.distributions import _binomial_levels
 from overbook.experiments import _threshold_top
 from overbook.prophet import TWO_THIRDS
 
@@ -117,6 +118,54 @@ class TestValueDistribution:
         dist = ValueDistribution.finite(list(zip((0.0, 1.0, 2.0), probs)))
         assert dist.cdf(2.0) == 1.0 and max_quantile(ProductInstance.iid(dist, 1), 1.0) == 2.0
         assert dist.cdf(0.0) == pytest.approx(probs[0], rel=1e-15)
+
+    @pytest.mark.parametrize("atoms,error,message", [
+        ([], DistributionError, "finite-support needs at least one atom"),
+        (None, TypeError, "'NoneType' object is not iterable"),
+        ("ab", DistributionError, "each atom must be a [value, probability] pair"),
+        (True, TypeError, "'bool' object is not iterable"),
+        # a None value converts to NaN, as numpy converts it
+        ([[None, 1.0]], DistributionError, "atom values and probabilities must be finite"),
+        ([["x", 1.0]], ValueError, "could not convert string to float: 'x'"),
+        ([[math.nan, 1.0]], DistributionError, "atom values and probabilities must be finite"),
+        ([[math.inf, 1.0]], DistributionError, "atom values and probabilities must be finite"),
+        ([[0.0, math.nan]], DistributionError, "atom values and probabilities must be finite"),
+        ([[0.0, math.inf]], DistributionError, "atom values and probabilities must be finite"),
+        ([[-1.0, 0.5], [1.0, 0.5]], DistributionError, "atom values must be nonnegative"),
+        ([[1.0, 0.5], [1.0, 0.5]], DistributionError, "atom values must be strictly increasing"),
+        ([[0.0, 0.0], [1.0, 1.0]], DistributionError, "atom probabilities must lie in (0, 1]"),
+        ([[0.0, 1.5]], DistributionError, "atom probabilities must lie in (0, 1]"),
+        ([[0.0, -0.5], [1.0, 1.5]], DistributionError, "atom probabilities must lie in (0, 1]"),
+        ([[0.0, 0.5], [1.0, 0.5 - 2e-12]], DistributionError, "atom probabilities must sum to 1"),
+        ([[0.0, 0.5], [1.0, 0.5 + 2e-12]], DistributionError, "atom probabilities must sum to 1"),
+        # the checks run in this order: finite, sign, order, range, sum
+        ([[-1.0, math.nan]], DistributionError, "atom values and probabilities must be finite"),
+        ([[-1.0, 0.5], [-1.0, 0.5]], DistributionError, "atom values must be nonnegative"),
+        ([[1.0, 0.0], [1.0, 2.0]], DistributionError, "atom values must be strictly increasing"),
+        ([[0.0, 0.0], [1.0, 0.5]], DistributionError, "atom probabilities must lie in (0, 1]"),
+        # sorted as strings, "+1" comes before "-5": the sign check reads every value
+        ([["+1", 0.5], ["-5", 0.5]], DistributionError, "atom values must be nonnegative"),
+    ], ids=["empty", "none", "string", "true", "none-value", "string-value", "nan-value",
+            "inf-value", "nan-prob", "inf-prob", "negative-value", "repeated-value", "zero-prob",
+            "prob-above-one", "negative-prob", "sum-short-2e-12", "sum-over-2e-12",
+            "nan-before-sign", "sign-before-order", "order-before-range", "range-before-sum",
+            "negative-after-sort"])
+    def test_finite_support_refusals(self, atoms, error, message):
+        with pytest.raises(error) as info:
+            ValueDistribution("finite-support", atoms=atoms)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("atoms,want", [
+        ([[0.0, 0.5], [1.0, 0.5 - 5e-13]], [(0.0, 0.5), (1.0, 0.5 - 5e-13)]),
+        ([[0.0, 0.5], [1.0, 0.5 + 5e-13]], [(0.0, 0.5), (1.0, 0.5 + 5e-13)]),
+        # converted as numpy converts them: a bool and a numeric string are numbers
+        ([[True, 1.0]], [(1.0, 1.0)]),
+        ([["1.5", 1]], [(1.5, 1.0)]),
+        (((2, 0.75), (0, 0.25)), [(0.0, 0.25), (2.0, 0.75)]),
+    ], ids=["sum-short-5e-13", "sum-over-5e-13", "true-value", "numeric-string", "unsorted-ints"])
+    def test_finite_support_accepts(self, atoms, want):
+        dist = ValueDistribution("finite-support", atoms=atoms)
+        assert dist.atoms == want and all(type(x) is float for a in dist.atoms for x in a)
 
     @pytest.mark.parametrize("obj,named", [
         ({"kind": "finite-support", "params": {"atoms": [[1.0]]}}, "atom"),
@@ -416,6 +465,28 @@ def _binomial_tail(n, p, tau):
     return math.fsum(math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(tau, n + 1))
 
 
+def _binomial_pmf(n, p):
+    """The Binomial(n, p) pmf from math.comb, as floats; the log form keeps
+    C(n, c) from overflowing a float."""
+    if p in (0.0, 1.0):
+        pmf = np.zeros(n + 1)
+        pmf[0 if p == 0.0 else n] = 1.0
+        return pmf
+    return np.array([math.exp(math.log(math.comb(n, c)) + c * math.log(p)
+                              + (n - c) * math.log1p(-p)) for c in range(n + 1)])
+
+
+def _reference_counts(rng, n, p, trials):
+    """The counts that `sample_rows` draws from rng on a single run, and the
+    sizes of the `random` calls behind them: at a scalar p, one uniform per
+    row, and the count is how many levels of the binomial CDF are <= it; at
+    per-row p, `rng.binomial`, which no `random` call records."""
+    if np.ndim(p) == 0:
+        cdf = np.cumsum(_binomial_pmf(n, float(p)))
+        return np.searchsorted(cdf / cdf[-1], rng.random(trials), side="right"), [trials]
+    return rng.binomial(n, p, trials), []
+
+
 class _ConstantUniforms:
     """A Generator whose `random` returns one constant; every other draw is
     real."""
@@ -586,23 +657,25 @@ class TestSampleRows:
 
     @pytest.mark.parametrize("thr", [2.0, "per-row"])
     def test_stream_draws_only_what_rows_read(self, thr):
-        # the counts; one uniform per value in arrival order (every value of a
-        # row of more than k, the first of any other); a (rows, m) block for
-        # the top of the rest of the rows that cannot bind; a (rows, m) block
-        # below thr for the rows with fewer than m values >= thr, and none
-        # for any other row
+        # the counts (one uniform per row at a scalar thr, inverted through
+        # the binomial CDF; `rng.binomial` at per-row thresholds); one uniform
+        # per value in arrival order (every value of a row of more than k,
+        # the first of any other); a (rows, m) block for the top of the rest
+        # of the rows that cannot bind; a (rows, m) block below thr for the
+        # rows with fewer than m values >= thr, and none for any other row
         dist, n, m, k, trials = ValueDistribution.exponential(1.0), 40, 3, 6, 2_000
         inst = ProductInstance.iid(dist, n)
         if thr == "per-row":
             thr = inst.sample_rank(np.random.default_rng(3), trials, 6)
         rng = _RecordingRng(61)
         rows = inst.sample_rows(rng, trials, thr, m, k)
-        count = np.random.default_rng(61).binomial(n, dist.sf(thr), trials)
+        count, counts_drawn = _reference_counts(np.random.default_rng(61), n, dist.sf(thr), trials)
         top_only = count <= k
         assert np.any(~top_only) and np.any(top_only & (count > 1)) and np.any(count < m)
         arrival = np.where(top_only, np.minimum(count, 1), count)
-        assert rng.sizes == [int(arrival.sum()), (np.count_nonzero(top_only & (count > 1)), m),
-                             (np.count_nonzero(count < m), m)]
+        assert rng.sizes == counts_drawn + [int(arrival.sum()),
+                                            (np.count_nonzero(top_only & (count > 1)), m),
+                                            (np.count_nonzero(count < m), m)]
         above = np.count_nonzero(rows > np.broadcast_to(thr, trials)[:, None], axis=1)
         assert np.array_equal(above, np.where(top_only, np.minimum(count, m + 1), count))
 
@@ -610,14 +683,15 @@ class TestSampleRows:
                                           (ValueDistribution.degenerate(1.5), 1.0)],
                              ids=["at-top-atom", "below-top-atom", "point-mass"])
     def test_one_atom_at_or_above_thr_draws_no_uniform(self, dist, thr):
-        # every value >= thr is the top atom: the stream holds the counts and
+        # every value >= thr is the top atom, so no uniform is drawn for the
+        # values >= thr: the stream holds the counts, one uniform per row, and
         # the block below thr, for the rows with fewer than m values >= thr
         n, m, k, trials = 30, 2, 6, 2_000
         rng = _RecordingRng(62)
         rows = ProductInstance.iid(dist, n).sample_rows(rng, trials, thr, m, k)
-        count = np.random.default_rng(62).binomial(n, dist.sf(thr), trials)
+        count, _ = _reference_counts(np.random.default_rng(62), n, dist.sf(thr), trials)
         short = np.count_nonzero(count < m)
-        assert rng.sizes == ([(short, m)] if short else [])
+        assert rng.sizes == [trials] + ([(short, m)] if short else [])
         lead = rows[:, :-m]
         ge = lead >= thr
         assert np.all(lead[ge] == dist.support[1])
@@ -629,9 +703,10 @@ class TestSampleRows:
     def test_zero_uniforms_keep_values_finite(self):
         # a zero uniform puts the top of the rest at V = 0, where isf is the
         # supremum of the support, inf for an exponential; V is held at the
-        # smallest positive float instead
+        # smallest positive float instead. The thresholds are per row, so the
+        # counts come from `rng.binomial`, which the constant uniforms leave be
         inst = ProductInstance.iid(ValueDistribution.exponential(1.0), 40)
-        rows = inst.sample_rows(_ConstantUniforms(0.0, 63), 1_000, 2.0, 3, 40)
+        rows = inst.sample_rows(_ConstantUniforms(0.0, 63), 1_000, np.full(1_000, 2.0), 3, 40)
         assert np.all(np.isfinite(rows)) and np.any(rows > 700.0)
 
     @pytest.mark.parametrize("instance", [
@@ -996,6 +1071,212 @@ class TestMaxQuantile:
     def test_generalized_inverse_point_mass(self):
         inst = ProductInstance.iid(ValueDistribution.degenerate(5.0), 4)
         assert max_quantile_inf(inst, 1.0) == 5.0
+
+    @pytest.mark.parametrize("family", ["finite", "mixed", "atomless"])
+    def test_matches_float_bisection(self, family):
+        # seeded random instances; the atoms bracket and the atom itself give
+        # the reference's float, or its error, at every target
+        rng = np.random.default_rng({"finite": 71, "mixed": 72, "atomless": 73}[family])
+        for _ in range(60):
+            inst = _random_instance(rng, family)
+            for q in [1e-9, 1.0] + [(2.0 / 3.0) ** k for k in (0, 1, 2, 5, 11, 30)]:
+                try:
+                    want = _bisection_max_quantile(inst, q)
+                except DegenerateThresholdError as err:
+                    with pytest.raises(DegenerateThresholdError, match=str(err)):
+                        max_quantile(inst, q)
+                    continue
+                assert repr(max_quantile(inst, q)) == repr(want), (inst, q)
+
+    @pytest.mark.parametrize("instance,q,want", [
+        (ProductInstance.iid(ValueDistribution.degenerate(5.0), 4), 0.5, 5.0),
+        (ProductInstance([ValueDistribution.finite([(1.0, 0.9), (2.0, 0.1)]),
+                          ValueDistribution.finite([(1.0, 0.95), (3.0, 0.05)])]), 0.855, 1.0),
+    ], ids=["point-mass", "two-supports"])
+    def test_returns_the_bottom_of_the_support_where_it_reaches_q(self, instance, q, want):
+        # only an instance of finite supports can: an atomless CDF is 0 at the
+        # bottom of its support, which is at or above the instance's
+        assert max_quantile(instance, q) == want == _bisection_max_quantile(instance, q)
+
+    @pytest.mark.parametrize("instance,q,message", [
+        (ProductInstance([ValueDistribution.finite([(0.0, 0.5), (4.0, 0.5)]),
+                          ValueDistribution.exponential(1.0)]), 1.0, "unbounded support"),
+        # the top level of a finite support is exactly 1.0, but a product
+        # can stay below a target just under 1
+        (ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), 3), 1.0, None),
+    ], ids=["q-one-unbounded", "bounded-reaches-one"])
+    def test_q_one(self, instance, q, message):
+        if message is None:
+            assert max_quantile(instance, q) == _bisection_max_quantile(instance, q) == 1.0
+        else:
+            with pytest.raises(DegenerateThresholdError, match=message):
+                max_quantile(instance, q)
+
+    def test_bounded_max_cdf_below_q_is_refused(self, monkeypatch):
+        # every max-CDF of a valid instance reaches 1 at the top of a bounded
+        # support; a component whose levels stop short of it takes both paths
+        # to "never reaches": one through the atoms, one through a uniform
+        class Short(ValueDistribution):
+            __slots__ = ()
+
+            def cdf(self, x):
+                return 0.5 * super().cdf(x)
+
+        for comps in ([Short.finite([(0.0, 0.5), (1.0, 0.5)])],
+                      [Short.finite([(0.0, 0.5), (1.0, 0.5)]), ValueDistribution.uniform(0, 2)]):
+            inst = ProductInstance(comps)
+            for find in (max_quantile, _bisection_max_quantile):
+                with pytest.raises(DegenerateThresholdError, match="never reaches"):
+                    find(inst, 0.9)
+
+    def test_finite_instance_searches_atoms_not_floats(self, monkeypatch):
+        # 200 three-atom components: about log2(600) max_cdf calls, where the
+        # float bisection makes about 55
+        inst = _three_atom_components(200)
+        calls = []
+        real = ProductInstance.max_cdf
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(ProductInstance, "max_cdf", counted)
+        q = (2.0 / 3.0) ** 14
+        got = max_quantile(inst, q)
+        assert len(calls) <= 2 + math.ceil(math.log2(600))
+        calls.clear()
+        assert _bisection_max_quantile(inst, q) == got and len(calls) > 40
+
+
+def _bisection_max_quantile(instance, q):
+    """The float bisection that `max_quantile` replaced, kept as its
+    reference: bisect the predicate F(t) >= q between the bottom and the top
+    of the support until the ends are adjacent floats; return `hi`."""
+    heads = instance.distinct()
+    hi = max(c.support[1] for c in heads)
+    if q == 1.0 and math.isinf(hi):
+        raise DegenerateThresholdError("q = 1 with unbounded support has no finite threshold")
+    lo = min(c.support[0] for c in heads)
+    if instance.max_cdf(lo) >= q:
+        return lo
+    if math.isinf(hi):
+        hi = max(1.0, lo + 1.0)
+        while instance.max_cdf(hi) < q:
+            hi *= 2.0
+    elif instance.max_cdf(hi) < q:
+        raise DegenerateThresholdError("max-CDF never reaches the target quantile")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if instance.max_cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _random_instance(rng, family):
+    """One to four distinct components, each repeated one to five times:
+    finite supports of one to six atoms, or also uniforms and exponentials
+    ("mixed"), or only those ("atomless"), at scales from 1e-3 to 1e3."""
+    comps = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = {"finite": "atoms", "atomless": rng.choice(["unif", "exp"])}.get(
+            family, rng.choice(["atoms", "unif", "exp"]))
+        scale = 10.0 ** rng.integers(-3, 4)
+        if kind == "atoms":
+            size = int(rng.integers(1, 7))
+            values = np.sort(rng.choice(1000, size, replace=False)) * scale / 100.0
+            dist = ValueDistribution.finite(list(zip(values.tolist(),
+                                                     rng.dirichlet(np.ones(size)).tolist())))
+        elif kind == "unif":
+            lo = float(rng.uniform(0, 2)) * scale
+            dist = ValueDistribution.uniform(lo, lo + float(rng.uniform(0.1, 3)) * scale)
+        else:
+            dist = ValueDistribution.exponential(float(rng.uniform(0.2, 3)) / scale)
+        comps += [dist] * int(rng.integers(1, 6))
+    return ProductInstance(comps)
+
+
+class TestBinomialLevels:
+    """At a scalar threshold a single run draws its counts by inversion:
+    one uniform per row, looked up in the Binomial(n, p) CDF table of
+    `_binomial_levels`."""
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (100, 0.25), (400, 0.9), (2000, 1e-4)])
+    def test_counts_follow_the_exact_pmf(self, n, p):
+        # chi-square against the pmf from math.comb, the tails pooled so that
+        # every cell expects at least 5; (400, 0.9) is where rng.binomial
+        # switches to BTPE, n p > 30
+        draws = 200_000
+        low, levels = _binomial_levels(n, p)
+        counts = low + levels.searchsorted(np.random.default_rng(81).random(draws), side="right")
+        assert counts.min() >= 0 and counts.max() <= n
+        expected = _binomial_pmf(n, p) * draws
+        seen = np.bincount(counts, minlength=n + 1).astype(float)
+        cells = np.flatnonzero(expected >= 5.0)
+        lo, hi = cells[0], cells[-1]
+        expected = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi],
+                                   [expected[hi:].sum()]]) if hi > lo else expected
+        seen = np.concatenate([[seen[:lo + 1].sum()], seen[lo + 1:hi],
+                               [seen[hi:].sum()]]) if hi > lo else seen
+        stat = float(((seen - expected) ** 2 / expected).sum())
+        df = len(expected) - 1
+        # Wilson-Hilferty: (stat / df)^(1/3) is about normal
+        z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert z < 4.0
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (100, 0.25), (400, 0.9), (2000, 1e-4),
+                                     (2000, 0.0), (2000, 1.0), (2000, 1e-12),
+                                     (2000, 1 - 1e-12), (10**6, 0.5), (10**6, 1e-3)])
+    def test_levels_lie_between_zero_and_one(self, n, p):
+        # every level but the top one lies strictly between 0 and 1, the top
+        # one is exactly 1.0, and each is the CDF's at its count
+        low, levels = _binomial_levels(n, p)
+        assert 0 <= low and low + len(levels) - 1 <= n
+        assert np.all(np.isfinite(levels)) and levels[-1] == 1.0
+        assert np.all((levels[:-1] > 0.0) & (levels[:-1] < 1.0))
+        assert np.all(np.diff(levels) >= 0.0)
+        if n <= 2000:
+            cdf = np.cumsum(_binomial_pmf(n, p))
+            np.testing.assert_allclose(levels, cdf[low:low + len(levels)] / cdf[-1], rtol=1e-12,
+                                       atol=1e-14)
+            # the counts left out are at level 0 below and 1 above, to the
+            # nearest float
+            assert low == 0 or cdf[low - 1] < 1e-300
+            assert cdf[low + len(levels) - 1] == pytest.approx(cdf[-1], abs=1e-14)
+
+    @pytest.mark.parametrize("p,want", [(0.0, (0, [1.0])), (1.0, (2000, [1.0])),
+                                        (1e-12, (0, [math.exp(2000 * math.log1p(-1e-12)),
+                                                     1.0]))])
+    def test_edge_probabilities(self, p, want):
+        # at p = 0 and p = 1 the log pmf would read 0 * log(0), a NaN
+        low, levels = _binomial_levels(2000, p)
+        assert low == want[0]
+        np.testing.assert_allclose(levels, want[1], rtol=1e-15)
+        counts = low + levels.searchsorted(np.random.default_rng(82).random(10_000),
+                                           side="right")
+        assert set(np.unique(counts)) <= set(range(low, low + len(levels)))
+
+    @pytest.mark.parametrize("p", [0.5, 1e-3, 0.999])
+    def test_table_size_grows_with_sd_not_n(self, p):
+        # n = 10^6: the table spans at most about 47 sd, not n + 1 counts; the
+        # levels reach 0 at most about 38 sd below the mean, and 1.0 once a
+        # count's pmf is below half an ulp of 1, about 7.5 sd above it
+        n = 10**6
+        low, levels = _binomial_levels(n, p)
+        sd, mean = math.sqrt(n * p * (1 - p)), n * p
+        assert len(levels) <= 48.0 * sd + 530
+        assert low <= mean - 7 * sd and low + len(levels) - 1 >= mean + 7 * sd
+
+    @pytest.mark.parametrize("thr,p", [(math.inf, 0.0), (-1.0, 1.0)], ids=["p-zero", "p-one"])
+    def test_sample_rows_at_edge_probabilities(self, thr, p):
+        # a threshold above every value and one below every value
+        dist, n, m, k, trials = ValueDistribution.exponential(1.0), 30, 2, 5, 500
+        assert dist.sf(thr) == p
+        rng = _RecordingRng(83)
+        rows = ProductInstance.iid(dist, n).sample_rows(rng, trials, thr, m, k)
+        assert rng.sizes[0] == trials and np.all(np.isfinite(rows))
+        above = np.count_nonzero(rows[:, :-m] >= thr, axis=1)
+        assert np.all(above == (0 if p == 0.0 else n))
 
 
 class TestMyerson:

@@ -467,6 +467,46 @@ def test_moments_stable_at_large_scale():
     assert mean_se == pytest.approx(b.std(ddof=1) / math.sqrt(len(b)), rel=1e-9)
 
 
+class _FullProductMoments(_Moments):
+    """`_Moments` with every co-moment its own product, w^2 of them per
+    batch: the reference that the mirrored upper triangle must match."""
+
+    def add(self, *cols):
+        if not self.count:
+            self._exp = [math.frexp(float(np.abs(c).max()))[1] for c in cols]
+        cols = [np.ldexp(np.asarray(c, dtype=float), -e) for c, e in zip(cols, self._exp)]
+        size = len(cols[0])
+        sums = [float(c.sum()) for c in cols]
+        mean = np.array(sums) / size
+        dev = [c - mu for c, mu in zip(cols, mean)]
+        comoment = np.array([[float((di * dj).sum()) for dj in dev] for di in dev])
+        total = self.count + size
+        delta = mean - self._mean
+        self._comoment += comoment + np.outer(delta, delta) * (self.count * size / total)
+        self._mean += delta * (size / total)
+        self._sums = [s + b for s, b in zip(self._sums, sums)]
+        self.count = total
+
+
+@pytest.mark.parametrize("scale", [-600, 0, 600])
+@pytest.mark.parametrize("width", [1, 2, 4, 5])
+def test_moments_mirrored_comoments_match_every_product(scale, width):
+    # IEEE multiplication commutes, so each mirrored entry is the product the
+    # full w x w loop computes, bit for bit, at any scale of values
+    rng = np.random.default_rng(11 + width)
+    cols = [np.ldexp(rng.standard_normal(1_003) * rng.uniform(0.5, 4.0), scale + s)
+            for s in rng.integers(-3, 4, size=width)]
+    if width > 1:
+        cols[-1] = (cols[-1] > 0).astype(float)  # a 0/1 column, as the engines add
+    got = _batched(_Moments(width), cols, 97)
+    want = _batched(_FullProductMoments(width), cols, 97)
+    assert np.array_equal(got._comoment, want._comoment)
+    assert np.array_equal(got._mean, want._mean) and got._sums == want._sums
+    assert np.array_equal(got._comoment, got._comoment.T)
+    assert [got.mean_stderr(i) for i in range(width)] == [
+        want.mean_stderr(i) for i in range(width)]
+
+
 def test_moments_merge_matches_one_batch():
     rng = np.random.default_rng(9)
     cols = (rng.exponential(size=1_001), rng.random(1_001), rng.normal(size=1_001))
