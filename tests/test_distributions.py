@@ -1098,21 +1098,13 @@ class TestMaxQuantile:
         # bottom of its support, which is at or above the instance's
         assert max_quantile(instance, q) == want == _bisection_max_quantile(instance, q)
 
-    @pytest.mark.parametrize("instance,q,message", [
-        (ProductInstance([ValueDistribution.finite([(0.0, 0.5), (4.0, 0.5)]),
-                          ValueDistribution.exponential(1.0)]), 1.0, "unbounded support"),
-        # the top level of a finite support is exactly 1.0, but a product
-        # can stay below a target just under 1
-        (ProductInstance.iid(ValueDistribution.uniform(0.0, 1.0), 3), 1.0, None),
-    ], ids=["q-one-unbounded", "bounded-reaches-one"])
-    def test_q_one(self, instance, q, message):
-        if message is None:
-            assert max_quantile(instance, q) == _bisection_max_quantile(instance, q) == 1.0
-        else:
-            with pytest.raises(DegenerateThresholdError, match=message):
-                max_quantile(instance, q)
+    def test_q_one_with_unbounded_support_is_refused_before_the_atoms(self):
+        inst = ProductInstance([ValueDistribution.finite([(0.0, 0.5), (4.0, 0.5)]),
+                                ValueDistribution.exponential(1.0)])
+        with pytest.raises(DegenerateThresholdError, match="unbounded support"):
+            max_quantile(inst, 1.0)
 
-    def test_bounded_max_cdf_below_q_is_refused(self, monkeypatch):
+    def test_bounded_max_cdf_below_q_is_refused(self):
         # every max-CDF of a valid instance reaches 1 at the top of a bounded
         # support; a component whose levels stop short of it takes both paths
         # to "never reaches": one through the atoms, one through a uniform
