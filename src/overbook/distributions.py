@@ -4,13 +4,14 @@ Conventions: CDFs are right-continuous, F(x) = Pr[X <= x], and
 `max_quantile` is the generalized inverse inf{x : F(x) >= q} of the max's
 CDF; survival functions are left-continuous, sf(x) = Pr[X >= x], with `isf`
 the generalized inverse max{x : sf(x) >= v}. All randomness flows through
-caller-supplied numpy Generator objects; distributions are immutable after
-construction and safe to share across threads.
+caller-supplied numpy Generator objects; distributions and product instances
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
 from typing import Optional, Sequence
@@ -46,9 +47,10 @@ class ValueDistribution:
 
     Supported kinds: finite list of atoms, uniform on an interval,
     exponential with a rate, and a single point mass, which is the one-atom
-    finite support. Atom values must be nonnegative and strictly increasing
-    with probabilities summing to one. Every parameter must be finite: NaN
-    and inf are refused, and so are missing or unknown parameters.
+    finite support. Atom values and probabilities must be real numbers, not
+    strings, bools or None; the values, once sorted, nonnegative and strictly
+    increasing, with probabilities summing to one. Every parameter must be
+    finite: NaN and inf are refused, and so are missing or unknown parameters.
     """
 
     __slots__ = ("kind", "_values", "_probs", "_tail", "_steps", "_lo", "_hi", "_rate")
@@ -82,10 +84,14 @@ class ValueDistribution:
                 raise DistributionError("point mass must be nonnegative and finite")
             atoms = [(point, 1.0)]
         else:
-            atoms = sorted(params["atoms"])
+            atoms = list(params["atoms"])
             if not all(len(a) == 2 for a in atoms):
                 raise DistributionError("each atom must be a [value, probability] pair")
-        # converted as numpy converts (None is NaN, a numeric string a number), then
+            # checked before the sort, which would order strings as strings
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                       for a in atoms for x in a):
+                raise DistributionError("atom values and probabilities must be real numbers")
+            atoms = sorted(atoms)
         # checked and summed as Python floats
         self._values = np.asarray([a[0] for a in atoms], dtype=float)
         self._probs = np.asarray([a[1] for a in atoms], dtype=float)
@@ -338,7 +344,7 @@ def _low_uniforms(rng: np.random.Generator, size: np.ndarray,
 class ProductInstance:
     """Ordered collection of n independent ValueDistributions."""
 
-    __slots__ = ("components", "_runs", "_stack", "_sf_at")
+    __slots__ = ("components", "_runs", "_stack")
 
     def __init__(self, components: Sequence[ValueDistribution]):
         if len(components) == 0:
@@ -348,8 +354,27 @@ class ProductInstance:
         starts = [i for i, c in enumerate(self.components)
                   if i == 0 or c is not self.components[i - 1]]
         self._runs = tuple(zip(starts, starts[1:] + [len(self.components)]))
-        self._stack = None
-        self._sf_at = None
+        # the run of each column, and the `isf` parameters of the distinct
+        # components, one entry per run: the index of its family in `names`
+        # (uniform, exponential, or the step table of a finite support or a
+        # point mass), lo, hi and rate, and for a table its atoms (a row of
+        # `values`) and interior survival levels (a column of `levels`, padded
+        # with -inf, which no v reaches)
+        heads = self.distinct()
+        family = [c.kind if c.atomless else FINITE for c in heads]
+        names = sorted(set(family))
+        width = max(1 if c.atomless else len(c._values) for c in heads)
+        values = np.zeros((len(heads), width))
+        levels = np.full((width - 1, len(heads)), -np.inf)
+        for h, c in enumerate(heads):
+            if not c.atomless:
+                values[h, :len(c._values)] = c._values
+                levels[:len(c._values) - 1, h] = c._tail[1:-1]
+        self._stack = (
+            np.repeat(np.arange(len(heads)), [hi - lo for lo, hi in self._runs]),
+            names, np.array([names.index(f) for f in family]),
+            *np.array([[c._lo, c._hi, c._rate or np.nan] for c in heads]).T,
+            values, levels)
 
     @classmethod
     def iid(cls, dist: ValueDistribution, n: int) -> "ProductInstance":
@@ -520,11 +545,10 @@ class ProductInstance:
 
         The cells >= thr of each run form a Bernoulli(p) process over its
         (rows, run length) cells, in row-major order, p = sf(thr) of the
-        run's component (kept for the last thr), drawn from geometric gaps
-        (`_bernoulli_cells`), run after run; a run with p = 0 draws nothing.
-        One sort on the key row * n + position puts them in arrival order.
-        Then one uniform u per cell, in that order, draws its value
-        isf(p (1 - u)).
+        run's component, drawn from geometric gaps (`_bernoulli_cells`), run
+        after run; a run with p = 0 or p = 1 draws no gaps. One sort on the
+        key row * n + position puts them in arrival order. Then one uniform
+        u per cell, in that order, draws its value isf(p (1 - u)).
 
         The values below thr. Only the rows with C_r < min(m, n) read them.
         Those rows draw one (rows, n) block of uniforms, each cell
@@ -533,11 +557,7 @@ class ProductInstance:
         row's block is 0.0: its top m are all >= thr.
         """
         n, depth = self.n, min(m, self.n)
-        # one read of the memo: another thread may swap in another thr's entry
-        memo = self._sf_at
-        if memo is None or memo[0] != thr:
-            memo = self._sf_at = (thr, np.array([float(c.sf(thr)) for c in self.distinct()]))
-        p = memo[1]
+        p = np.array([float(c.sf(thr)) for c in self.distinct()])
         keys = []
         for h, (lo, hi) in enumerate(self._runs):
             if p[h] > 0.0:
@@ -549,7 +569,7 @@ class ProductInstance:
         row, col = np.divmod(keys, n)
         count = np.bincount(row, minlength=trials)
         # the run of each column, and of each value >= thr
-        head = self._stacked()[0]
+        head = self._stack[0]
         value_head = head[col]
         width = int(count.max())
         rows = np.zeros((trials, width + depth))
@@ -574,37 +594,12 @@ class ProductInstance:
             rows[short, width:] = -np.sort(-below[:, n - depth:], axis=1)
         return rows
 
-    def _stacked(self) -> tuple:
-        """The run of each column, and the `isf` parameters of the distinct
-        components, one entry per run: the index of its family in `names`
-        (uniform, exponential, or the step table of a finite support or a
-        point mass), lo, hi and rate, and for a table its atoms (a row of
-        `values`) and interior survival levels (a column of `levels`, padded
-        with -inf, which no v reaches). Built on first use and kept."""
-        if self._stack is None:
-            heads = self.distinct()
-            family = [c.kind if c.atomless else FINITE for c in heads]
-            names = sorted(set(family))
-            width = max(1 if c.atomless else len(c._values) for c in heads)
-            values = np.zeros((len(heads), width))
-            levels = np.full((width - 1, len(heads)), -np.inf)
-            for h, c in enumerate(heads):
-                if not c.atomless:
-                    values[h, :len(c._values)] = c._values
-                    levels[:len(c._values) - 1, h] = c._tail[1:-1]
-            self._stack = (
-                np.repeat(np.arange(len(heads)), [hi - lo for lo, hi in self._runs]),
-                names, np.array([names.index(f) for f in family]),
-                *np.array([[c._lo, c._hi, c._rate or np.nan] for c in heads]).T,
-                values, levels)
-        return self._stack
-
     def _isf(self, v: np.ndarray, head: np.ndarray) -> np.ndarray:
         """Each entry's component `isf`, bit for bit, where `head` holds the
         run of each entry along v's last axis. An atom is found by counting
         the survival levels >= v, which costs the same however the entries
         mix the steps (the masked copies of `isf` do not), and gathered once."""
-        _, names, code, lo, hi, rate, values, levels = self._stacked()
+        _, names, code, lo, hi, rate, values, levels = self._stack
 
         def kind_isf(kind: str, x: np.ndarray, j: np.ndarray) -> np.ndarray:
             if kind == UNIFORM:

@@ -305,15 +305,6 @@ def alg_max_atoms_trials(
 # ---- secretary: interval selector under random arrival ----
 
 
-def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
-    """`ufunc.accumulate(a, axis=0)` in place, one row at a time: on a few
-    long rows this beats the ufunc's own accumulate, which loops over the
-    columns."""
-    for i in range(1, len(a)):
-        ufunc(a[i - 1], a[i], out=a[i])
-    return a
-
-
 #: Cells (slots x rows) of the decision block that the secretary engine holds
 #: per row chunk. It bounds the kernel's working memory; it does not change
 #: any result.
@@ -431,7 +422,7 @@ def _secretary_decide(pos: np.ndarray, rank: np.ndarray, before: np.ndarray,
         x_over = np.where(a_u[:, over], pos[:, over], n)
         a_u[:, over] &= x_over <= np.partition(x_over, k - 1, axis=0)[k - 1]
     # the top ell kept values: those of the first ell kept ranks
-    top = a_u & (_accumulate(np.add, a_u.astype(np.int32)) <= ell)
+    top = a_u & (np.cumsum(a_u, axis=0, dtype=np.int32) <= ell)
     return np.where(top, vals, 0.0).sum(axis=0), over, missed
 
 
@@ -528,6 +519,10 @@ def mechanism_revenue_trials(
     (revenue minus winner virtual surplus), `binding_frac`, and
     `trace_mismatches`, the leading rows of every batch whose ell + 1 ticket
     values under the scalar rule (`_replay`) are not the kernel's.
+
+    Stream: each batch draws its thresholds with `ProductInstance.sample_rank`,
+    then its i.i.d. values with one C-order `prior.sample_n(rng, (rows, n))`
+    call.
     """
     phat = monopoly_price(prior)
     instance = ProductInstance.iid(prior, n)

@@ -24,6 +24,8 @@ from overbook.distributions import _binomial_levels
 from overbook.experiments import _threshold_top
 from overbook.prophet import TWO_THIRDS
 
+REAL = "atom values and probabilities must be real numbers"
+
 
 @pytest.fixture
 def rng():
@@ -124,9 +126,9 @@ class TestValueDistribution:
         (None, TypeError, "'NoneType' object is not iterable"),
         ("ab", DistributionError, "each atom must be a [value, probability] pair"),
         (True, TypeError, "'bool' object is not iterable"),
-        # a None value converts to NaN, as numpy converts it
-        ([[None, 1.0]], DistributionError, "atom values and probabilities must be finite"),
-        ([["x", 1.0]], ValueError, "could not convert string to float: 'x'"),
+        # None, a string and a bool are not real numbers, whatever numpy makes of them
+        ([[None, 1.0]], DistributionError, REAL),
+        ([["x", 1.0]], DistributionError, REAL),
         ([[math.nan, 1.0]], DistributionError, "atom values and probabilities must be finite"),
         ([[math.inf, 1.0]], DistributionError, "atom values and probabilities must be finite"),
         ([[0.0, math.nan]], DistributionError, "atom values and probabilities must be finite"),
@@ -143,13 +145,16 @@ class TestValueDistribution:
         ([[-1.0, 0.5], [-1.0, 0.5]], DistributionError, "atom values must be nonnegative"),
         ([[1.0, 0.0], [1.0, 2.0]], DistributionError, "atom values must be strictly increasing"),
         ([[0.0, 0.0], [1.0, 0.5]], DistributionError, "atom probabilities must lie in (0, 1]"),
-        # sorted as strings, "+1" comes before "-5": the sign check reads every value
-        ([["+1", 0.5], ["-5", 0.5]], DistributionError, "atom values must be nonnegative"),
+        # refused before the sort, which would put "+1" before "-5" as strings
+        ([["+1", 0.5], ["-5", 0.5]], DistributionError, REAL),
+        ([[True, 1.0]], DistributionError, REAL),
+        ([["1.5", 1]], DistributionError, REAL),
+        ([[0.0, "1"]], DistributionError, REAL),
     ], ids=["empty", "none", "string", "true", "none-value", "string-value", "nan-value",
             "inf-value", "nan-prob", "inf-prob", "negative-value", "repeated-value", "zero-prob",
             "prob-above-one", "negative-prob", "sum-short-2e-12", "sum-over-2e-12",
             "nan-before-sign", "sign-before-order", "order-before-range", "range-before-sum",
-            "negative-after-sort"])
+            "negative-after-sort", "true-value", "numeric-string", "string-prob"])
     def test_finite_support_refusals(self, atoms, error, message):
         with pytest.raises(error) as info:
             ValueDistribution("finite-support", atoms=atoms)
@@ -158,11 +163,9 @@ class TestValueDistribution:
     @pytest.mark.parametrize("atoms,want", [
         ([[0.0, 0.5], [1.0, 0.5 - 5e-13]], [(0.0, 0.5), (1.0, 0.5 - 5e-13)]),
         ([[0.0, 0.5], [1.0, 0.5 + 5e-13]], [(0.0, 0.5), (1.0, 0.5 + 5e-13)]),
-        # converted as numpy converts them: a bool and a numeric string are numbers
-        ([[True, 1.0]], [(1.0, 1.0)]),
-        ([["1.5", 1]], [(1.5, 1.0)]),
         (((2, 0.75), (0, 0.25)), [(0.0, 0.25), (2.0, 0.75)]),
-    ], ids=["sum-short-5e-13", "sum-over-5e-13", "true-value", "numeric-string", "unsorted-ints"])
+        ([[np.int64(3), np.float32(0.5)], [1, 0.5]], [(1.0, 0.5), (3.0, 0.5)]),
+    ], ids=["sum-short-5e-13", "sum-over-5e-13", "unsorted-ints", "numpy-scalars"])
     def test_finite_support_accepts(self, atoms, want):
         dist = ValueDistribution("finite-support", atoms=atoms)
         assert dist.atoms == want and all(type(x) is float for a in dist.atoms for x in a)
@@ -311,14 +314,15 @@ class TestMaxCdf:
             assert repr(instance.max_cdf(x)) == repr(reference(x))
 
     def test_max_cdf_calls_cdf_once_per_run(self):
-        class CountingComponent:
+        class CountingComponent(ValueDistribution):
+            __slots__ = ()
             calls = 0
 
             def cdf(self, x):
                 CountingComponent.calls += 1
                 return 0.9999
 
-        inst = ProductInstance.iid(CountingComponent(), 10_000)
+        inst = ProductInstance.iid(CountingComponent.uniform(0.0, 1.0), 10_000)
         assert inst.max_cdf(1.0) == math.prod([0.9999] * 10_000)
         assert CountingComponent.calls == 1
 
@@ -887,46 +891,21 @@ class TestSparseRows:
         assert np.all(np.diff(block, axis=1) <= 0) and np.all(block < 2.0)
         assert np.all(np.count_nonzero(block == 1.0, axis=1) == 1)
 
-    def test_survival_levels_are_kept_for_the_threshold(self, monkeypatch):
-        # sf(thr) of each distinct component is computed once for a thr:
-        # later batches at that thr call no sf, a new thr computes it again,
-        # and the rows are those of a fresh instance
+    def test_rows_do_not_depend_on_earlier_calls(self, monkeypatch):
+        # sf(thr) of each distinct component is computed on every call, and
+        # the rows are those of a fresh instance, whatever thr came before
         calls, real_sf = [], ValueDistribution.sf
         monkeypatch.setattr(ValueDistribution, "sf",
                             lambda self, x: calls.append(x) or real_sf(self, x))
         inst = _three_atom_components(25)
         distinct = len(inst.distinct())
-        for thr, new in [(8.5, True), (8.5, False), (3.0, True), (3.0, False), (8.5, True)]:
+        for thr in [8.5, 8.5, 3.0, 3.0, 8.5]:
             done = len(calls)
             rows = inst.sample_rows(np.random.default_rng(54), 200, thr, 3, 4)
-            assert len(calls) - done == (distinct if new else 0)
+            assert len(calls) - done == distinct
             fresh = _three_atom_components(25)
             assert np.array_equal(rows, fresh.sample_rows(np.random.default_rng(54), 200,
                                                           thr, 3, 4))
-
-    def test_survival_levels_are_read_once_per_call(self):
-        # an instance is shared across threads, so another thread may swap in
-        # its own thr's entry between two reads of the memo: a call that reads
-        # it twice can check one thr's entry and then use another's
-        class Shared(ProductInstance):
-            @property
-            def _sf_at(self):
-                memo, self.reads = self.memo, self.reads + 1
-                if self.reads == 2:  # the other thread writes here
-                    self.memo = self.other
-                return memo
-
-            @_sf_at.setter
-            def _sf_at(self, memo):
-                self.memo = memo
-
-        fresh = _three_atom_components(25)
-        rows = fresh.sample_rows(np.random.default_rng(55), 200, 8.5, 3, 4)
-        inst = Shared(fresh.components)
-        inst.reads, inst.memo = 0, fresh._sf_at
-        fresh.sample_rows(np.random.default_rng(55), 200, 3.0, 3, 4)
-        inst.other = fresh._sf_at
-        assert np.array_equal(inst.sample_rows(np.random.default_rng(55), 200, 8.5, 3, 4), rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -975,7 +954,7 @@ def test_stacked_isf_matches_each_component(dist, seed):
     # table returns each entry's own component `isf`, bit for bit
     inst = ProductInstance([dist] * 2 + list(_mixed_instance().components) + [dist]
                            + [ValueDistribution.finite([(1.0, 0.5), (7.0, 0.5)])])
-    heads, head = inst.distinct(), inst._stacked()[0]
+    heads, head = inst.distinct(), inst._stack[0]
     rng = np.random.default_rng(seed)
     v = 1.0 - rng.random((50, inst.n))
     want = np.column_stack([heads[h].isf(v[:, i]) for i, h in enumerate(head)])
@@ -987,6 +966,23 @@ def test_stacked_isf_matches_each_component(dist, seed):
     entries[:len(levels)], u[:len(levels)] = 0, levels
     want = [float(heads[h].isf(x)) for h, x in zip(entries.tolist(), u.tolist())]
     assert np.array_equal(inst._isf(u, entries), want)
+
+
+@pytest.mark.parametrize("inst", [
+    ProductInstance.iid(ValueDistribution.finite([(1.0, 0.5), (4.0, 0.5)]), 30),
+    _mixed_instance(),
+], ids=["single-run", "several-runs"])
+def test_instance_keeps_no_state_after_construction(inst):
+    # an instance is shared across threads, so no call may write to it
+    before = {name: getattr(inst, name) for name in ProductInstance.__slots__}
+    rng = np.random.default_rng(56)
+    for thr in (1.0, 1.7):
+        inst.sample_rows(rng, 300, thr, 3, 2)
+    inst.sample_rows(rng, 300, rng.uniform(0.0, 2.0, 300), 3, 2)
+    inst.sample_rank(rng, 300, 2)
+    max_quantile(inst, 0.5)
+    inst.max_cdf(1.5)
+    assert all(getattr(inst, name) is value for name, value in before.items())
 
 
 class TestMaxQuantile:

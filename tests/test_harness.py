@@ -529,6 +529,19 @@ def test_refuses_a_benchmark_of_zero_in_every_trial(kind, dist):
     assert outcomes == {"ran", "refused"}
 
 
+@pytest.mark.parametrize("atoms", [
+    '[["0", 0.5], ["2", 0.5]]', '[[false, 0.5], [true, 0.5]]', '[["10", 0.5], ["9", 0.5]]',
+], ids=["numeric-strings", "bools", "strings-out-of-order"])
+def test_refuses_atoms_that_are_not_real_numbers(atoms):
+    # the first two used to run as the numbers 0, 2 and 0, 1; the third was
+    # sorted as strings and refused as not increasing
+    spec = ExperimentSpec.from_json(json.loads(
+        '{"kind": "prophet-max", "n": 4, "ell": 1, "k": 2, "trials": 100, "master_seed": 1,'
+        ' "distribution": {"iid": {"kind": "finite-support", "params": {"atoms": %s}}}}' % atoms))
+    with pytest.raises(InvalidSpecError, match="^distribution: .*must be real numbers"):
+        run_experiments([spec])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_every_spec_is_validated_before_the_first_runs(jobs, monkeypatch):
     # the first spec used to run in full before the second was refused, and
