@@ -30,6 +30,11 @@ _PARAMS = {FINITE: ("atoms",), UNIFORM: ("lo", "hi"), EXPONENTIAL: ("rate",),
            DEGENERATE: ("value",)}
 
 
+def _is_real(x) -> bool:
+    """A real number, and not a bool, which numbers.Real counts as one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 class DistributionError(ValueError):
     """Base class for distribution-layer errors."""
 
@@ -47,9 +52,10 @@ class ValueDistribution:
 
     Supported kinds: finite list of atoms, uniform on an interval,
     exponential with a rate, and a single point mass, which is the one-atom
-    finite support. Atom values and probabilities must be real numbers, not
-    strings, bools or None; the values, once sorted, nonnegative and strictly
-    increasing, with probabilities summing to one. Every parameter must be
+    finite support. The scalar parameters and the atom values and
+    probabilities must be real numbers, not strings, bools or None; the atom
+    values, once sorted, nonnegative and strictly increasing, with
+    probabilities summing to one. Every parameter must be
     finite: NaN and inf are refused, and so are missing or unknown parameters.
     """
 
@@ -61,6 +67,11 @@ class ValueDistribution:
         if sorted(params) != sorted(_PARAMS[kind]):
             raise DistributionError(
                 f"{kind} takes the parameters {list(_PARAMS[kind])}, got {sorted(params)}")
+        if kind != FINITE:
+            for name, x in params.items():
+                if not _is_real(x):
+                    raise DistributionError(f"{kind} parameter {name!r} must be a real number, "
+                                            f"got {x!r}")
         self.kind = kind
         self._values = self._probs = self._tail = self._steps = self._rate = None
         if kind == UNIFORM:
@@ -88,8 +99,7 @@ class ValueDistribution:
             if not all(len(a) == 2 for a in atoms):
                 raise DistributionError("each atom must be a [value, probability] pair")
             # checked before the sort, which would order strings as strings
-            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                       for a in atoms for x in a):
+            if not all(_is_real(x) for a in atoms for x in a):
                 raise DistributionError("atom values and probabilities must be real numbers")
             atoms = sorted(atoms)
         # checked and summed as Python floats

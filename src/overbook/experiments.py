@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -311,8 +311,58 @@ def alg_max_atoms_trials(
 _DECISION_CHUNK_CELLS = 1 << 16
 
 
-def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
-                    ell: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _index_dtype(n: int) -> type:
+    """The walk's integer type: it holds n + 1 values, the positions, the
+    ranks, the counts and the padding n."""
+    return np.int16 if n < 2**15 else np.int32
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """L[i] = log(i!) for i = 0..n, each entry rounded once: a running sum
+    of logs would carry an error that grows with i."""
+    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
+
+
+def _skip(rng: np.random.Generator, big_n: np.ndarray, f: np.ndarray,
+          log_fact: np.ndarray) -> np.ndarray:
+    """Per row, the number X of ranks that miss the F = `f` candidate
+    positions among the N = `big_n` free ones before one lands on them. X
+    has the sequential-sampling skip law P(X >= x) = S(x) = C(N - x, F) /
+    C(N, F) (Vitter, "An efficient algorithm for sequential random
+    sampling", ACM TOMS 1987), and is drawn by inversion from one uniform
+    W = 1 - U per row, U = rng.random(): X = max{x <= N - F : log S(x) >=
+    log W}, with log S(x) = L[N - x] - L[N - F - x] - (L[N] - L[N - F]) read
+    from the table L of `_log_factorials`.
+
+    S(x) is a product of the F factors 1 - x/(N - i), i < F, and log(1 -
+    x/t) is concave in t, so by Jensen S(x) <= (1 - x/M)^F for M = N - (F -
+    1)/2. So X <= M (1 - W^(1/F)), and the search starts from the floor of
+    that, raised by a relative 2^-40 against its rounding, and steps down
+    over the rows whose guess fails. It stops at x = 0 at the latest, where
+    log S(0) is exactly 0 >= log W. The law is exact up to the rounding of
+    log S(x), a sum of table entries the size of L[n]: with d a few ulps of
+    L[n], a draw can differ from the exact inverse only when log W lies
+    within d of some log S(x), x >= 1, which has probability at most
+    2d E[X] <= d N. That total-variation bound is about 1e-8 at n = 2000.
+    """
+    log_w = np.log1p(-rng.random(len(big_n)))
+    top = big_n - f
+    base = log_fact[big_n] - log_fact[top]
+    guess = (big_n - (f - 1) / 2) * -np.expm1(log_w / f) * (1 + 2.0**-40)
+    x = np.minimum(np.floor(guess), top).astype(np.int64)
+
+    def fails(at, r=slice(None)):  # log S(at) < log W, on rows r
+        return log_fact[big_n[r] - at] - log_fact[top[r] - at] - base[r] < log_w[r]
+
+    down = np.flatnonzero(fails(x))
+    while len(down):
+        x[down] -= 1
+        down = down[fails(x[down], down)]
+    return x
+
+
+def _candidate_walk(rng: np.random.Generator, rows: int, n: int, ell: int,
+                    log_fact: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The candidates of `rows` uniformly random arrival orders of n ranks
     (0 = largest value), one step of the walk at a time: step i is a
     (3, rows) integer array (int16 below n = 2^15, else int32) whose column
@@ -327,25 +377,24 @@ def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
     and a rank is a candidate iff it lands on one of them. Until ell ranks
     are placed, the missing entries of D are the free count n - g, so every
     rank is a candidate. A rank lands on a uniform free position out of
-    N = n - g, so the number of non-candidates before the next candidate is
-    negative hypergeometric: with uniform keys on the N free positions, it
-    is the number of the N - F others whose key is below the smallest of
-    the F, Binomial(N - F, V) for V = 1 - U^(1/F) ~ Beta(1, F) (Devroye,
-    Non-Uniform Random Variate Generation, 1986). The non-candidates land
-    above max(E) and leave D alone. The candidate lands on the idx-th free
-    position below max(E), idx uniform on [0, F): the c = #{D <= idx}
-    entries of E below it are exactly the better ranks that arrive before
-    it, so it lands at idx + c. It enters D at c with the count idx, each
-    later entry shifts up with one free position fewer below it, and the
-    last drops out. A row ends when F = 0.
+    N = n - g, so the number X of non-candidates before the next candidate
+    has the skip law that `_skip` inverts: the next x ranks all miss the F
+    positions below max(E) with probability C(N - x, F) / C(N, F). The
+    non-candidates land above max(E) and leave D alone. The candidate lands
+    on the idx-th free position below max(E), idx uniform on [0, F): the
+    c = #{D <= idx} entries of E below it are exactly the better ranks that
+    arrive before it, so it lands at idx + c. It enters D at c with the
+    count idx, each later entry shifts up with one free position fewer below
+    it, and the last drops out. A row ends when F = 0.
 
-    Stream: each step draws, for the rows still walking and in row order, a
-    block of standard exponentials (-log U), then the binomial skips, then
-    the idx, so the stream depends on `rows` alone.
+    Stream: each of the first min(ell, n) steps, where F = N and X = 0 on
+    every row, draws only the idx; each later step draws, for the rows
+    still walking and in row order, one uniform per row for `_skip`, then
+    the idx, so the stream depends on `rows` alone. `log_fact` is
+    `_log_factorials(n)`.
     """
     m = min(ell, n)
-    # n + 1 values fit: the positions, the ranks, the counts and the padding n
-    dtype = np.int16 if n < 2**15 else np.int32
+    dtype = _index_dtype(n)
     free = np.full((rows, m), n, dtype=np.int32)  # D
     active = np.arange(rows)
     nxt = np.zeros(rows, dtype=np.int64)  # the next rank to walk, per row
@@ -353,8 +402,7 @@ def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
     steps = []
     while len(active):
         f = free[:, -1].astype(np.int64)
-        v = -np.expm1(-rng.standard_exponential(len(active)) / f)
-        rank = nxt + rng.binomial(n - nxt - f, v)
+        rank = nxt if len(steps) < m else nxt + _skip(rng, n - nxt, f, log_fact)
         idx = rng.integers(0, f, dtype=np.int32)
         lower = free <= idx[:, None]  # the entries of E below the candidate
         below = lower.view(np.uint8).sum(axis=1, dtype=np.int32)
@@ -371,9 +419,36 @@ def _candidate_walk(rng: np.random.Generator, rows: int, n: int,
     return steps, count
 
 
+class _DecisionTable(NamedTuple):
+    """What `_secretary_decide` reads of a spec, built once by
+    `_decision_table`. Indexed by rank, with the padding rank n last: the
+    values, 0.0 at n; the tie group, the padding a group of its own; and
+    whether the group holds another rank (`group` and `tied` are None when
+    no two values tie). Indexed by position, n included: the interval. Then
+    the value of rank ell (NaN when ell > n) and ell."""
+
+    vals: np.ndarray
+    group: Optional[np.ndarray]
+    tied: Optional[np.ndarray]
+    interval: np.ndarray
+    ell_value: float
+    ell: int
+
+
+def _decision_table(vals_desc: np.ndarray, beta: BetaVector) -> _DecisionTable:
+    n, ell = len(vals_desc), beta.ell
+    group = np.cumsum(np.r_[True, vals_desc[1:] != vals_desc[:-1], True])
+    tied = np.bincount(group)[group] > 1
+    if not tied.any():
+        group = tied = None
+    interval = np.searchsorted(beta.boundaries[:-1], np.arange(n + 1), side="right")
+    return _DecisionTable(np.append(vals_desc, 0.0), group, tied,
+                          interval.astype(_index_dtype(n)),
+                          vals_desc[ell - 1] if ell <= n else np.nan, ell)
+
+
 def _secretary_decide(pos: np.ndarray, rank: np.ndarray, before: np.ndarray,
-                      vals_desc: np.ndarray, beta: BetaVector,
-                      k: int) -> tuple[np.ndarray, ...]:
+                      table: _DecisionTable, k: int) -> tuple[np.ndarray, ...]:
     """The outcome of every row of a candidate block: the bounded run's
     top-ell value, and 0/1 flags for a run that the capacity cut changed and
     an unbounded run that missed rank ell. The block is three (width, rows)
@@ -392,30 +467,24 @@ def _secretary_decide(pos: np.ndarray, rank: np.ndarray, before: np.ndarray,
     earliest acceptances, and its top ell values are those of its first
     ell kept ranks.
     """
-    n, ell = len(vals_desc), beta.ell
+    n, ell, group = len(table.vals) - 1, table.ell, table.group
     real = rank < n
-    vals = np.append(vals_desc, 0.0)[rank]
-    seen = before.copy()
-    # per rank: its tie group, and whether that group holds another rank;
-    # the padding rank n is a group of its own
-    group = np.cumsum(np.r_[True, vals_desc[1:] != vals_desc[:-1], True])
-    tied = np.bincount(group)[group] > 1
-    slot, row = np.nonzero(tied[rank])
-    grp = group[rank[slot, row]]
-    for d in range(1, len(pos)):
-        mate = slot + d
-        ok = mate < len(pos)
-        ok[ok] = group[rank[mate[ok], row[ok]]] == grp[ok]
-        if not ok.any():
-            break
-        slot, row, grp, mate = slot[ok], row[ok], grp[ok], mate[ok]
-        seen[slot, row] += pos[mate, row] < pos[slot, row]
-    # the interval of every position, n for the padding included
-    interval = np.searchsorted(beta.boundaries[:-1], np.arange(n + 1), side="right")
-    interval = interval.astype(pos.dtype)
-    a_u = real & (seen < interval[pos])
-    ell_value = vals_desc[ell - 1] if ell <= n else np.nan  # tie group of rank ell
-    missed = ~(a_u & (vals == ell_value)).any(axis=0)
+    vals = table.vals[rank]
+    seen = before
+    if group is not None:
+        seen = before.copy()
+        slot, row = np.nonzero(table.tied[rank])
+        grp = group[rank[slot, row]]
+        for d in range(1, len(pos)):
+            mate = slot + d
+            ok = mate < len(pos)
+            ok[ok] = group[rank[mate[ok], row[ok]]] == grp[ok]
+            if not ok.any():
+                break
+            slot, row, grp, mate = slot[ok], row[ok], grp[ok], mate[ok]
+            seen[slot, row] += pos[mate, row] < pos[slot, row]
+    a_u = real & (seen < table.interval[pos])
+    missed = ~(a_u & (vals == table.ell_value)).any(axis=0)  # tie group of rank ell
     # capacity cut: binding rows keep their k earliest acceptances
     over = np.count_nonzero(a_u, axis=0) > k
     if over.any():
@@ -441,32 +510,36 @@ def secretary_trials(
     fewer than ell better ranks arrive before it: a candidate.
     `_candidate_walk` draws just the candidates, about ell (1 + ln(n / ell))
     per row, best rank first, with their positions and those counts. Its law
-    is exact: placing the ranks one by one, each on a uniform free position,
-    gives a uniform arrival order, and the walk draws each run of
-    non-candidates at once from its exact (negative hypergeometric) law and
-    the next candidate uniformly among the free positions it can take. No
-    test reads where a non-candidate lands, only that it lands after the
-    ell earliest better arrivals. `_secretary_decide` then tests every
-    candidate against its interval, in row chunks of at most
-    `_DECISION_CHUNK_CELLS` cells; the stream does not depend on the
-    chunks. Extras: `prob_capacity_differs`, Pr[the bounded and unbounded
-    runs differ], and `prob_ell_missed`, Pr[the unbounded run misses the
-    ell-th largest], each the mean of a 0/1 column with its stderr.
+    is exact, up to the float rounding stated in `_skip`: placing the ranks
+    one by one, each on a uniform free position, gives a uniform arrival
+    order. Once ell ranks are placed, each step of the walk inverts one
+    uniform per walking row into the run of non-candidates before the next
+    candidate, then draws the idx that places that candidate uniformly among
+    the free positions it can take. No test reads where a non-candidate
+    lands, only that it lands after the ell earliest better arrivals.
+    `_secretary_decide` then tests every candidate against its interval, in
+    row chunks of at most `_DECISION_CHUNK_CELLS` cells, with the spec's
+    constants built once (`_decision_table`); the stream does not depend on
+    the chunks. Extras: `prob_capacity_differs`, Pr[the bounded and
+    unbounded runs differ], and `prob_ell_missed`, Pr[the unbounded run
+    misses the ell-th largest], each the mean of a 0/1 column with its
+    stderr.
     """
     vals_desc = np.sort(np.asarray(values, dtype=float))[::-1]
     n = len(vals_desc)
     if beta.n != n:
         raise ValueError("beta.n must match the number of values")
     bench = float(vals_desc[:beta.ell].sum())
+    log_fact, table = _log_factorials(n), _decision_table(vals_desc, beta)
 
     def step(rng, size):
-        steps, count = _candidate_walk(rng, size, n, beta.ell)
+        steps, count = _candidate_walk(rng, size, n, beta.ell, log_fact)
         out = np.empty((3, size))
         rows = max(1, _DECISION_CHUNK_CELLS // len(steps))
         for lo in range(0, size, rows):
             hi = min(size, lo + rows)
             block = np.stack([s[:, lo:hi] for s in steps[:count[lo:hi].max()]], axis=1)
-            out[:, lo:hi] = _secretary_decide(*block, vals_desc, beta, k)
+            out[:, lo:hi] = _secretary_decide(*block, table, k)
         return out
 
     moments = _run_batches(step, 3, trials, master_seed)

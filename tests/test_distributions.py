@@ -75,6 +75,28 @@ class TestValueDistribution:
         with pytest.raises(DistributionError, match="finite|inf"):
             make()
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("degenerate", {"value": "2"}, "value"),
+        ("degenerate", {"value": None}, "value"),
+        ("degenerate", {"value": np.bool_(True)}, "value"),
+        ("uniform-interval", {"lo": False, "hi": 3.0}, "lo"),
+        ("uniform-interval", {"lo": 0.0, "hi": "3"}, "hi"),
+        ("exponential", {"rate": True}, "rate"),
+        ("exponential", {"rate": [1.0]}, "rate"),
+    ], ids=["string-value", "none-value", "numpy-bool-value", "bool-lo", "string-hi",
+            "bool-rate", "list-rate"])
+    def test_refuses_scalar_parameters_that_are_not_real_numbers(self, kind, params, name):
+        # float() made 2.0, 0.0, 3.0 and 1.0 of the string and bool cases
+        with pytest.raises(DistributionError) as info:
+            ValueDistribution(kind, **params)
+        assert str(info.value) == (f"{kind} parameter {name!r} must be a real number, "
+                                   f"got {params[name]!r}")
+
+    def test_accepts_scalar_parameters_of_any_real_type(self):
+        assert ValueDistribution.uniform(np.int64(1), np.float32(2.5)).support == (1.0, 2.5)
+        assert ValueDistribution.exponential(2).mean() == 0.5
+        assert ValueDistribution.degenerate(np.uint8(3)).atoms == [(3.0, 1.0)]
+
     def test_refuses_rate_with_infinite_mean(self):
         # 1e-310 is positive and finite, but 1/1e-310 overflows: sample_n drew
         # inf values and the mean was inf

@@ -542,6 +542,24 @@ def test_refuses_atoms_that_are_not_real_numbers(atoms):
         run_experiments([spec])
 
 
+@pytest.mark.parametrize("dist, name", [
+    ('{"kind": "degenerate", "params": {"value": "2"}}', "value"),
+    ('{"kind": "uniform-interval", "params": {"lo": false, "hi": "3"}}', "lo"),
+    ('{"kind": "uniform-interval", "params": {"lo": 0, "hi": "3"}}', "hi"),
+    ('{"kind": "exponential", "params": {"rate": true}}', "rate"),
+    ('{"kind": "exponential", "params": {"rate": null}}', "rate"),
+], ids=["numeric-string-value", "bool-lo", "numeric-string-hi", "bool-rate", "null-rate"])
+def test_refuses_scalar_parameters_that_are_not_real_numbers(dist, name):
+    # the first four used to run as a point mass at 2, U[0, 3], U[0, 3] and
+    # exp(1); null was refused as malformed, from float()'s TypeError
+    spec = ExperimentSpec.from_json(json.loads(
+        '{"kind": "prophet-max", "n": 4, "ell": 1, "k": 2, "trials": 100, "master_seed": 1,'
+        ' "distribution": {"iid": %s}}' % dist))
+    with pytest.raises(InvalidSpecError,
+                       match=f"^distribution: .*parameter '{name}' must be a real number"):
+        run_experiments([spec])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_every_spec_is_validated_before_the_first_runs(jobs, monkeypatch):
     # the first spec used to run in full before the second was refused, and

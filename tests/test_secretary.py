@@ -2,6 +2,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,7 +273,8 @@ class TestVectorizedEngine:
         n = beta.n
         vals_desc = np.sort(values)[::-1]
         block = _candidate_block(orders, n, beta.ell)
-        got = experiments._secretary_decide(*block, vals_desc, beta, k)
+        table = experiments._decision_table(vals_desc, beta)
+        got = experiments._secretary_decide(*block, table, k)
         for r, order in enumerate(orders):
             assert (got[0][r], bool(got[1][r]), bool(got[2][r])) \
                 == _scalar_row(vals_desc, order, beta, k)
@@ -429,10 +431,142 @@ class TestVectorizedEngine:
             + 3 * stats.extras["prob_ell_missed_stderr"]
 
 
+def _exact_skip(u, big_n, f):
+    """X = max{x <= N - F : C(N - x, F) / C(N, F) >= W} for W = 1 - u, in
+    integers and rationals, by bisection: S(x) = C(N - x, F) / C(N, F)
+    falls with x, and S(0) = 1 >= W."""
+    w_total = (1 - Fraction(u)) * math.comb(big_n, f)
+    lo, hi = 0, big_n - f
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(big_n - mid, f) >= w_total:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _skip_pmf(big_n, f):
+    """Pr[X = x] for x = 0..N - F, exactly, rounded to floats at the end."""
+    total = math.comb(big_n, f)
+    return [float(Fraction(math.comb(big_n - x, f) - math.comb(big_n - x - 1, f), total))
+            for x in range(big_n - f + 1)]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: `random(size)` returns the next `size` of
+    the uniforms it was given."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size):
+        out, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(out)
+
+
+class _RecordingRng:
+    """Forwards `random` and `integers` to a Generator and logs each call's
+    method and size; any other draw raises AttributeError."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def integers(self, low, high, dtype):
+        self.calls.append(("integers", len(high)))
+        return self.rng.integers(low, high, dtype=dtype)
+
+
+class TestSkip:
+    """`experiments._skip`, the number of non-candidates before the next
+    candidate, against its law computed here from `math.comb`."""
+
+    # (N, F): N = 1, F = 1, F = N, F = N - 1 and N = 2000 at the walk's
+    # states of the benchmark's ell = 2
+    GRID = [(1, 1), (2, 1), (2, 2), (7, 1), (7, 3), (7, 6), (7, 7), (40, 2), (200, 1),
+            (200, 2), (200, 199), (200, 200), (1000, 50), (2000, 1), (2000, 2),
+            (2000, 40), (2000, 1999), (2000, 2000)]
+
+    @pytest.mark.parametrize("big_n, f", GRID)
+    def test_matches_rational_inversion(self, big_n, f):
+        # the edges 0 and 1 - 2^-53 give W = 1 and W = 2^-53
+        uniforms = [0.0, 2.0**-53, 0.5, 1 - 2.0**-53]
+        uniforms += np.random.default_rng(big_n * 10_000 + f).random(200).tolist()
+        want = [_exact_skip(u, big_n, f) for u in uniforms]
+        got = experiments._skip(_FixedUniforms(uniforms), np.full(len(uniforms), big_n),
+                                np.full(len(uniforms), f), experiments._log_factorials(2000))
+        assert got.tolist() == want and want[0] == 0
+
+    @pytest.mark.parametrize("big_n", [7, 200, 2000])
+    def test_rounding_ties_follow_the_float_comparison(self, big_n):
+        # at F = 1 and U = j / N, log S(X) = log W up to rounding, and the
+        # bound N (1 - W) that the search starts from is X itself, an integer
+        # that rounding can put just below (at N = 2000, j = 445). X is then
+        # the largest x whose log S(x) >= log W in floats, and within 1 of the
+        # rational inversion
+        uniforms = (np.arange(1, big_n) / big_n).tolist()
+        got = experiments._skip(_FixedUniforms(uniforms), np.full(len(uniforms), big_n),
+                                np.ones(len(uniforms), dtype=np.int64),
+                                experiments._log_factorials(2000))
+        log_n = math.lgamma(big_n + 1) - math.lgamma(big_n)
+        log_s = np.array([math.lgamma(big_n - y + 1) - math.lgamma(big_n - y) - log_n
+                          for y in range(big_n)])
+        for x, u in zip(got.tolist(), uniforms):
+            assert x == np.flatnonzero(log_s >= np.log1p(-u)).max()
+            assert abs(x - _exact_skip(u, big_n, 1)) <= 1
+
+    @pytest.mark.parametrize("big_n, f", [(1998, 2), (1000, 50), (150, 24)])
+    def test_law_matches_exact_pmf(self, big_n, f):
+        # chi-square of 200k draws on one row each, bins merged up to an
+        # expected count of 20
+        draws = 200_000
+        got = experiments._skip(np.random.default_rng(big_n + f), np.full(draws, big_n),
+                                np.full(draws, f), experiments._log_factorials(2000))
+        assert got.min() >= 0 and got.max() <= big_n - f
+        observed, expected, obs, exp = [], [], 0, 0.0
+        counts = np.bincount(got, minlength=big_n - f + 1)
+        for x, p in enumerate(_skip_pmf(big_n, f)):
+            obs, exp = obs + int(counts[x]), exp + p * draws
+            if exp >= 20:
+                observed.append(obs)
+                expected.append(exp)
+                obs, exp = 0, 0.0
+        observed[-1] += obs
+        expected[-1] += exp
+        observed, expected = np.array(observed), np.array(expected)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        df = len(expected) - 1
+        z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert df > 20 and z < 4.0
+
+    @pytest.mark.parametrize("n, ell", [(1, 1), (5, 7), (9, 3), (200, 2), (2000, 2)])
+    def test_stream_contract(self, n, ell):
+        # each of the first min(ell, n) steps draws only the idx, one per row;
+        # each later step one uniform per walking row, then the idx
+        rows = 500
+        rng = _RecordingRng(np.random.default_rng(n))
+        steps, count = experiments._candidate_walk(rng, rows, n, ell,
+                                                   experiments._log_factorials(n))
+        want = []
+        for i in range(len(steps)):
+            walking = int(np.count_nonzero(count > i))
+            want += [("integers", walking)] if i < min(ell, n) else \
+                [("random", walking), ("integers", walking)]
+        assert rng.calls == want
+        plain, _ = experiments._candidate_walk(np.random.default_rng(n), rows, n, ell,
+                                               experiments._log_factorials(n))
+        assert all((a == b).all() for a, b in zip(steps, plain)) and len(steps) == len(plain)
+
+
 def _walk_block(rng, rows, n, ell):
     """`_candidate_walk`'s steps as one (3, width, rows) block, checking its
     counts."""
-    steps, count = experiments._candidate_walk(rng, rows, n, ell)
+    steps, count = experiments._candidate_walk(rng, rows, n, ell,
+                                               experiments._log_factorials(n))
     block = np.stack(steps, axis=1)
     assert (count == np.count_nonzero(block[1] < n, axis=0)).all()
     return block
