@@ -451,6 +451,9 @@ class ProductInstance:
         widest row, then a block of the top min(m, n) values below thr, in
         decreasing order, with 0.0 where there are fewer; only the rows with
         C_r < min(m, n) read the block, and it is 0.0 in every other row.
+        Reduced rows are F-ordered (slot-major), so that each slot is one
+        contiguous column for the threshold kernel's per-row reductions; the
+        samplers fill them by logical index, so the layout moves no draw.
 
         Values are nonnegative, so the first value >= thr, the values > thr
         in arrival order and the top m of a row that holds all C_r are those
@@ -471,8 +474,8 @@ class ProductInstance:
           one uniform per row, looked up in a table of the binomial CDF.
         - Several runs at a scalar thr: see `_sparse_rows`.
         - Several runs at per-row thresholds: `sample_matrix(rng, trials)`,
-          the full rows, which are also the reference the tests hold every
-          reduced row to.
+          the full rows, C-ordered, which are also the reference the tests
+          hold every reduced row to.
         """
         if len(self._runs) == 1:
             return self._renyi_rows(rng, trials, thr, m, k)
@@ -518,7 +521,7 @@ class ProductInstance:
         top_only = count <= k
         stored = np.where(top_only, np.minimum(count, depth + 1), count)
         width = int(stored.max())
-        rows = np.zeros((trials, width + depth))
+        rows = np.zeros((trials, width + depth), order="F")
         slot = np.arange(width + depth)
         if one_atom:
             # every value >= thr is the top atom
@@ -582,7 +585,7 @@ class ProductInstance:
         head = self._stack[0]
         value_head = head[col]
         width = int(count.max())
-        rows = np.zeros((trials, width + depth))
+        rows = np.zeros((trials, width + depth), order="F")
         v = rng.random(len(keys))
         np.subtract(1.0, v, out=v)
         v *= p[value_head]

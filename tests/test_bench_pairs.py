@@ -26,6 +26,22 @@ def test_parent_runs_first_on_even_pairs():
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
 
 
+def test_run_plan_opens_with_a_discarded_warm_up_pair():
+    seeds = list(range(100, 100 + 2 * len(bench_pairs.WORKLOADS)))
+    plan = bench_pairs.run_plan(2, seeds)
+    first = bench_pairs.WORKLOADS[0]
+    assert plan[:2] == [(first, bench_pairs.WARM_UP, 100, "parent"),
+                        (first, bench_pairs.WARM_UP, 100, "change")]
+    # then each workload's pairs on its own seeds, sides alternating by pair
+    want = []
+    for w, workload in enumerate(bench_pairs.WORKLOADS):
+        want += [(workload, 0, seeds[2 * w], "parent"), (workload, 0, seeds[2 * w], "change"),
+                 (workload, 1, seeds[2 * w + 1], "change"),
+                 (workload, 1, seeds[2 * w + 1], "parent")]
+    assert plan[2:] == want
+    assert all(pair != bench_pairs.WARM_UP for _, pair, _, _ in plan[2:])
+
+
 def test_quartiles_and_win_counts():
     parent = [_run(1, 0.10, 0.20, 100.0, 50.0), _run(2, 0.30, 0.40, 200.0, 50.0),
               _run(3, 0.20, 0.30, 300.0, 50.0), _run(4, 0.40, 0.10, 400.0, 50.0)]

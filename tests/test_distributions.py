@@ -748,6 +748,20 @@ class TestSampleRows:
         assert np.array_equal(got, instance.sample_matrix(rng_b, 700))
         assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
+    @pytest.mark.parametrize("instance,thr", [
+        (ProductInstance.iid(ValueDistribution.exponential(1.0), 40), 1.5),
+        (ProductInstance.iid(ValueDistribution.exponential(1.0), 40), "per-row"),
+        (ProductInstance.iid(_ATOMS_012, 30), 2.0),
+        (_mixed_instance(), 1.0),
+    ], ids=["one-run-scalar", "one-run-per-row", "one-run-one-atom", "several-runs-scalar"])
+    def test_reduced_rows_are_slot_major(self, instance, thr):
+        # both reduced samplers store their rows F-ordered, so that each slot
+        # is one contiguous column; the stream tests pin the values
+        if thr == "per-row":
+            thr = np.linspace(0.5, 2.5, 500)
+        rows = instance.sample_rows(np.random.default_rng(12), 500, thr, 3, 4)
+        assert rows.shape[1] > 1 and rows.flags.f_contiguous
+
     @pytest.mark.parametrize("dist", [ValueDistribution.uniform(0.5, 3.0),
                                       ValueDistribution.exponential(2.0),
                                       ValueDistribution.finite([(0.5, 0.25), (1.0, 0.5),

@@ -129,6 +129,60 @@ def test_top_block_matches_sort(n):
         assert np.array_equal(np.sort(top_block(m, ell), axis=1), want)
 
 
+def _bits(a):
+    """The IEEE bit patterns of an array, in row-major order."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+#: (n, m) for every path of `top_block`: the row max; on F-ordered rows the
+#: column sweep (m <= _SWEEP_MAX_M), with m < n and with m >= n; the
+#: partition fallback (m > _SWEEP_MAX_M); the whole row sorted (m >= n).
+#: C-ordered rows take the partition or the sort at every m > 1.
+_TOP_BLOCK_PATHS = {"max": (30, 1), "sweep": (30, 3), "sweep-m-at-n": (5, 5),
+                    "sweep-m-above-n": (5, 7), "sweep-widest": (30, 8),
+                    "partition": (30, 12), "whole-row": (12, 15)}
+
+
+@pytest.mark.parametrize("path", list(_TOP_BLOCK_PATHS))
+def test_top_block_is_decreasing_and_layout_free(path):
+    n, m = _TOP_BLOCK_PATHS[path]
+    assert (1 < min(m, n) <= experiments._SWEEP_MAX_M) == path.startswith("sweep")
+    values = np.random.default_rng(n * m).exponential(size=(500, n))
+    values[::3, 1:] = values[::3, :1]  # ties
+    values[::7] = 0.0
+    want = np.sort(values, axis=1)[:, ::-1][:, :m]
+    blocks = [top_block(np.asarray(values, order=order), m) for order in "CF"]
+    for block in blocks:
+        assert block.shape == (500, min(m, n)) and block.flags.f_contiguous
+        assert np.array_equal(_bits(block), _bits(want))
+    # one summation order on every path, so every row sums to the same bits
+    assert np.array_equal(_bits(blocks[0].sum(axis=1)), _bits(blocks[1].sum(axis=1)))
+
+
+@pytest.mark.parametrize("first_ge", [False, True], ids=["strict", "atoms"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar-thr", "row-thr"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_threshold_top_does_not_depend_on_layout(m, per_row, first_ge):
+    values = _integer_matrix(10 + m)
+    thr = (np.random.default_rng(200 + m).integers(0, 5, ROWS).astype(float)
+           if per_row else 2.0)
+    counts = _unbounded_counts(values, thr, first_ge)
+    k = int(np.median(counts))
+    t = thr[:, None] if per_row else thr
+    first = (values >= t).argmax(axis=1)
+    # rows where k binds and rows where it does not, and a first value >= thr
+    # that is exactly thr
+    assert 0 < np.count_nonzero(counts > k) < ROWS
+    assert np.any(values[np.arange(ROWS), first] == thr)
+    out_c = _threshold_top(values, thr, k, m, first_ge)
+    out_f = _threshold_top(np.asfortranarray(values), thr, k, m, first_ge)
+    assert np.array_equal(out_c[2], out_f[2]) and np.array_equal(out_c[2], counts > k)
+    for c_block, f_block in zip(out_c[:2], out_f[:2]):
+        assert np.array_equal(_bits(c_block), _bits(f_block))
+        assert np.all(np.diff(f_block, axis=1) <= 0)
+        assert np.array_equal(_bits(c_block.sum(axis=1)), _bits(f_block.sum(axis=1)))
+
+
 def _binding_share(values, thr, k, first_ge=False):
     counts = _unbounded_counts(values, thr, first_ge)
     return np.count_nonzero(counts > k) / len(counts)

@@ -9,10 +9,13 @@ Each commit is extracted with `git archive` into its own temporary directory,
 so no worktree or checkout state is left behind. For every workload and pair
 i, `perfbench/run.py --workload <w> --seed <s> --seconds S --trace 0` runs
 once on each side, one process per run, the parent first on even i and the
-change first on odd i. The seeds are given in advance, `--pairs` per workload
-in the order of `WORKLOADS`; each is a number or a range a-b. The output
-file holds the machine, the SHA-256 of each side's `src/`, every run's
-metrics, each side's median and quartiles per metric
+change first on odd i. Before the first workload one warm-up pair always runs,
+on that workload and its first seed, and is discarded: the first workload of
+a session has shown a bias between the sides that the alternation did not
+cancel (`prophet-finite` in `BENCH_32.json`). The seeds are given in advance,
+`--pairs` per workload in the order of `WORKLOADS`; each is a number or a
+range a-b. The output file holds the machine, the SHA-256 of each side's
+`src/`, every run's metrics, each side's median and quartiles per metric
 (`statistics.quantiles(n=4)` over the runs), and the number of pairs in which
 the change did better on each metric.
 """
@@ -35,6 +38,8 @@ WIN_KEYS = {"setup_s": "change_lower_setup_s", "wall_s": "change_lower_wall_s",
             "trials_per_s": "change_faster_trials_per_s",
             "peak_rss_mb": "change_lower_peak_rss_mb"}
 SIDES = ("parent", "change")
+#: The pair index of the discarded warm-up pair in a run plan.
+WARM_UP = -1
 
 
 def parse_seeds(tokens: list[str]) -> list[int]:
@@ -49,6 +54,18 @@ def parse_seeds(tokens: list[str]) -> list[int]:
 def run_order(pair: int) -> tuple[str, str]:
     """The parent runs first on even pairs, the change on odd ones."""
     return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def run_plan(pairs: int, seeds: list[int]) -> list[tuple[str, int, int, str]]:
+    """Every run of a session in order, as (workload, pair, seed, side): the
+    warm-up pair (pair `WARM_UP`, parent first) on the first workload and its
+    first seed, then `pairs` pairs per workload in the order of `WORKLOADS`,
+    each on its own seed and sides ordered by `run_order`."""
+    plan = [(WORKLOADS[0], WARM_UP, seeds[0], side) for side in SIDES]
+    for w, workload in enumerate(WORKLOADS):
+        for pair, seed in enumerate(seeds[w * pairs:(w + 1) * pairs]):
+            plan += [(workload, pair, seed, side) for side in run_order(pair)]
+    return plan
 
 
 def run_record(seed: int, info: dict, result: dict) -> dict:
@@ -135,29 +152,31 @@ def main(argv=None) -> int:
                        "runs first (parent first on even pair index), one process per run, "
                        "each from its own copy of the committed files (git archive of each "
                        f"commit); {args.pairs} pairs per workload with seeds fixed in advance; "
+                       "one warm-up pair on the first workload and its first seed always runs "
+                       "first and is discarded; "
                        "quartiles are statistics.quantiles(n=4) over the per-run medians; "
                        "written by tools/bench_pairs.py",
              "parent_commit": commits["parent"], "change_commit": commits["change"]}
-    workloads = {}
+    runs = {workload: {side: [] for side in SIDES} for workload in WORKLOADS}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: extract(commits[side], Path(tmp) / side) for side in SIDES}
-        for w, workload in enumerate(WORKLOADS):
-            wl_seeds = seeds[w * args.pairs:(w + 1) * args.pairs]
-            runs = {side: [] for side in SIDES}
-            for pair, seed in enumerate(wl_seeds):
-                for side in run_order(pair):
-                    info, result = run_one(checkouts[side], workload, seed, args.seconds)
-                    runs[side].append(run_record(seed, info, result))
-                    bench.setdefault("machine", {key: info["machine"][key] for key in
-                                                 ("cores", "usable_cores", "python", "numpy",
-                                                  "platform")})
-                    bench.setdefault("src_sha256", {})[side] = info["machine"]["src_sha256"]
-                    print(f"{workload} pair {pair} seed {seed} {side}: wall_s "
-                          f"{result['metrics']['wall_s']['value']:.4f} correct "
-                          f"{result['correct']}", flush=True)
-            workloads[workload] = summarize(args.seconds, wl_seeds, runs)
+        for workload, pair, seed, side in run_plan(args.pairs, seeds):
+            info, result = run_one(checkouts[side], workload, seed, args.seconds)
+            print(f"{workload} pair {'warm-up' if pair == WARM_UP else pair} seed {seed} "
+                  f"{side}: wall_s {result['metrics']['wall_s']['value']:.4f} correct "
+                  f"{result['correct']}", flush=True)
+            if pair == WARM_UP:
+                continue
+            runs[workload][side].append(run_record(seed, info, result))
+            bench.setdefault("machine", {key: info["machine"][key] for key in
+                                         ("cores", "usable_cores", "python", "numpy",
+                                          "platform")})
+            bench.setdefault("src_sha256", {})[side] = info["machine"]["src_sha256"]
     bench["src_sha256"] = {side: bench["src_sha256"][side] for side in SIDES}
-    bench["workloads"] = workloads
+    bench["workloads"] = {
+        workload: summarize(args.seconds, [r["seed"] for r in runs[workload]["parent"]],
+                            runs[workload])
+        for workload in WORKLOADS}
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
